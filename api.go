@@ -27,11 +27,11 @@
 // The result carries per-layer loopnest schedules, AuthBlock assignments,
 // latency/energy statistics and the authentication-traffic breakdown.
 // Design-space sweeps are exported too: Sweep evaluates a (spec, crypto)
-// cross product, and SweepFront runs the dominance-pruned coordinator that
-// returns the same Pareto front while skipping points a cheap lower bound
-// proves cannot reach it. Deeper functionality (the AuthBlock search, the
-// roofline model, the functional AES-GCM data path) lives in the internal
-// packages and is exercised by the cmd/ binaries and examples/.
+// cross product and, with Prune set, returns the same Pareto front while
+// skipping points a cheap lower bound proves cannot reach it. Deeper
+// functionality (the AuthBlock search, the roofline model, the functional
+// AES-GCM data path) lives in the internal packages and is exercised by the
+// cmd/ binaries and examples/.
 //
 // For long-lived deployments, cmd/secured wraps the same searches in an
 // HTTP/JSON daemon (internal/service): typed requests, a bounded admission
@@ -87,10 +87,12 @@ const (
 
 // MapperOptions selects the per-layer loopnest search strategy (the
 // scheduler's Mapper field). The zero value is the exhaustive search; set
-// Mode to GuidedSearch for the lower-bound-guided mode, which returns
-// byte-identical results at the default Epsilon = 0 an order of magnitude
-// faster, seeding each search from the warm-start store of previous
-// searches over similar layer shapes:
+// Mode to GuidedSearch for the lower-bound-guided mode, which is an order
+// of magnitude faster, seeding each search from the warm-start store of
+// previous searches over similar layer shapes. At the default Epsilon = 0
+// it returns the exhaustive search's results, except on layers whose
+// stride exceeds the filter extent, where its answer can depend on which
+// searches ran before it:
 //
 //	s := secureloop.NewScheduler(spec, crypto)
 //	s.Mapper = secureloop.MapperOptions{Mode: secureloop.GuidedSearch}
@@ -167,40 +169,30 @@ func OpenResultStore(dir string, opt StoreOptions) (*ResultStore, error) {
 type DesignPoint = dse.DesignPoint
 
 // SweepOptions tunes a design-space sweep: annealing iterations, mapper
-// mode, worker-pool width, persistent store, and the coordinator knobs
-// (Shards, Prune, BoundSlack, ShardTimeout, Executor).
+// mode, worker-pool width, persistent store, progress observer and
+// dominance pruning.
 type SweepOptions = dse.Options
 
-// SweepExecutor dispatches one shard of a coordinator sweep's design-point
-// evaluations; implement it to run shards somewhere other than the
-// in-process pool.
-type SweepExecutor = dse.Executor
+// SweepResult is a sweep's outcome: the evaluated points in canonical
+// specs-major order with the front marked, the Pareto front itself, and the
+// run's pruning accounting.
+type SweepResult = dse.SweepResult
 
-// SweepFrontResult is a coordinator sweep's outcome: the Pareto front and
-// the run's pruning/dispatch accounting.
-type SweepFrontResult = dse.SweepFrontResult
-
-// SweepStats is the coordinator sweep's work accounting: points bounded,
-// pruned, deferred, re-evaluated, fully evaluated, store-answered,
-// re-dispatched.
+// SweepStats is a sweep's work accounting: points bounded, pruned,
+// deferred, re-evaluated, fully evaluated and store-answered.
 type SweepStats = dse.FrontStats
 
 // Sweep evaluates the cross product of architectures and crypto configs on
-// one workload, returning every design point in deterministic specs-major
-// order (MarkParetoFront marks the front in place).
-func Sweep(net *Network, specs []ArchSpec, cryptos []CryptoConfig, alg Algorithm, opt SweepOptions) ([]DesignPoint, error) {
-	return dse.SweepOpts(net, specs, cryptos, alg, opt)
-}
-
-// SweepFront runs the dominance-pruned coordinator sweep: a cheap bound
-// pre-pass, canonical best-bound-first shards, and a streaming Pareto
-// front let it skip design points that cannot reach the front. The
-// returned front is byte-identical to ParetoFront over an unpruned Sweep:
+// one workload. Every evaluated point comes back in deterministic
+// specs-major order with its Pareto field set. With Prune set, a cheap
+// bound pre-pass and a streaming Pareto front let the sweep skip design
+// points that cannot reach the front; the returned front is byte-identical
+// to the unpruned sweep's:
 //
-//	res, err := secureloop.SweepFront(ctx, net, specs, cryptos,
-//	    secureloop.CryptOptCross, secureloop.SweepOptions{Prune: true, Shards: 4})
-func SweepFront(ctx context.Context, net *Network, specs []ArchSpec, cryptos []CryptoConfig, alg Algorithm, opt SweepOptions) (SweepFrontResult, error) {
-	return dse.SweepFrontCtx(ctx, net, specs, cryptos, alg, opt)
+//	res, err := secureloop.Sweep(ctx, net, specs, cryptos,
+//	    secureloop.CryptOptCross, secureloop.SweepOptions{Prune: true})
+func Sweep(ctx context.Context, net *Network, specs []ArchSpec, cryptos []CryptoConfig, alg Algorithm, opt SweepOptions) (SweepResult, error) {
+	return dse.Sweep(ctx, net, specs, cryptos, alg, opt)
 }
 
 // MarkParetoFront sets each point's Pareto field: true iff no other point

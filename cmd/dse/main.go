@@ -6,22 +6,22 @@
 // Usage:
 //
 //	dse [-workload alexnet] [-iters 200] [-guided] [-epsilon 0] [-pareto-only]
-//	    [-shards 1] [-prune] [-csv out.csv] [-progress]
+//	    [-prune] [-csv out.csv] [-progress]
 //	    [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -guided switches every loopnest search to the lower-bound-guided mode
-// with cross-design-point warm starts (byte-identical results at the
-// default -epsilon 0, an order of magnitude faster per layer).
-// -prune routes the sweep through the dominance-pruned coordinator: a cheap
-// bound pre-pass plus a streaming Pareto front let it skip design points
-// that cannot reach the front, and the output (the front itself,
-// byte-identical to the unpruned sweep's) prints with per-point skip events
-// under -progress. -shards partitions the coordinator's work into canonical
-// best-bound-first shards. -progress streams one line per resolved design
-// point to stderr; pruned and store-answered points appear with their
-// outcome in parentheses, and the Done counter stays monotone. Ctrl-C
-// cancels the sweep: no new design points launch, in-flight points stop at
-// their next stage boundary, and the error names the interrupted stage.
+// with cross-design-point warm starts (an order of magnitude faster per
+// layer; at the default -epsilon 0 it matches the exhaustive search except
+// on layers whose stride exceeds the filter extent, see DESIGN.md §12).
+// -prune turns on dominance pruning: a cheap bound pre-pass plus a
+// streaming Pareto front let the sweep skip design points that cannot
+// reach the front, and the output (the front itself, byte-identical to the
+// unpruned sweep's) prints with per-point skip events under -progress.
+// -progress streams one line per resolved design point to stderr; pruned
+// and store-answered points appear with their outcome in parentheses, and
+// the Done counter stays monotone. Ctrl-C cancels the sweep: no new design
+// points launch, in-flight points stop at their next stage boundary, and
+// the error names the interrupted stage.
 package main
 
 import (
@@ -54,8 +54,7 @@ func main() {
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		storeDir     = flag.String("store", "", "persistent result-store directory: a warm rerun of the sweep replays byte-identical design points from disk")
-		shards       = flag.Int("shards", 1, "coordinator sweep: number of canonical best-bound-first shards")
-		prune        = flag.Bool("prune", false, "coordinator sweep with dominance pruning: skip design points whose (area, cycle lower bound) is dominated; prints the Pareto front (byte-identical to the unpruned sweep's)")
+		prune        = flag.Bool("prune", false, "dominance pruning: skip design points whose (area, cycle lower bound) is dominated; prints the Pareto front (byte-identical to the unpruned sweep's)")
 	)
 	flag.Parse()
 
@@ -79,7 +78,7 @@ func main() {
 	specs, cryptos := dse.Figure16Space(arch.Base())
 
 	fmt.Fprintf(os.Stderr, "evaluating %d design points...\n", len(specs)*len(cryptos))
-	sweepOpts := dse.Options{AnnealIterations: *iters, Observe: hooks.Observer}
+	sweepOpts := dse.Options{AnnealIterations: *iters, Observe: hooks.Observer, Prune: *prune}
 	if *guided {
 		sweepOpts.Mapper = mapper.Options{Mode: mapper.Guided, Epsilon: *epsilon}
 	}
@@ -95,33 +94,21 @@ func main() {
 		}()
 		sweepOpts.Store = st
 	}
-	var points []dse.DesignPoint
-	if *prune || *shards > 1 {
-		sweepOpts.Shards = *shards
-		sweepOpts.Prune = *prune
-		res, err := dse.SweepFrontCtx(ctx, net, specs, cryptos, core.CryptOptCross, sweepOpts)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "dse: interrupted: %v\n", err)
-				os.Exit(130)
-			}
-			fatal(err)
+	res, err := dse.Sweep(ctx, net, specs, cryptos, core.CryptOptCross, sweepOpts)
+	if err != nil {
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintf(os.Stderr, "dse: interrupted: %v\n", err)
+			os.Exit(130)
 		}
+		fatal(err)
+	}
+	points := res.Points
+	if *prune {
 		s := res.Stats
 		fmt.Fprintf(os.Stderr,
-			"coordinator: %d point(s) in %d shard(s): %d evaluated (%d store-answered), %d pruned, %d deferred (%d re-evaluated)\n",
-			s.Points, s.Shards, s.FullEvals, s.StoreHits, s.Pruned, s.Deferred, s.Reevaluated)
+			"pruned sweep: %d point(s): %d evaluated (%d store-answered), %d pruned, %d deferred (%d re-evaluated)\n",
+			s.Points, s.FullEvals, s.StoreHits, s.Pruned, s.Deferred, s.Reevaluated)
 		points = res.Front // every front point carries Pareto=true
-	} else {
-		points, err = dse.SweepOptsCtx(ctx, net, specs, cryptos, core.CryptOptCross, sweepOpts)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "dse: interrupted: %v\n", err)
-				os.Exit(130)
-			}
-			fatal(err)
-		}
-		dse.MarkPareto(points)
 	}
 
 	var csv strings.Builder

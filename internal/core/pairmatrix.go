@@ -76,9 +76,6 @@ func (r *run) computePair(a, b, ca, cb int) (authblock.Costs, authblock.Assignme
 			U:           num.MulInt(num.MulInt(p.TileC, p.TileH), p.TileW),
 		}
 		return costs, assign, nil
-	case r.useReference:
-		res := authblock.OptimalReference(p, c, r.s.Params)
-		return res.Costs, res.Assignment, nil
 	default:
 		res, err := authblock.OptimalStoredCtx(r.ctx, r.s.Store, p, c, r.s.Params)
 		return res.Costs, res.Assignment, err

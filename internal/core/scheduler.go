@@ -308,9 +308,6 @@ type run struct {
 	layerEvals atomic.Int64
 	// memoOff disables the layer memo (benchmarks of the unmemoised path).
 	memoOff bool
-	// useReference routes pair evaluations through the retained
-	// pre-batching authblock search (cold-cache benchmark baseline).
-	useReference bool
 }
 
 // newRun precomputes the neighbour tables and allocates the per-layer state.

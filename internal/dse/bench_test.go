@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"secureloop/internal/arch"
@@ -31,12 +32,12 @@ func BenchmarkSweepParallel(b *testing.B) {
 	specs, cryptos := benchSpace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := Sweep(net, specs, cryptos, core.CryptOptCross)
+		res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptCross, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(points) != len(specs)*len(cryptos) {
-			b.Fatalf("%d points", len(points))
+		if len(res.Points) != len(specs)*len(cryptos) {
+			b.Fatalf("%d points", len(res.Points))
 		}
 	}
 }

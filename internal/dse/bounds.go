@@ -1,12 +1,13 @@
 // The coordinator's cheap pre-pass: for every design point, the exact die
-// area and a sound lower bound on the scheduled workload cycles, computed
+// area and a lower bound on the scheduled workload cycles, computed
 // without running the full scheduler — no tiling search, no AuthBlock
 // assignment, no annealing. Area reuses the accelergy model expression of
 // evaluateWithBaseline verbatim, so it is byte-identical to the evaluated
 // point's. The cycle bound combines the roofline compute roof with the
 // mapper's per-layer search floor (mapper.SearchLowerBound, built from the
 // guided search's per-dimension traffic/compute tables); DESIGN.md §14
-// gives the soundness argument.
+// gives the soundness argument and the layer shapes (stride > filter
+// extent) where the mapper floor does not yet hold.
 
 package dse
 
@@ -22,9 +23,9 @@ import (
 )
 
 // PointBound is the pre-pass estimate for one design point: the exact area
-// (identical to the evaluated DesignPoint's AreaMM2) and a sound lower
-// bound on the scheduled total cycles. CycleLB == 0 means "no usable
-// bound" — such a point is never pruned.
+// (identical to the evaluated DesignPoint's AreaMM2) and a lower bound on
+// the scheduled total cycles. CycleLB == 0 means "no usable bound" — such a
+// point is never pruned.
 type PointBound struct {
 	AreaMM2 float64
 	CycleLB int64
@@ -49,13 +50,14 @@ func effectiveBW(spec arch.Spec, crypto cryptoengine.Config, alg core.Algorithm)
 	return crypto.EffectiveBytesPerCycle(spec.DRAM.BytesPerCycle)
 }
 
-// networkCycleLB returns a sound lower bound on Total.Cycles of any
-// schedule of net on the design (per-layer Stats.Cycles sum over layers;
-// each layer's Stats.Cycles is bounded below by its mapper search floor and
-// by the roofline compute roof). It returns 0 — never prune — when the
-// bound arithmetic panics on a pathological layer shape (the mapper's
-// checked multiplies), mirroring how the full search surfaces such layers
-// as per-point errors rather than process deaths.
+// networkCycleLB returns a lower bound on Total.Cycles of any schedule of
+// net on the design (per-layer Stats.Cycles sum over layers; each layer's
+// Stats.Cycles is bounded below by its mapper search floor and by the
+// roofline compute roof — the floor overshoots on layers whose stride
+// exceeds the filter extent, DESIGN.md §14). It returns 0 — never prune —
+// when the bound arithmetic panics on a pathological layer shape (the
+// mapper's checked multiplies), mirroring how the full search surfaces
+// such layers as per-point errors rather than process deaths.
 func networkCycleLB(net *workload.Network, spec arch.Spec, crypto cryptoengine.Config, alg core.Algorithm) int64 {
 	var total int64
 	err := obs.Guard(func() error {

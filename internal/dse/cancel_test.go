@@ -42,7 +42,7 @@ func TestSweepCancelledBeforeStart(t *testing.T) {
 	cancel()
 	specs, cryptos := cancelSweepSpace()
 	ob := &sweepObserver{}
-	points, err := SweepOptsCtx(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptCross,
+	res, err := Sweep(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptCross,
 		Options{AnnealIterations: 20, Observe: ob})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -50,8 +50,8 @@ func TestSweepCancelledBeforeStart(t *testing.T) {
 	if !strings.Contains(err.Error(), string(obs.StageSweep)) {
 		t.Errorf("error does not name the sweep stage: %v", err)
 	}
-	if points != nil {
-		t.Errorf("pre-cancelled sweep returned %d points", len(points))
+	if res.Points != nil {
+		t.Errorf("pre-cancelled sweep returned %d points", len(res.Points))
 	}
 	if n := ob.points.Load(); n != 0 {
 		t.Errorf("pre-cancelled sweep evaluated %d design points", n)
@@ -70,12 +70,12 @@ func TestSweepCancelMidSweep(t *testing.T) {
 			cancel()
 		}
 	}
-	points, err := SweepOptsCtx(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptCross,
+	res, err := Sweep(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptCross,
 		Options{AnnealIterations: 20, Observe: ob})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if points != nil {
+	if res.Points != nil {
 		t.Error("cancelled sweep returned points")
 	}
 	if n := ob.points.Load(); n != 0 {
@@ -83,12 +83,54 @@ func TestSweepCancelMidSweep(t *testing.T) {
 	}
 }
 
+// TestSweepCancelDuringPrepass: a pruned sweep cancelled while its bound
+// pre-pass runs stops the pre-pass at the next spec and evaluates no
+// point. The pre-pass never completes, so the process-wide Bounded counter
+// does not move.
+func TestSweepCancelDuringPrepass(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	specs, cryptos := cancelSweepSpace()
+	ob := &sweepObserver{}
+	// StageStart fires immediately before the pre-pass.
+	ob.onStageStart = func(e obs.StageEvent) {
+		if e.Stage == obs.StageSweep {
+			cancel()
+		}
+	}
+	before := PruneStats()
+	res, err := Sweep(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptCross,
+		Options{AnnealIterations: 20, Observe: ob, Prune: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), string(obs.StageSweep)) {
+		t.Errorf("error does not name the sweep stage: %v", err)
+	}
+	if res.Points != nil || res.Front != nil {
+		t.Error("cancelled sweep returned points")
+	}
+	if n := ob.points.Load(); n != 0 {
+		t.Errorf("%d design points evaluated after cancellation in the pre-pass", n)
+	}
+	after := PruneStats()
+	if after.Bounded != before.Bounded || after.FullEvals != before.FullEvals {
+		t.Errorf("pre-pass ran to completion despite cancellation: before %+v, after %+v", before, after)
+	}
+}
+
+// TestEvaluateCancelledBeforeStart: a single design-point evaluation — the
+// unsecure baseline and the secure schedule — honours a pre-cancelled
+// context.
 func TestEvaluateCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	crypto := cryptoengine.Config{Engine: cryptoengine.Parallel(), CountPerDatatype: 1}
-	_, err := EvaluateCtx(ctx, workload.AlexNet(), arch.Base(), crypto, core.CryptOptCross)
+	if _, err := unsecureCycles(ctx, workload.AlexNet(), arch.Base(), crypto, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("baseline err = %v, want context.Canceled", err)
+	}
+	_, err := evaluateWithBaseline(ctx, workload.AlexNet(), arch.Base(), crypto, core.CryptOptCross, 1, Options{})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("evaluation err = %v, want context.Canceled", err)
 	}
 }

@@ -1,28 +1,29 @@
-// The sweep coordinator: dominance-pruned, sharded cold sweeps. A cheap
-// pre-pass (bounds.go) gives every design point an exact area and a sound
-// cycle lower bound; the coordinator partitions the points into canonical
-// shards, orders work best-bound-first, and dispatches shards to an
-// Executor (executor.go) while maintaining a streaming Pareto front
-// (pareto.go) under a mutex. Before a worker pays for the full
-// mapper+authblock+anneal pipeline, it re-checks the point's
-// (area, cycle-LB) against the live front and skips points whose bound is
-// already strictly dominated — sound because a lower bound below the true
-// cycles can only under-prune, never drop a front member. Points whose
-// bound is dominated only by a tie (or sits within Options.BoundSlack of
-// the front) are deferred and resolved in a final exact pass against the
-// finished front, so the returned front is byte-identical to the unpruned
-// sweep's (TestCoordinatorFrontMatchesUnpruned pins this, the same way
+// The sweep coordinator: the only design-space sweep. A cheap pre-pass
+// (bounds.go) gives every design point an exact area and, when pruning, a
+// cycle lower bound; the coordinator launches the points onto one worker
+// pool — best bound first when pruning, canonical order otherwise — while
+// maintaining a streaming Pareto front (pareto.go) under a mutex. Before a
+// worker pays for the full mapper+authblock+anneal pipeline, it re-checks
+// the point's (area, cycle-LB) against the live front and skips points
+// whose bound is already strictly dominated — sound whenever the bound is
+// below the true cycles, because then it can only under-prune, never drop
+// a front member (DESIGN.md §14 records where the mapper floor breaks
+// this). Points whose bound is dominated only by a tie are deferred and
+// resolved in a final exact pass against the finished front, so the
+// returned front is byte-identical to the unpruned sweep's
+// (TestCoordinatorFrontMatchesUnpruned pins this, the same way
 // parallel-vs-serial is pinned).
 
 package dse
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"secureloop/internal/arch"
 	"secureloop/internal/core"
@@ -32,33 +33,52 @@ import (
 	"secureloop/internal/workload"
 )
 
-// Per-job lifecycle states. A job is terminal once evaluated or pruned;
-// deferred jobs are resolved (to one or the other) by the exact pass.
+// jobState is a design point's lifecycle. A job is terminal once evaluated
+// or pruned; deferred jobs are resolved (to one or the other) by the exact
+// pass.
+type jobState uint8
+
 const (
-	statePending uint32 = iota
+	statePending jobState = iota
 	stateEvaluated
 	statePruned
 	stateDeferred
 )
 
-// defaultShardAttempts bounds straggler re-dispatches per shard; the final
-// attempt runs without a shard deadline so the sweep always completes.
-const defaultShardAttempts = 3
+// pointJob is one design point: its canonical index in the specs-major
+// sweep order, its (spec, crypto) coordinates, and the pre-pass bound the
+// worker re-checks against the live front before paying for a full
+// evaluation.
+type pointJob struct {
+	// Index is the point's position in the canonical specs-major output
+	// order (SpecIdx*len(cryptos) + CryptoIdx).
+	Index int
+	// SpecIdx and CryptoIdx index the sweep's spec and crypto slices.
+	SpecIdx, CryptoIdx int
+	// Bound is the pre-pass estimate (exact area, cycle lower bound).
+	Bound PointBound
+}
 
-// FrontStats is one SweepFrontCtx run's work accounting.
+// PointMemBytes is what Sweep allocates per design point before it
+// evaluates any: the job and its bound, the lifecycle state, the result
+// slot, the launch-order and error slots, and the point's entry in the
+// returned Points. Admission control multiplies it by a request's point
+// count.
+const PointMemBytes = int64(unsafe.Sizeof(pointJob{}) + unsafe.Sizeof(jobState(0)) +
+	2*unsafe.Sizeof(DesignPoint{}) + unsafe.Sizeof(int(0)) + unsafe.Sizeof(error(nil)))
+
+// FrontStats is one Sweep run's work accounting.
 type FrontStats struct {
 	// Points is the design-point count of the sweep.
 	Points int
-	// Shards is how many canonical shards the points were partitioned into.
-	Shards int
 	// Bounded counts points given a pre-pass cycle lower bound (all of them
 	// when pruning is on, 0 otherwise).
 	Bounded int
 	// Pruned counts points skipped by dominance without a full evaluation
 	// (exact-pass prunes of deferred points included).
 	Pruned int
-	// Deferred counts points whose bound tied the front (or fell within
-	// BoundSlack) and were resolved in the exact pass.
+	// Deferred counts points whose bound tied the front and were resolved
+	// in the exact pass.
 	Deferred int
 	// Reevaluated counts deferred points that survived the exact pass and
 	// were fully evaluated there.
@@ -68,68 +88,78 @@ type FrontStats struct {
 	// StoreHits counts evaluations the persistent store's network tier
 	// answered (cheap replays, reported as "store-hit" skip events).
 	StoreHits int
-	// Redispatches counts straggler shard re-dispatches after a shard
-	// deadline expired.
-	Redispatches int
 }
 
-// SweepFrontResult is a dominance-pruned sweep's outcome: the Pareto front
-// (ascending area, Pareto marked, byte-identical to ParetoFront over the
-// unpruned sweep) and the run's work accounting.
-type SweepFrontResult struct {
+// SweepResult is a sweep's outcome.
+type SweepResult struct {
+	// Points are the evaluated design points in canonical specs-major
+	// order, Pareto marked: every point when pruning is off, the points
+	// that survived pruning otherwise.
+	Points []DesignPoint
+	// Front is the Pareto front in ascending area, byte-identical to
+	// ParetoFront over the unpruned sweep's points.
 	Front []DesignPoint
+	// Stats is the run's work accounting.
 	Stats FrontStats
 }
 
-// SweepFront is SweepFrontCtx with a background context.
-func SweepFront(net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm, opt Options) (SweepFrontResult, error) {
-	return SweepFrontCtx(context.Background(), net, specs, cryptos, alg, opt)
-}
-
-// SweepFrontCtx runs the coordinator sweep: bound pre-pass, canonical
-// best-bound-first shards, dominance pruning against the streaming front,
-// straggler re-dispatch, and the final exact pass. With Options.Prune off
-// it evaluates every point (still through the Executor seam) and returns
-// the same front. Cancellation stops shard dispatch and in-flight points at
-// their stage boundaries; the error is ctx.Err() wrapped with the sweep
-// stage.
-func SweepFrontCtx(ctx context.Context, net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm, opt Options) (res SweepFrontResult, err error) {
+// Sweep evaluates the cross product of architectures and crypto configs on
+// one workload: bound pre-pass, one worker pool bounded by
+// Options.MaxParallel, dominance pruning against the streaming front when
+// Options.Prune is set, and the final exact pass. The unsecure baseline of
+// each architecture is scheduled once per spec (not once per spec-crypto
+// pair — a 3x redundancy in the Figure 16 space). Cancellation stops the
+// pre-pass at the next spec and the pool at the next launch; in-flight
+// points stop at their stage boundaries, and the error is ctx.Err() wrapped
+// with the sweep stage. A pre-cancelled context evaluates no design point.
+// Worker bodies are guarded, so a panic evaluating one design fails the
+// sweep, not the process.
+func Sweep(ctx context.Context, net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm, opt Options) (res SweepResult, err error) {
 	defer obs.CapturePanic(&err)
 	jobs := num.MulInt(len(specs), len(cryptos))
 	if jobs == 0 {
-		return SweepFrontResult{}, nil
+		return SweepResult{}, nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		return SweepFrontResult{}, fmt.Errorf("dse: %s: %w", obs.StageSweep, cerr)
+		return SweepResult{}, sweepErr(cerr)
 	}
 	c := &coordinator{
 		net: net, specs: specs, cryptos: cryptos, alg: alg, opt: opt,
 		ob:      obs.OrNop(opt.Observe),
-		jobs:    make([]PointJob, jobs),
-		state:   make([]atomic.Uint32, jobs),
+		jobs:    make([]pointJob, jobs),
+		state:   make([]jobState, jobs),
 		results: make([]DesignPoint, jobs),
 		bases:   make([]specBaseline, len(specs)),
 	}
 	c.ob.StageStart(obs.StageEvent{Stage: obs.StageSweep, Units: jobs})
-	c.computeBounds()
-	if err := c.run(ctx); err != nil {
-		return SweepFrontResult{}, err
+	if err := c.computeBounds(ctx); err != nil {
+		return SweepResult{}, err
 	}
-	front := ParetoFront(c.evaluatedPoints())
+	if err := c.run(ctx); err != nil {
+		return SweepResult{}, err
+	}
+	points := c.evaluatedPoints()
+	MarkPareto(points)
+	front := ParetoFront(points)
 	c.ob.StageEnd(obs.StageEvent{Stage: obs.StageSweep, Units: jobs})
-	return SweepFrontResult{Front: front, Stats: c.frontStats()}, nil
+	return SweepResult{Points: points, Front: front, Stats: c.frontStats()}, nil
+}
+
+// sweepErr wraps a context error with the sweep stage.
+func sweepErr(cerr error) error {
+	return fmt.Errorf("dse: %s: %w", obs.StageSweep, cerr)
 }
 
 // specBaseline memoises one spec's unsecure baseline. Unlike a sync.Once, a
-// context error is not latched: a baseline interrupted by a shard deadline
-// is recomputed by the re-dispatched attempt.
+// failure is not latched: the next point of the spec computes the baseline
+// again.
 type specBaseline struct {
 	mu     sync.Mutex
 	done   bool  // guarded by mu
 	cycles int64 // guarded by mu
 }
 
-// coordinator carries one SweepFrontCtx run's state.
+// coordinator carries one Sweep run's state.
 type coordinator struct {
 	net     *workload.Network
 	specs   []arch.Spec
@@ -138,64 +168,68 @@ type coordinator struct {
 	opt     Options
 	ob      obs.Observer
 
-	jobs    []PointJob      // canonical specs-major order, bounds filled
-	state   []atomic.Uint32 // per-job lifecycle, indexed like jobs
-	results []DesignPoint   // evaluated points only, indexed like jobs
-	bases   []specBaseline  // per-spec unsecure baselines
+	jobs    []pointJob     // canonical specs-major order, bounds filled
+	state   []jobState     // per-job lifecycle, indexed like jobs
+	results []DesignPoint  // evaluated points only, indexed like jobs
+	bases   []specBaseline // per-spec unsecure baselines
 	front   frontTracker
 	done    atomic.Int64 // terminal dispositions, for monotone progress
 
-	shardCount   int
-	pruned       atomic.Int64
-	deferred     atomic.Int64
-	reevaluated  atomic.Int64
-	fullEvals    atomic.Int64
-	storeHits    atomic.Int64
-	redispatches atomic.Int64
+	pruned      atomic.Int64
+	deferred    atomic.Int64
+	reevaluated atomic.Int64
+	fullEvals   atomic.Int64
+	storeHits   atomic.Int64
 }
 
 // computeBounds is the pre-pass: exact area always; the cycle lower bound
 // only when pruning is on (it is the only part that costs anything). The
 // bound depends on the crypto config only through the effective bandwidth,
-// so it is memoised per (spec, effBW) — a sweep's crypto axis mostly
-// collapses onto a few distinct bandwidths.
-func (c *coordinator) computeBounds() {
-	type effKey struct {
-		si int
-		bw float64
-	}
-	var memo map[effKey]int64
-	if c.opt.Prune {
-		memo = make(map[effKey]int64)
-		sweepBounded.Add(int64(len(c.jobs)))
-	}
+// so it is memoised per spec by effBW — a sweep's crypto axis mostly
+// collapses onto a few distinct bandwidths. The context is polled once per
+// spec.
+func (c *coordinator) computeBounds(ctx context.Context) error {
 	for si := range c.specs {
+		if cerr := ctx.Err(); cerr != nil {
+			return sweepErr(cerr)
+		}
+		var memo map[float64]int64
+		if c.opt.Prune {
+			memo = make(map[float64]int64)
+		}
 		for ci := range c.cryptos {
 			idx := num.MulInt(si, len(c.cryptos)) + ci
 			b := PointBound{AreaMM2: pointArea(c.specs[si], c.cryptos[ci])}
 			if c.opt.Prune {
-				key := effKey{si: si, bw: effectiveBW(c.specs[si], c.cryptos[ci], c.alg)}
-				lb, ok := memo[key]
+				bw := effectiveBW(c.specs[si], c.cryptos[ci], c.alg)
+				lb, ok := memo[bw]
 				if !ok {
 					lb = networkCycleLB(c.net, c.specs[si], c.cryptos[ci], c.alg)
-					memo[key] = lb
+					memo[bw] = lb
 				}
 				b.CycleLB = lb
 			}
-			c.jobs[idx] = PointJob{Index: idx, SpecIdx: si, CryptoIdx: ci, Bound: b}
+			c.jobs[idx] = pointJob{Index: idx, SpecIdx: si, CryptoIdx: ci, Bound: b}
 		}
 	}
+	if c.opt.Prune {
+		sweepBounded.Add(int64(len(c.jobs)))
+	}
+	return nil
 }
 
-// makeShards partitions the jobs into canonical best-bound-first shards:
-// jobs sorted by (CycleLB, AreaMM2, Index) are dealt round-robin, so every
-// shard leads with its most promising points and shard membership is a pure
-// function of the bounds — identical across serial, parallel and
-// distributed execution.
-func (c *coordinator) makeShards() []Shard {
+// launchOrder returns the job indices in dispatch order. Pruned sweeps
+// launch best bound first — sorted by (CycleLB, AreaMM2, Index) — so the
+// front tightens as early as possible; unpruned sweeps launch in canonical
+// index order. Either way the order is a pure function of the bounds, so a
+// serial sweep visits the points identically on every run.
+func (c *coordinator) launchOrder() []int {
 	order := make([]int, len(c.jobs))
 	for i := range order {
 		order[i] = i
+	}
+	if !c.opt.Prune {
+		return order
 	}
 	sort.Slice(order, func(a, b int) bool {
 		ja, jb := c.jobs[order[a]], c.jobs[order[b]]
@@ -208,46 +242,43 @@ func (c *coordinator) makeShards() []Shard {
 		}
 		return ja.Index < jb.Index
 	})
-	n := c.opt.Shards
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(c.jobs) {
-		n = len(c.jobs)
-	}
-	shards := make([]Shard, n)
-	for i := range shards {
-		shards[i].ID = i
-	}
-	for k, idx := range order {
-		s := &shards[k%n]
-		s.Jobs = append(s.Jobs, c.jobs[idx])
-	}
-	return shards
+	return order
 }
 
-// run dispatches every shard concurrently (total worker parallelism stays
-// bounded by the Executor), then resolves deferred points in the exact
-// pass.
+// run launches every job in launch order onto one pool of
+// Options.MaxParallel workers, then resolves deferred points in the exact
+// pass. Launches stop on cancellation. A failed point does not stop the
+// others; the first failure in launch order is reported.
 func (c *coordinator) run(ctx context.Context) error {
-	exec := c.opt.Executor
-	if exec == nil {
-		exec = &LocalExecutor{Workers: c.opt.MaxParallel}
+	workers := c.opt.MaxParallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := c.makeShards()
-	c.shardCount = len(shards)
-	errs := make([]error, len(shards))
+	sem := make(chan struct{}, workers)
+	order := c.launchOrder()
+	errs := make([]error, len(order))
 	var wg sync.WaitGroup
-	for i := range shards {
+launch:
+	for k, idx := range order {
+		if ctx.Err() != nil {
+			break
+		}
+		select {
+		case sem <- struct{}{}:
+			// Acquired: always launch, so the slot is always released.
+		case <-ctx.Done():
+			break launch
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func(k, idx int) {
 			defer wg.Done()
-			errs[i] = obs.Guard(func() error { return c.runShard(ctx, exec, shards[i]) })
-		}(i)
+			defer func() { <-sem }()
+			errs[k] = obs.Guard(func() error { return c.evalJob(ctx, c.jobs[idx]) })
+		}(k, idx)
 	}
 	wg.Wait()
 	if cerr := ctx.Err(); cerr != nil {
-		return fmt.Errorf("dse: %s: %w", obs.StageSweep, cerr)
+		return sweepErr(cerr)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -257,94 +288,33 @@ func (c *coordinator) run(ctx context.Context) error {
 	return c.exactPass(ctx)
 }
 
-// runShard drives one shard to completion: dispatch the still-pending jobs,
-// and on a shard-deadline expiry (a straggler) re-dispatch whatever is left.
-// All attempts but the last run under Options.ShardTimeout; the last runs
-// without a shard deadline so the sweep always completes.
-func (c *coordinator) runShard(ctx context.Context, exec Executor, sh Shard) error {
-	attempts := c.opt.MaxShardAttempts
-	if attempts <= 0 {
-		attempts = defaultShardAttempts
-	}
-	for attempt := 1; ; attempt++ {
-		pending := c.pendingJobs(sh)
-		if len(pending) == 0 {
-			return nil
-		}
-		if attempt > 1 {
-			c.redispatches.Add(1)
-		}
-		runCtx, cancel := ctx, func() {}
-		if c.opt.ShardTimeout > 0 && attempt < attempts {
-			runCtx, cancel = context.WithTimeout(ctx, c.opt.ShardTimeout)
-		}
-		err := exec.ExecuteShard(runCtx, Shard{ID: sh.ID, Jobs: pending}, c.evalJob)
-		cancel()
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dse: %s: %w", obs.StageSweep, cerr)
-		}
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			return err // a real evaluation failure, already point-wrapped
-		}
-		if err == nil && len(c.pendingJobs(sh)) == len(pending) {
-			// A completed dispatch that resolved nothing would loop forever;
-			// the Executor contract forbids it, so fail loudly.
-			return fmt.Errorf("dse: shard %d: executor completed without resolving any job", sh.ID)
-		}
-		if err != nil && attempt >= attempts {
-			// Unreachable with the stock executors (the last attempt has no
-			// shard deadline), but a custom Executor may surface deadline
-			// errors of its own; bail rather than spin.
-			return fmt.Errorf("dse: shard %d: %w", sh.ID, err)
-		}
-	}
-}
-
-// pendingJobs returns the shard's not-yet-resolved jobs, preserving the
-// shard's best-bound-first order.
-func (c *coordinator) pendingJobs(sh Shard) []PointJob {
-	var out []PointJob
-	for _, job := range sh.Jobs {
-		if c.state[job.Index].Load() == statePending {
-			out = append(out, job)
-		}
-	}
-	return out
-}
-
-// evalJob is the Executor callback: re-check the point's bound against the
-// live front, then prune, defer, or fully evaluate.
-func (c *coordinator) evalJob(ctx context.Context, job PointJob) error {
-	st := &c.state[job.Index]
-	if st.Load() != statePending {
-		return nil // resolved by an earlier attempt
-	}
+// evalJob is one worker's body: re-check the point's bound against the
+// live front, then prune, defer, or fully evaluate. Each job runs exactly
+// once and only its own worker writes its state, which the coordinator
+// reads after the pool drains.
+func (c *coordinator) evalJob(ctx context.Context, job pointJob) error {
 	if c.opt.Prune {
-		switch c.front.check(job.Bound.AreaMM2, job.Bound.CycleLB, c.opt.BoundSlack) {
+		switch c.front.check(job.Bound.AreaMM2, job.Bound.CycleLB) {
 		case boundPrune:
-			if st.CompareAndSwap(statePending, statePruned) {
-				c.pruned.Add(1)
-				sweepPruned.Add(1)
-				c.emitSkip(job, obs.SweepPruned, true)
-			}
+			c.state[job.Index] = statePruned
+			c.pruned.Add(1)
+			sweepPruned.Add(1)
+			c.emitSkip(job, obs.SweepPruned, true)
 			return nil
 		case boundDefer:
-			if st.CompareAndSwap(statePending, stateDeferred) {
-				c.deferred.Add(1)
-				sweepDeferred.Add(1)
-				c.emitSkip(job, obs.SweepDeferred, false)
-			}
+			c.state[job.Index] = stateDeferred
+			c.deferred.Add(1)
+			sweepDeferred.Add(1)
+			c.emitSkip(job, obs.SweepDeferred, false)
 			return nil
 		}
 	}
-	return c.evaluateJob(ctx, job, statePending)
+	return c.evaluateJob(ctx, job)
 }
 
 // evaluateJob runs the full scheduler pipeline for one point and folds the
-// exact result into the streaming front. from is the lifecycle state the
-// job resolves out of (pending on the sweep path, deferred on the exact
-// pass).
-func (c *coordinator) evaluateJob(ctx context.Context, job PointJob, from uint32) error {
+// exact result into the streaming front.
+func (c *coordinator) evaluateJob(ctx context.Context, job pointJob) error {
 	si, ci := job.SpecIdx, job.CryptoIdx
 	base, err := c.baseline(ctx, si, ci)
 	if err != nil {
@@ -358,13 +328,8 @@ func (c *coordinator) evaluateJob(ctx context.Context, job PointJob, from uint32
 	if err != nil {
 		return c.pointErr(job, err)
 	}
-	// Shards partition the jobs and attempts within a shard are sequential,
-	// so no job is ever evaluated concurrently with itself; the CAS guards
-	// the counters against a contract-violating double dispatch.
 	c.results[job.Index] = dp
-	if !c.state[job.Index].CompareAndSwap(from, stateEvaluated) {
-		return nil
-	}
+	c.state[job.Index] = stateEvaluated
 	c.front.add(dp.AreaMM2, dp.Cycles)
 	c.fullEvals.Add(1)
 	sweepFullEvals.Add(1)
@@ -385,9 +350,8 @@ func (c *coordinator) evaluateJob(ctx context.Context, job PointJob, from uint32
 	return nil
 }
 
-// baseline memoises the unsecure schedule per spec (not per point). Errors
-// are returned but never latched, so a deadline-interrupted baseline does
-// not poison later attempts.
+// baseline memoises the unsecure schedule per spec (not per point):
+// whichever worker needs it first computes it, the rest wait on the mutex.
 func (c *coordinator) baseline(ctx context.Context, si, ci int) (int64, error) {
 	b := &c.bases[si]
 	b.mu.Lock()
@@ -409,15 +373,15 @@ func (c *coordinator) baseline(ctx context.Context, si, ci int) (int64, error) {
 // front member, only a re-evaluation.
 func (c *coordinator) exactPass(ctx context.Context) error {
 	for idx := range c.jobs {
-		if c.state[idx].Load() != stateDeferred {
+		if c.state[idx] != stateDeferred {
 			continue
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dse: %s: %w", obs.StageSweep, cerr)
+			return sweepErr(cerr)
 		}
 		job := c.jobs[idx]
-		if c.front.check(job.Bound.AreaMM2, job.Bound.CycleLB, 0) == boundPrune {
-			c.state[idx].Store(statePruned)
+		if c.front.check(job.Bound.AreaMM2, job.Bound.CycleLB) == boundPrune {
+			c.state[idx] = statePruned
 			c.pruned.Add(1)
 			sweepPruned.Add(1)
 			c.emitSkip(job, obs.SweepPruned, true)
@@ -425,7 +389,7 @@ func (c *coordinator) exactPass(ctx context.Context) error {
 		}
 		c.reevaluated.Add(1)
 		sweepReevaluated.Add(1)
-		if err := c.evaluateJob(ctx, job, stateDeferred); err != nil {
+		if err := c.evaluateJob(ctx, job); err != nil {
 			return err
 		}
 	}
@@ -437,7 +401,7 @@ func (c *coordinator) exactPass(ctx context.Context) error {
 func (c *coordinator) evaluatedPoints() []DesignPoint {
 	var out []DesignPoint
 	for idx := range c.jobs {
-		if c.state[idx].Load() == stateEvaluated {
+		if c.state[idx] == stateEvaluated {
 			out = append(out, c.results[idx])
 		}
 	}
@@ -448,7 +412,7 @@ func (c *coordinator) evaluatedPoints() []DesignPoint {
 // dispositions (prunes) advance the Done counter; deferrals do not — they
 // advance it when the exact pass resolves them — so progress stays monotone
 // and ends at Total.
-func (c *coordinator) emitSkip(job PointJob, outcome obs.SweepOutcome, terminal bool) {
+func (c *coordinator) emitSkip(job pointJob, outcome obs.SweepOutcome, terminal bool) {
 	done := int(c.done.Load())
 	if terminal {
 		done = int(c.done.Add(1))
@@ -460,13 +424,12 @@ func (c *coordinator) emitSkip(job PointJob, outcome obs.SweepOutcome, terminal 
 }
 
 // label names a point without evaluating it (prune/defer events).
-func (c *coordinator) label(job PointJob) string {
+func (c *coordinator) label(job pointJob) string {
 	return DesignPoint{Spec: c.specs[job.SpecIdx], Crypto: c.cryptos[job.CryptoIdx]}.Label()
 }
 
-// pointErr wraps an evaluation failure with the point's identity, matching
-// SweepOptsCtx's error shape.
-func (c *coordinator) pointErr(job PointJob, err error) error {
+// pointErr wraps an evaluation failure with the point's identity.
+func (c *coordinator) pointErr(job pointJob, err error) error {
 	return fmt.Errorf("dse: %s %s: %w", c.specs[job.SpecIdx].Name, c.cryptos[job.CryptoIdx], err)
 }
 
@@ -477,15 +440,13 @@ func (c *coordinator) frontStats() FrontStats {
 		bounded = len(c.jobs)
 	}
 	return FrontStats{
-		Points:       len(c.jobs),
-		Shards:       c.shardCount,
-		Bounded:      bounded,
-		Pruned:       int(c.pruned.Load()),
-		Deferred:     int(c.deferred.Load()),
-		Reevaluated:  int(c.reevaluated.Load()),
-		FullEvals:    int(c.fullEvals.Load()),
-		StoreHits:    int(c.storeHits.Load()),
-		Redispatches: int(c.redispatches.Load()),
+		Points:      len(c.jobs),
+		Bounded:     bounded,
+		Pruned:      int(c.pruned.Load()),
+		Deferred:    int(c.deferred.Load()),
+		Reevaluated: int(c.reevaluated.Load()),
+		FullEvals:   int(c.fullEvals.Load()),
+		StoreHits:   int(c.storeHits.Load()),
 	}
 }
 
@@ -508,12 +469,11 @@ type SweepPruneStats struct {
 	Bounded int64
 	// Pruned counts points skipped by dominance without a full evaluation.
 	Pruned int64
-	// Deferred counts points sent to the exact pass by a bound tie or the
-	// slack band.
+	// Deferred counts points sent to the exact pass by a bound tie.
 	Deferred int64
 	// Reevaluated counts deferred points fully evaluated in the exact pass.
 	Reevaluated int64
-	// FullEvals counts full scheduler evaluations run by coordinator sweeps.
+	// FullEvals counts full scheduler evaluations run by sweeps.
 	FullEvals int64
 	// StoreHits counts evaluations answered by the persistent store's
 	// network tier.

@@ -43,10 +43,10 @@ func coordOpts() Options {
 	}
 }
 
-// TestCoordinatorFrontMatchesUnpruned is the tentpole acceptance test: the
-// pruned, sharded coordinator sweep must return a Pareto front
-// byte-identical to ParetoFront over the full unpruned sweep — and on the
-// prune-friendly space it must actually skip work.
+// TestCoordinatorFrontMatchesUnpruned is the pruning acceptance test: the
+// pruned sweep must return a Pareto front byte-identical to ParetoFront over
+// the full unpruned sweep — and on the prune-friendly space it must
+// actually skip work.
 func TestCoordinatorFrontMatchesUnpruned(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -59,17 +59,16 @@ func TestCoordinatorFrontMatchesUnpruned(t *testing.T) {
 	specs, cryptos := pruneSweepSpace()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			all, err := SweepOptsCtx(context.Background(), tc.net, specs, cryptos,
+			all, err := Sweep(context.Background(), tc.net, specs, cryptos,
 				core.CryptOptSingle, coordOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ParetoFront(all)
+			want := ParetoFront(all.Points)
 
 			opt := coordOpts()
 			opt.Prune = true
-			opt.Shards = 3
-			res, err := SweepFrontCtx(context.Background(), tc.net, specs, cryptos,
+			res, err := Sweep(context.Background(), tc.net, specs, cryptos,
 				core.CryptOptSingle, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -83,8 +82,8 @@ func TestCoordinatorFrontMatchesUnpruned(t *testing.T) {
 			if s.Points != len(specs)*len(cryptos) || s.Bounded != s.Points {
 				t.Errorf("accounting: %+v", s)
 			}
-			if s.FullEvals+s.Pruned != s.Points {
-				t.Errorf("evals %d + pruned %d != points %d", s.FullEvals, s.Pruned, s.Points)
+			if s.FullEvals+s.Pruned != s.Points || len(res.Points) != s.FullEvals {
+				t.Errorf("evals %d + pruned %d != points %d (returned %d)", s.FullEvals, s.Pruned, s.Points, len(res.Points))
 			}
 			if tc.wantPrune && s.Pruned == 0 {
 				t.Errorf("prune-friendly space pruned nothing")
@@ -93,52 +92,48 @@ func TestCoordinatorFrontMatchesUnpruned(t *testing.T) {
 	}
 }
 
-// TestCoordinatorShardInvariance: the front is byte-identical across shard
-// counts and worker-pool widths — sharding shapes dispatch, never results.
-func TestCoordinatorShardInvariance(t *testing.T) {
+// TestCoordinatorWorkerInvariance: the pruned front is byte-identical
+// across worker-pool widths — the pool shapes timing, never results.
+func TestCoordinatorWorkerInvariance(t *testing.T) {
 	specs, cryptos := pruneSweepSpace()
 	net := workload.AlexNet()
-	var want SweepFrontResult
-	configs := []struct{ shards, workers int }{
-		{1, 1}, // canonical serial reference
-		{3, 4},
-		{7, 2},
-		{100, 4}, // more shards than points: clamped
-	}
-	for i, cfg := range configs {
+	var want SweepResult
+	for i, workers := range []int{1, 4, 2} { // 1 is the canonical serial reference
 		opt := coordOpts()
 		opt.Prune = true
-		opt.Shards = cfg.shards
-		opt.MaxParallel = cfg.workers
-		res, err := SweepFrontCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
+		opt.MaxParallel = workers
+		res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
 		if err != nil {
-			t.Fatalf("shards=%d workers=%d: %v", cfg.shards, cfg.workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if i == 0 {
 			want = res
 			continue
 		}
 		if !reflect.DeepEqual(res.Front, want.Front) {
-			t.Errorf("shards=%d workers=%d: front differs from serial reference", cfg.shards, cfg.workers)
+			t.Errorf("workers=%d: front differs from serial reference", workers)
 		}
 	}
 }
 
 // TestCoordinatorUnprunedMode: with Prune off the coordinator evaluates
-// every point and still returns the reference front.
+// every point, returns all of them in canonical order exactly as the serial
+// oracle does, and marks the reference front.
 func TestCoordinatorUnprunedMode(t *testing.T) {
 	specs, cryptos := pruneSweepSpace()
 	specs = specs[:2]
 	net := workload.AlexNet()
-	all, err := SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, coordOpts())
+	all, err := sweepSerial(net, specs, cryptos, core.CryptOptSingle, coordOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := coordOpts()
-	opt.Shards = 2
-	res, err := SweepFrontCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
+	MarkPareto(all)
+	res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, coordOpts())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Points, all) {
+		t.Fatal("unpruned coordinator points differ from the serial oracle")
 	}
 	if !reflect.DeepEqual(res.Front, ParetoFront(all)) {
 		t.Fatal("unpruned coordinator front differs from reference")
@@ -148,81 +143,13 @@ func TestCoordinatorUnprunedMode(t *testing.T) {
 	}
 }
 
-// flakyExecutor fails each shard's first dispatch with a deadline expiry
-// after resolving only its first job — the straggler shape the coordinator
-// must recover from by re-dispatching the remainder.
-type flakyExecutor struct {
-	inner LocalExecutor
-	mu    sync.Mutex
-	seen  map[int]bool // guarded by mu
-}
-
-func (f *flakyExecutor) ExecuteShard(ctx context.Context, shard Shard, eval func(ctx context.Context, job PointJob) error) error {
-	f.mu.Lock()
-	first := !f.seen[shard.ID]
-	f.seen[shard.ID] = true
-	f.mu.Unlock()
-	if first {
-		if len(shard.Jobs) > 0 {
-			if err := eval(ctx, shard.Jobs[0]); err != nil {
-				return err
-			}
-		}
-		return context.DeadlineExceeded
-	}
-	return f.inner.ExecuteShard(ctx, shard, eval)
-}
-
-// TestCoordinatorShardRetry: a straggling shard's unresolved jobs are
-// re-dispatched and the sweep still completes with the reference front.
-func TestCoordinatorShardRetry(t *testing.T) {
-	specs, cryptos := pruneSweepSpace()
-	specs = specs[:2]
-	net := workload.AlexNet()
-	all, err := SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, coordOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := coordOpts()
-	opt.Prune = true
-	opt.Shards = 2
-	opt.Executor = &flakyExecutor{seen: map[int]bool{}}
-	res, err := SweepFrontCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Front, ParetoFront(all)) {
-		t.Fatal("front after shard retry differs from reference")
-	}
-	if res.Stats.Redispatches == 0 {
-		t.Error("flaky shards recorded no re-dispatches")
-	}
-}
-
-// stuckExecutor claims success without resolving anything; the coordinator
-// must fail loudly instead of spinning.
-type stuckExecutor struct{}
-
-func (stuckExecutor) ExecuteShard(context.Context, Shard, func(context.Context, PointJob) error) error {
-	return nil
-}
-
-func TestCoordinatorStuckExecutorFails(t *testing.T) {
-	specs, cryptos := pruneSweepSpace()
-	opt := coordOpts()
-	opt.Executor = stuckExecutor{}
-	_, err := SweepFrontCtx(context.Background(), workload.AlexNet(), specs[:1], cryptos[:1],
-		core.CryptOptSingle, opt)
-	if err == nil || !strings.Contains(err.Error(), "without resolving") {
-		t.Fatalf("want a no-progress error, got %v", err)
-	}
-}
-
 func TestCoordinatorCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	specs, cryptos := pruneSweepSpace()
-	_, err := SweepFrontCtx(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptSingle, coordOpts())
+	opt := coordOpts()
+	opt.Prune = true
+	_, err := Sweep(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptSingle, opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -232,40 +159,30 @@ func TestCoordinatorCancelledBeforeStart(t *testing.T) {
 }
 
 func TestCoordinatorEmptySpace(t *testing.T) {
-	res, err := SweepFrontCtx(context.Background(), workload.AlexNet(), nil, nil, core.CryptOptSingle, Options{})
+	res, err := Sweep(context.Background(), workload.AlexNet(), nil, nil, core.CryptOptSingle, Options{Prune: true})
 	if err != nil || len(res.Front) != 0 {
 		t.Fatalf("empty space: %v %v", res, err)
 	}
 }
 
-// TestShardPartitionCanonical pins the sharding function: best-bound-first
-// round-robin over (CycleLB, AreaMM2, Index), a pure function of the
-// bounds.
-func TestShardPartitionCanonical(t *testing.T) {
-	mk := func(idx int, area float64, lb int64) PointJob {
-		return PointJob{Index: idx, Bound: PointBound{AreaMM2: area, CycleLB: lb}}
+// TestLaunchOrderCanonical pins the dispatch order: best bound first over
+// (CycleLB, AreaMM2, Index) when pruning — a pure function of the bounds —
+// and canonical index order otherwise.
+func TestLaunchOrderCanonical(t *testing.T) {
+	mk := func(idx int, area float64, lb int64) pointJob {
+		return pointJob{Index: idx, Bound: PointBound{AreaMM2: area, CycleLB: lb}}
 	}
-	jobs := []PointJob{
+	jobs := []pointJob{
 		mk(0, 3, 50), mk(1, 1, 10), mk(2, 2, 10), mk(3, 1, 99), mk(4, 1, 10),
 	}
-	c := &coordinator{opt: Options{Shards: 2}, jobs: jobs}
-	got := c.makeShards()
-	// Sorted order: 1 (lb10,a1), 4 (lb10,a1,idx4), 2 (lb10,a2), 0 (lb50), 3 (lb99);
-	// round-robin over 2 shards.
-	want := []Shard{
-		{ID: 0, Jobs: []PointJob{jobs[1], jobs[2], jobs[3]}},
-		{ID: 1, Jobs: []PointJob{jobs[4], jobs[0]}},
+	c := &coordinator{opt: Options{Prune: true}, jobs: jobs}
+	// Sorted: 1 (lb10,a1), 4 (lb10,a1,idx4), 2 (lb10,a2), 0 (lb50), 3 (lb99).
+	if got, want := c.launchOrder(), []int{1, 4, 2, 0, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pruned launch order %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shards:\n got %+v\nwant %+v", got, want)
-	}
-	if again := c.makeShards(); !reflect.DeepEqual(again, got) {
-		t.Fatal("sharding is not deterministic")
-	}
-	// Clamp: more shards than jobs.
-	c2 := &coordinator{opt: Options{Shards: 10}, jobs: jobs[:2]}
-	if got := c2.makeShards(); len(got) != 2 {
-		t.Fatalf("shard clamp: %d shards for 2 jobs", len(got))
+	c.opt.Prune = false
+	if got, want := c.launchOrder(), []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unpruned launch order %v, want %v", got, want)
 	}
 }
 
@@ -343,10 +260,9 @@ func TestCoordinatorProgressEvents(t *testing.T) {
 	rec := &sweepPointRecorder{skips: map[obs.SweepOutcome]int{}}
 	opt := coordOpts()
 	opt.Prune = true
-	opt.Shards = 2
 	opt.MaxParallel = 1
 	opt.Observe = rec
-	res, err := SweepFrontCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
+	res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

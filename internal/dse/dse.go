@@ -8,17 +8,12 @@ package dse
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"secureloop/internal/accelergy"
 	"secureloop/internal/arch"
 	"secureloop/internal/core"
 	"secureloop/internal/cryptoengine"
 	"secureloop/internal/mapper"
-	"secureloop/internal/num"
 	"secureloop/internal/obs"
 	"secureloop/internal/store"
 	"secureloop/internal/workload"
@@ -63,7 +58,8 @@ type Options struct {
 	// when positive.
 	AnnealIterations int
 	// Observe receives sweep-level progress events: one LayerScheduled per
-	// completed design point under obs.StageSweep (nil means none). The
+	// evaluated design point and one SweepPoint per point disposed of
+	// without a fresh evaluation, under obs.StageSweep (nil means none). The
 	// observer is deliberately not forwarded into the per-point schedulers —
 	// dozens of concurrent runs interleaving their stage events would drown
 	// the sweep-level signal.
@@ -72,45 +68,28 @@ type Options struct {
 	// point (zero value: exhaustive). Guided mode pays off most here: a sweep
 	// revisits near-identical layer shapes at neighbouring design points, so
 	// the warm-start store seeds almost every search after the first spec.
+	// Guided answers are not yet history-independent: on layers whose stride
+	// exceeds the filter extent they can depend on which searches ran first
+	// (DESIGN.md §12).
 	Mapper mapper.Options
 	// MaxParallel bounds the sweep's design-point worker pool (<= 0 means one
 	// worker per available CPU). Set to 1 for a deterministic serial visit
-	// order — results are identical either way, but warm-start hit counts
-	// become reproducible.
+	// order. With the exhaustive mapper the points are identical at any
+	// width; with the guided mapper the visit order feeds the warm-start
+	// store, so a parallel sweep can return different points than a serial
+	// one (DESIGN.md §12).
 	MaxParallel int
 	// Store, when non-nil, persists every design point's schedules into the
 	// content-addressed result store, so re-running the same sweep — in this
 	// process or a later one — replays byte-identical results from disk
 	// instead of recomputing the searches.
 	Store *store.Store
-
-	// The remaining fields tune the coordinator sweep (SweepFrontCtx) only;
-	// SweepOptsCtx ignores them.
-
-	// Shards partitions the sweep's design points into this many canonical
-	// best-bound-first shards (<= 0 means 1). Sharding never changes the
-	// result — it shapes dispatch for straggler re-dispatch and, through the
-	// Executor seam, distribution.
-	Shards int
 	// Prune enables dominance pruning: design points whose pre-pass
 	// (area, cycle lower bound) is strictly dominated by an already-evaluated
-	// point are skipped without a full evaluation. The returned front is
-	// byte-identical to the unpruned sweep's.
+	// point are skipped without a full evaluation, and points are launched
+	// best bound first. The returned front is byte-identical to the unpruned
+	// sweep's as long as the bound holds (DESIGN.md §14).
 	Prune bool
-	// BoundSlack widens the prune margin: a bound within (1+BoundSlack)x of
-	// the dominating cycles is deferred to the final exact pass instead of
-	// pruned. Zero is safe (exact ties are always deferred); positive values
-	// only convert prunes into evaluations.
-	BoundSlack float64
-	// ShardTimeout, when positive, bounds each shard dispatch attempt; an
-	// expired shard's unresolved jobs are re-dispatched (straggler recovery).
-	// The final attempt always runs without a deadline.
-	ShardTimeout time.Duration
-	// MaxShardAttempts caps dispatch attempts per shard (<= 0 means 3).
-	MaxShardAttempts int
-	// Executor dispatches shard evaluations (nil: an in-process
-	// LocalExecutor bounded by MaxParallel).
-	Executor Executor
 }
 
 func newScheduler(spec arch.Spec, crypto cryptoengine.Config, opt Options) *core.Scheduler {
@@ -155,146 +134,6 @@ func evaluateWithBaseline(ctx context.Context, net *workload.Network, spec arch.
 		EnergyPJ:       res.Total.EnergyPJ,
 		UnsecureCycles: baseCycles,
 	}, nil
-}
-
-// Evaluate schedules the network on one design with the given algorithm and
-// fills in area and performance. It is EvaluateCtx with a background
-// context.
-func Evaluate(net *workload.Network, spec arch.Spec, crypto cryptoengine.Config, alg core.Algorithm) (DesignPoint, error) {
-	return EvaluateCtx(context.Background(), net, spec, crypto, alg)
-}
-
-// EvaluateCtx is the cancellable single-point evaluation; cancellation
-// propagates into both the unsecure baseline and the secure schedule, and
-// the error carries the stage the run reached.
-func EvaluateCtx(ctx context.Context, net *workload.Network, spec arch.Spec, crypto cryptoengine.Config, alg core.Algorithm) (DesignPoint, error) {
-	base, err := unsecureCycles(ctx, net, spec, crypto, Options{})
-	if err != nil {
-		return DesignPoint{}, err
-	}
-	return evaluateWithBaseline(ctx, net, spec, crypto, alg, base, Options{})
-}
-
-// Sweep evaluates the cross product of architectures and crypto configs on
-// one workload. Design points are evaluated concurrently on a worker pool
-// bounded by the CPU count; the unsecure baseline of each architecture is
-// scheduled once per spec (not once per spec-crypto pair — a 3x redundancy
-// in the Figure 16 space), and the output order is the deterministic
-// specs-major cross product, identical to a serial evaluation.
-func Sweep(net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm) ([]DesignPoint, error) {
-	return SweepOpts(net, specs, cryptos, alg, Options{})
-}
-
-// SweepOpts is Sweep with explicit tuning options; it is SweepOptsCtx with
-// a background context.
-func SweepOpts(net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm, opt Options) ([]DesignPoint, error) {
-	return SweepOptsCtx(context.Background(), net, specs, cryptos, alg, opt)
-}
-
-// SweepOptsCtx is the cancellable sweep: the worker pool stops launching
-// design points on cancellation, in-flight points stop at their own stage
-// boundaries, and the error is ctx.Err() wrapped with the sweep stage. A
-// pre-cancelled context evaluates no design point. Worker bodies are
-// guarded, so a panic evaluating one design fails the sweep, not the
-// process.
-func SweepOptsCtx(ctx context.Context, net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm, opt Options) (points []DesignPoint, err error) {
-	defer obs.CapturePanic(&err)
-	jobs := len(specs) * len(cryptos)
-	if jobs == 0 {
-		return nil, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("dse: %s: %w", obs.StageSweep, cerr)
-	}
-	ob := obs.OrNop(opt.Observe)
-	ob.StageStart(obs.StageEvent{Stage: obs.StageSweep, Units: jobs})
-	out := make([]DesignPoint, jobs)
-	errs := make([]error, jobs)
-
-	// baseline memoises the unsecure schedule per spec: whichever worker
-	// needs it first computes it, the rest wait on the sync.Once.
-	type baseline struct {
-		once   sync.Once
-		cycles int64
-		err    error
-	}
-	bases := make([]baseline, len(specs))
-
-	workers := opt.MaxParallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-launch:
-	for si := range specs {
-		for ci := range cryptos {
-			if ctx.Err() != nil {
-				break launch
-			}
-			idx := num.MulInt(si, len(cryptos)) + ci
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(si, ci, idx int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				errs[idx] = obs.Guard(func() error {
-					b := &bases[si]
-					b.once.Do(func() {
-						b.cycles, b.err = unsecureCycles(ctx, net, specs[si], cryptos[ci], opt)
-					})
-					if b.err != nil {
-						return b.err
-					}
-					var perr error
-					out[idx], perr = evaluateWithBaseline(ctx, net, specs[si], cryptos[ci], alg, b.cycles, opt)
-					if perr != nil {
-						return perr
-					}
-					ob.LayerScheduled(obs.LayerEvent{
-						Stage: obs.StageSweep,
-						Index: idx, Name: out[idx].Label(),
-						Done: int(done.Add(1)), Total: jobs,
-					})
-					return nil
-				})
-			}(si, ci, idx)
-		}
-	}
-	wg.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("dse: %s: %w", obs.StageSweep, cerr)
-	}
-	for idx, perr := range errs {
-		if perr != nil {
-			// Report the first failing point in sweep order, as the serial
-			// path did.
-			si, ci := idx/len(cryptos), idx%len(cryptos)
-			return nil, fmt.Errorf("dse: %s %s: %w", specs[si].Name, cryptos[ci], perr)
-		}
-	}
-	ob.StageEnd(obs.StageEvent{Stage: obs.StageSweep, Units: jobs})
-	return out, nil
-}
-
-// sweepSerial is the reference single-threaded sweep; the parallel Sweep
-// must return exactly its output (asserted by tests).
-func sweepSerial(net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm) ([]DesignPoint, error) {
-	var out []DesignPoint
-	for _, spec := range specs {
-		for _, c := range cryptos {
-			dp, err := Evaluate(net, spec, c, alg)
-			if err != nil {
-				return nil, fmt.Errorf("dse: %s %s: %w", spec.Name, c, err)
-			}
-			out = append(out, dp)
-		}
-	}
-	return out, nil
 }
 
 // Figure16Space returns the design space of the paper's final trade-off

@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -86,17 +88,44 @@ func TestFigure16Space(t *testing.T) {
 	}
 }
 
+// sweepSerial is the reference single-threaded sweep: every point in
+// canonical specs-major order, each with its own unsecure baseline. Sweep
+// must return exactly its output, Pareto marking aside.
+func sweepSerial(net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, alg core.Algorithm, opt Options) ([]DesignPoint, error) {
+	ctx := context.Background()
+	var out []DesignPoint
+	for _, spec := range specs {
+		for _, c := range cryptos {
+			base, err := unsecureCycles(ctx, net, spec, c, opt)
+			if err != nil {
+				return nil, fmt.Errorf("dse: %s %s: %w", spec.Name, c, err)
+			}
+			dp, err := evaluateWithBaseline(ctx, net, spec, c, alg, base, opt)
+			if err != nil {
+				return nil, fmt.Errorf("dse: %s %s: %w", spec.Name, c, err)
+			}
+			out = append(out, dp)
+		}
+	}
+	return out, nil
+}
+
+// TestEvaluateOnePoint: a one-point sweep yields a plausible design point.
 func TestEvaluateOnePoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scheduling run")
 	}
 	net := workload.AlexNet()
-	dp, err := Evaluate(net, arch.Base(),
-		cryptoengine.Config{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1},
-		core.CryptOptSingle)
+	res, err := Sweep(context.Background(), net, []arch.Spec{arch.Base()},
+		[]cryptoengine.Config{{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1}},
+		core.CryptOptSingle, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Points) != 1 || !res.Points[0].Pareto {
+		t.Fatalf("one-point sweep: %+v", res.Points)
+	}
+	dp := res.Points[0]
 	if dp.AreaMM2 <= 0 || dp.Cycles <= 0 || dp.UnsecureCycles <= 0 {
 		t.Errorf("bad design point: %+v", dp)
 	}
@@ -123,24 +152,26 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1},
 	}
 	for _, alg := range []core.Algorithm{core.CryptOptSingle, core.CryptOptCross} {
-		parallel, err := Sweep(net, specs, cryptos, alg)
+		parallel, err := Sweep(context.Background(), net, specs, cryptos, alg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := sweepSerial(net, specs, cryptos, alg)
+		serial, err := sweepSerial(net, specs, cryptos, alg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(parallel, serial) {
+		MarkPareto(serial)
+		if !reflect.DeepEqual(parallel.Points, serial) {
 			t.Errorf("%v: parallel sweep diverged from serial:\nparallel: %+v\nserial:   %+v",
-				alg, parallel, serial)
+				alg, parallel.Points, serial)
 		}
 	}
 }
 
 func TestSweepEmptySpace(t *testing.T) {
-	if pts, err := Sweep(workload.AlexNet(), nil, nil, core.CryptOptSingle); err != nil || pts != nil {
-		t.Errorf("empty sweep = (%v, %v)", pts, err)
+	res, err := Sweep(context.Background(), workload.AlexNet(), nil, nil, core.CryptOptSingle, Options{})
+	if err != nil || res.Points != nil || res.Front != nil {
+		t.Errorf("empty sweep = (%+v, %v)", res, err)
 	}
 }
 
@@ -154,14 +185,14 @@ func TestSweepSmallSpace(t *testing.T) {
 		{Engine: cryptoengine.Parallel(), CountPerDatatype: 1},
 		{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1},
 	}
-	points, err := Sweep(net, specs, cryptos, core.CryptOptSingle)
+	res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := res.Points
 	if len(points) != 4 {
 		t.Fatalf("%d points", len(points))
 	}
-	MarkPareto(points)
 	var onFront int
 	for _, p := range points {
 		if p.Cycles <= 0 || p.AreaMM2 <= 0 {
@@ -171,8 +202,8 @@ func TestSweepSmallSpace(t *testing.T) {
 			onFront++
 		}
 	}
-	if onFront == 0 {
-		t.Error("no Pareto points")
+	if onFront == 0 || onFront != len(res.Front) {
+		t.Errorf("%d Pareto-marked points, front of %d", onFront, len(res.Front))
 	}
 	// The pipelined design must be at least as fast as the parallel one on
 	// the same architecture.

@@ -36,7 +36,7 @@ func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats,
 	mapper.ResetWarmStore()
 	mapper.ResetGuidedStats()
 	specs, cryptos := warmSweepSpace()
-	pts, err := SweepOptsCtx(context.Background(), workload.AlexNet(), specs, cryptos,
+	res, err := Sweep(context.Background(), workload.AlexNet(), specs, cryptos,
 		core.CryptOptSingle, Options{
 			Mapper:      mapper.Options{Mode: mapper.Guided, DisableWarmStart: !warm},
 			MaxParallel: 1,
@@ -44,7 +44,7 @@ func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pts, mapper.GuidedSearchStats(), mapper.WarmStartStats()
+	return res.Points, mapper.GuidedSearchStats(), mapper.WarmStartStats()
 }
 
 // TestSweepGuidedWarmStart is the acceptance test of the warm-start layer:
@@ -98,17 +98,18 @@ func TestSweepGuidedMatchesExhaustive(t *testing.T) {
 	specs, cryptos := warmSweepSpace()
 	specs, cryptos = specs[:2], cryptos[:1]
 	net := workload.AlexNet()
-	ex, err := SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle,
+	exRes, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle,
 		Options{MaxParallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mapper.ResetCache()
-	gd, err := SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle,
+	gdRes, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle,
 		Options{Mapper: mapper.Options{Mode: mapper.Guided}, MaxParallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ex, gd := exRes.Points, gdRes.Points
 	if len(gd) != len(ex) {
 		t.Fatalf("point counts differ: guided %d, exhaustive %d", len(gd), len(ex))
 	}

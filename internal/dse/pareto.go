@@ -88,9 +88,8 @@ const (
 	// boundEvaluate: the bound does not prove dominance; run the full
 	// evaluation.
 	boundEvaluate boundVerdict = iota
-	// boundDefer: the bound is dominated only non-strictly (an exact tie) or
-	// sits inside the configured slack band; decide in the final exact pass
-	// against the finished front.
+	// boundDefer: the bound is dominated only non-strictly (an exact tie);
+	// decide in the final exact pass against the finished front.
 	boundDefer
 	// boundPrune: some already-evaluated point strictly dominates the bound,
 	// so it strictly dominates the point's true cost too — skip it for good.
@@ -102,12 +101,13 @@ const (
 // under a mutex. It answers dominance queries against design-point lower
 // bounds.
 //
-// Pruning against it is sound regardless of insertion order or timing: a
-// staircase entry is an exact evaluation, so if it strictly dominates
-// (area, lb) it strictly dominates (area, trueCycles >= lb), and removing a
-// dominated point from a point set never changes which other points are
-// Pareto-optimal. Races only make pruning weaker (a front not yet tightened
-// lets more points through to full evaluation), never wrong.
+// Pruning against it is sound regardless of insertion order or timing
+// whenever lb is a true lower bound: a staircase entry is an exact
+// evaluation, so if it strictly dominates (area, lb) it strictly dominates
+// (area, trueCycles >= lb), and removing a dominated point from a point set
+// never changes which other points are Pareto-optimal. Races only make
+// pruning weaker (a front not yet tightened lets more points through to
+// full evaluation), never wrong.
 type frontTracker struct {
 	mu sync.Mutex
 	// stair is sorted by strictly ascending area with strictly decreasing
@@ -139,10 +139,8 @@ func (t *frontTracker) add(area float64, cycles int64) {
 }
 
 // check decides a design point's fate from its exact area and cycle lower
-// bound. slack >= 0 widens the defer band: a bound within (1+slack)x of the
-// dominating cycles is deferred to the exact pass instead of pruned, which
-// only ever converts prunes into evaluations.
-func (t *frontTracker) check(area float64, lb int64, slack float64) boundVerdict {
+// bound.
+func (t *frontTracker) check(area float64, lb int64) boundVerdict {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	idx := sort.Search(len(t.stair), func(k int) bool { return t.stair[k].area > area })
@@ -159,15 +157,5 @@ func (t *frontTracker) check(area float64, lb int64, slack float64) boundVerdict
 	if q.cycles == lb && !(q.area < area) {
 		return boundDefer
 	}
-	if slack > 0 && float64(lb) <= float64(q.cycles)*(1+slack) {
-		return boundDefer
-	}
 	return boundPrune
-}
-
-// snapshot returns a copy of the staircase (tests and the exact pass).
-func (t *frontTracker) snapshot() []frontPoint {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]frontPoint(nil), t.stair...)
 }

@@ -133,29 +133,26 @@ func TestMarkParetoMatchesNaive(t *testing.T) {
 // its three dispositions.
 func TestPruneTrackerVerdicts(t *testing.T) {
 	var tr frontTracker
-	if v := tr.check(5, 100, 0); v != boundEvaluate {
+	if v := tr.check(5, 100); v != boundEvaluate {
 		t.Fatalf("empty front must evaluate, got %v", v)
 	}
 	tr.add(5, 100)
 	cases := []struct {
-		name  string
-		area  float64
-		lb    int64
-		slack float64
-		want  boundVerdict
+		name string
+		area float64
+		lb   int64
+		want boundVerdict
 	}{
-		{"smaller area always evaluates", 4, 1000, 0, boundEvaluate},
-		{"bound below the stair evaluates", 6, 99, 0, boundEvaluate},
-		{"strictly dominated prunes", 6, 100, 0, boundPrune},
-		{"worse both ways prunes", 6, 101, 0, boundPrune},
-		{"full tie defers", 5, 100, 0, boundDefer},
-		{"equal area, worse cycles prunes", 5, 101, 0, boundPrune},
-		{"slack band defers", 6, 104, 0.05, boundDefer},
-		{"outside slack band prunes", 6, 106, 0.05, boundPrune},
+		{"smaller area always evaluates", 4, 1000, boundEvaluate},
+		{"bound below the stair evaluates", 6, 99, boundEvaluate},
+		{"strictly dominated prunes", 6, 100, boundPrune},
+		{"worse both ways prunes", 6, 101, boundPrune},
+		{"full tie defers", 5, 100, boundDefer},
+		{"equal area, worse cycles prunes", 5, 101, boundPrune},
 	}
 	for _, c := range cases {
-		if got := tr.check(c.area, c.lb, c.slack); got != c.want {
-			t.Errorf("%s: check(%g, %d, %g) = %v, want %v", c.name, c.area, c.lb, c.slack, got, c.want)
+		if got := tr.check(c.area, c.lb); got != c.want {
+			t.Errorf("%s: check(%g, %d) = %v, want %v", c.name, c.area, c.lb, got, c.want)
 		}
 	}
 }
@@ -185,4 +182,11 @@ func TestPruneTrackerStaircase(t *testing.T) {
 	if got := tr.snapshot(); !reflect.DeepEqual(got, []frontPoint{{4, 40}, {5, 25}, {8, 20}}) {
 		t.Fatalf("stair %v", got)
 	}
+}
+
+// snapshot returns a copy of the staircase.
+func (t *frontTracker) snapshot() []frontPoint {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]frontPoint(nil), t.stair...)
 }

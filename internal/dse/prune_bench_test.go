@@ -31,12 +31,12 @@ func BenchmarkSweepColdUnpruned(b *testing.B) {
 		b.StopTimer()
 		resetInMemoryCaches()
 		b.StartTimer()
-		pts, err := SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, pruneBenchOpts())
+		res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, pruneBenchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pts) != len(specs)*len(cryptos) {
-			b.Fatalf("%d points", len(pts))
+		if len(res.Points) != len(specs)*len(cryptos) {
+			b.Fatalf("%d points", len(res.Points))
 		}
 	}
 	b.StopTimer()
@@ -62,8 +62,7 @@ func BenchmarkSweepColdPruned(b *testing.B) {
 		b.StartTimer()
 		opt := pruneBenchOpts()
 		opt.Prune = true
-		opt.Shards = 2
-		res, err := SweepFrontCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
+		res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,9 +88,11 @@ func BenchmarkSweepBoundsPrepass(b *testing.B) {
 		c := &coordinator{
 			net: net, specs: specs, cryptos: cryptos, alg: core.CryptOptSingle,
 			opt:  Options{Prune: true},
-			jobs: make([]PointJob, len(specs)*len(cryptos)),
+			jobs: make([]pointJob, len(specs)*len(cryptos)),
 		}
-		c.computeBounds()
+		if err := c.computeBounds(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 		for _, j := range c.jobs {
 			if j.Bound.AreaMM2 <= 0 {
 				b.Fatal("missing bound")

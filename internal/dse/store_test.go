@@ -42,7 +42,7 @@ func closeStore(t *testing.T, st *store.Store) {
 // runStoreSweep runs a serial guided sweep against the given store.
 func runStoreSweep(t *testing.T, net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, st *store.Store, iters int) []DesignPoint {
 	t.Helper()
-	pts, err := SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
+	res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
 		AnnealIterations: iters,
 		Mapper:           mapper.Options{Mode: mapper.Guided},
 		MaxParallel:      1,
@@ -51,7 +51,7 @@ func runStoreSweep(t *testing.T, net *workload.Network, specs []arch.Spec, crypt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pts
+	return res.Points
 }
 
 // TestSweepStoreWarmEquivalence is the acceptance test of the persistent
@@ -153,7 +153,7 @@ func BenchmarkSweepStoreCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		_, err = SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
+		_, err = Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
 			AnnealIterations: 40,
 			Mapper:           mapper.Options{Mode: mapper.Guided},
 			MaxParallel:      1,
@@ -183,7 +183,7 @@ func BenchmarkSweepStoreWarm(b *testing.B) {
 	net := workload.AlexNet()
 	specs, cryptos := warmSweepSpace()
 	run := func(st *store.Store) {
-		_, err := SweepOptsCtx(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
+		_, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
 			AnnealIterations: 40,
 			Mapper:           mapper.Options{Mode: mapper.Guided},
 			MaxParallel:      1,

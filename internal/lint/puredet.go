@@ -36,7 +36,7 @@ var puredetSeeds = []struct{ pkg, fn string }{
 	{"internal/authblock", "OptimalCachedCtx"},
 	{"internal/authblock", "OptimalStoredCtx"},
 	{"internal/core", "ScheduleNetworkCtx"},
-	{"internal/dse", "SweepFrontCtx"},
+	{"internal/dse", "Sweep"},
 	{"internal/service", "ScheduleBody"},
 	{"internal/service", "SweepBody"},
 	{"internal/service", "AuthBlockBody"},

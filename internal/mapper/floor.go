@@ -1,5 +1,5 @@
-// The exported per-layer search floor: a sound lower bound on the cost of
-// any candidate SearchCtx can return, computed from the guided search's
+// The exported per-layer search floor: a lower bound on the cost of any
+// candidate SearchCtx can return, computed from the guided search's
 // per-dimension bound tables without walking a single tiling lattice point.
 // The DSE coordinator's dominance pruning (internal/dse/bounds.go) is built
 // on it: a design point whose summed layer floors already exceed the Pareto
@@ -7,8 +7,8 @@
 
 package mapper
 
-// SearchLowerBound returns a sound lower bound on the scheduling cycles of
-// the best candidate SearchCtx can return for req, on either search path
+// SearchLowerBound returns a lower bound on the scheduling cycles of the
+// best candidate SearchCtx can return for req, on either search path
 // (exhaustive or guided) and at any TopK.
 //
 // The bound is the minimum over all RF-feasible spatial choices of the
@@ -17,14 +17,23 @@ package mapper
 // once traffic floor), additionally min'd with the degenerate fallback
 // schedule's exact cost — the candidate the search returns when no tiling
 // is capacity-feasible. Every returned candidate is either a lattice point
-// of some feasible spatial choice (its cost is >= that choice's minLB,
-// which pass A of the guided search relies on) or the fallback itself, so
-// the minimum over both sources can never exceed the best candidate.
+// of some feasible spatial choice or the fallback itself, so the minimum
+// over both sources never exceeds the best candidate as long as each
+// choice's minLB holds.
+//
+// It does not hold when the layer's stride exceeds its filter extent. The
+// traffic floor is Layer.TotalVolume(), which counts every input row, while
+// the cost model fetches only the rows a window touches; the floor, and
+// with it this bound, can then exceed the cost of candidates the search
+// returns. On ResNet-18's layer2.0.downsample (1×1, stride 2) at a 14×12 PE
+// array, 32 kB buffer and 30/7 B/cycle, the bound is 141000 cycles and the
+// exhaustive search returns a 97485-cycle schedule. DESIGN.md §12 has the
+// consequences.
 //
 // The cost here is step-1 scheduling cycles (model.SchedulingCycles under
 // the request's effective bandwidth); the scheduled layer's final
 // Stats.Cycles is never smaller (DESIGN.md §14 gives the argument), so the
-// bound is also sound against whole-network totals.
+// bound carries over to whole-network totals wherever it holds per layer.
 //
 // Like the search itself, the bound arithmetic uses the mapping package's
 // checked multiplies and may panic on pathological layer shapes; callers on

@@ -587,9 +587,9 @@ func (t *topK) insert(sig sigKey, cycles, bits int64, m *mapping.Mapping, perm [
 	}
 }
 
-// offer is the general admission path (reference search, part merging,
-// random search): on a score tie with the stored candidate the later offer
-// wins, matching the historical sequential-offer semantics.
+// offer is the general admission path (reference search, part merging):
+// on a score tie with the stored candidate the later offer wins, matching
+// the historical sequential-offer semantics.
 func (t *topK) offer(c Candidate) {
 	sig := signature(c.Mapping)
 	if cur, ok := t.best[sig]; ok {

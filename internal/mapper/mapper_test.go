@@ -167,47 +167,3 @@ func BenchmarkSearchConvLayer(b *testing.B) {
 		Search(req)
 	}
 }
-
-func TestRandomSearchValidAndDeterministic(t *testing.T) {
-	l := workload.AlexNet().Layer(1)
-	req := baseRequest(l)
-	a := RandomSearch(req, 500, 7)
-	b := RandomSearch(req, 500, 7)
-	if len(a) == 0 {
-		t.Fatal("no candidates")
-	}
-	if len(a) != len(b) || a[0].Cycles != b[0].Cycles {
-		t.Error("random search not deterministic per seed")
-	}
-	for _, c := range a {
-		if err := c.Mapping.Validate(l, req.PEsX, req.PEsY); err != nil {
-			t.Fatalf("invalid mapping: %v", err)
-		}
-		if c.Mapping.GLBBitsUsed(l) > req.GLBBits {
-			t.Fatal("GLB overflow")
-		}
-	}
-}
-
-func TestRandomNeverBeatsExhaustive(t *testing.T) {
-	// The exhaustive search evaluates a superset of structured points; the
-	// random search samples the same space, so its best can tie but not
-	// win on latency.
-	for _, li := range []int{0, 2, 4} {
-		l := workload.AlexNet().Layer(li)
-		req := baseRequest(l)
-		gap := RandomQualityGap(req, 300, 11)
-		if gap < 1.0 {
-			t.Errorf("layer %d: random beat exhaustive (gap %g)", li, gap)
-		}
-	}
-}
-
-func BenchmarkRandomVsExhaustiveMapper(b *testing.B) {
-	l := workload.MobileNetV2().Layer(10)
-	req := baseRequest(l)
-	for i := 0; i < b.N; i++ {
-		gap := RandomQualityGap(req, 300, int64(i+1))
-		b.ReportMetric(gap, "quality_gap")
-	}
-}

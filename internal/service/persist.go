@@ -18,16 +18,13 @@ import (
 // store request" are the same relation by construction.
 //
 // Deliberately excluded from every key (same rationale as internal/core's
-// network tier): Name fields are labels over encoded numerics, and the
-// sweep's dispatch-shaping knobs are proven result-neutral.
+// network tier): Name fields are labels over encoded numerics.
 //
 // storekey:exclude workload.Network.Name results are shape-keyed; the network name is a label
 // storekey:exclude workload.Layer.Name results are shape-keyed; the layer name is a label
 // storekey:exclude arch.Spec.Name architecture names are labels over the encoded numerics
 // storekey:exclude arch.DRAMTech.Name DRAM technology names are labels over the encoded numerics
 // storekey:exclude cryptoengine.EngineArch.Name engine names are labels over the encoded unit specs
-// storekey:exclude service.SweepRequest.Shards sharding never changes the result; it shapes dispatch only
-// storekey:exclude service.SweepRequest.BoundSlack slack only converts prunes into evaluations; the front is identical
 
 // Key prefixes namespace the three request kinds within one store.
 const (
@@ -74,16 +71,12 @@ func persistSweepKey(req *SweepRequest) store.Key {
 
 // optionsEnc materialises the dse.Options the request describes and, when e
 // is non-nil, appends the request's canonical identity encoding — the same
-// single-definition pattern as schedulerEnc. Shards and BoundSlack flow
-// into the options but not the encoding: both are waived above as proven
-// result-neutral.
+// single-definition pattern as schedulerEnc.
 func (req *SweepRequest) optionsEnc(e *store.Enc) dse.Options {
 	opt := dse.Options{
 		AnnealIterations: req.AnnealIterations,
 		Mapper:           req.Mapper,
-		Shards:           req.Shards,
 		Prune:            req.Front,
-		BoundSlack:       req.BoundSlack,
 	}
 	if e != nil {
 		e.Int(int64(req.Algorithm)).Bool(req.Front)

@@ -86,16 +86,10 @@ type SweepRequest struct {
 	AnnealIterations int
 	// Mapper selects the per-layer search strategy for every point.
 	Mapper mapper.Options
-	// Front, when set, runs the dominance-pruned coordinator sweep and
-	// returns only the area/latency Pareto front; otherwise every design
-	// point is evaluated and returned (front members marked).
+	// Front, when set, runs the sweep with dominance pruning and returns
+	// only the area/latency Pareto front; otherwise every design point is
+	// evaluated and returned (front members marked).
 	Front bool
-	// Shards partitions the coordinator sweep's dispatch (identity-neutral:
-	// sharding never changes the result).
-	Shards int
-	// BoundSlack widens the coordinator's prune margin (identity-neutral:
-	// slack only converts prunes into evaluations, never changes the front).
-	BoundSlack float64
 }
 
 // Validate reports whether the request is well-formed enough to admit.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -447,27 +448,20 @@ func (s *Service) SweepBody(ctx context.Context, req *SweepRequest, ob obs.Obser
 	opt.MaxParallel = s.cfg.MaxParallel
 	opt.Store = s.cfg.Store
 
+	res, err := dse.Sweep(ctx, req.Network, req.Specs, req.Cryptos, req.Algorithm, opt)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	points := res.Points
+	if req.Front {
+		points = res.Front
+	}
 	value := &SweepResponse{
 		Network:   networkLabel(req.Network),
 		Algorithm: req.Algorithm.String(),
 		FrontOnly: req.Front,
+		Points:    make([]PointBody, 0, len(points)),
 	}
-	var points []dse.DesignPoint
-	if req.Front {
-		res, err := dse.SweepFrontCtx(ctx, req.Network, req.Specs, req.Cryptos, req.Algorithm, opt)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		points = res.Front
-	} else {
-		all, err := dse.SweepOptsCtx(ctx, req.Network, req.Specs, req.Cryptos, req.Algorithm, opt)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		dse.MarkPareto(all)
-		points = all
-	}
-	value.Points = make([]PointBody, 0, len(points))
 	for _, d := range points {
 		value.Points = append(value.Points, pointBody(d))
 	}
@@ -555,13 +549,21 @@ func scheduleMemEstimate(req *ScheduleRequest) int64 {
 }
 
 // sweepMemEstimate scales the schedule estimate by this service's
-// per-request worker-pool breadth: at most MaxParallel (default one per
-// CPU) design points evaluate at once within one sweep.
+// per-request worker-pool breadth — at most MaxParallel (default one per
+// CPU) design points evaluate at once within one sweep — and adds what the
+// sweep allocates up front for every point of the design space. The sum
+// saturates instead of wrapping, so an absurd design space is rejected as
+// too large rather than admitted as small.
 func (s *Service) sweepMemEstimate(req *SweepRequest) int64 {
 	per := scheduleMemEstimate(&ScheduleRequest{Network: req.Network})
 	breadth := s.cfg.MaxParallel
 	if breadth <= 0 {
 		breadth = runtime.GOMAXPROCS(0)
 	}
-	return per * int64(breadth)
+	est := per * int64(breadth)
+	points := int64(len(req.Specs)) * int64(len(req.Cryptos))
+	if points > (math.MaxInt64-est)/dse.PointMemBytes {
+		return math.MaxInt64
+	}
+	return est + points*dse.PointMemBytes
 }

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"secureloop/internal/authblock"
 	"secureloop/internal/core"
 	"secureloop/internal/cryptoengine"
+	"secureloop/internal/dse"
 	"secureloop/internal/mapper"
 	"secureloop/internal/obs"
 	"secureloop/internal/store"
@@ -77,38 +80,38 @@ func TestScheduleKeyTiers(t *testing.T) {
 	mutate("arch name", func(r *ScheduleRequest) { r.Spec.Name = "renamed" }, false)
 }
 
-// TestSweepKeyNeutralKnobs: the dispatch-shaping knobs (Shards, BoundSlack)
-// are excluded from the sweep identity; the result-bearing ones are not.
+// TestSweepKeyNeutralKnobs: the wire deadline shapes only how long a sweep
+// may run, so it stays out of the sweep identity; every result-bearing knob
+// changes the key.
 func TestSweepKeyNeutralKnobs(t *testing.T) {
-	mk := func() *SweepRequest {
-		d := (&SweepRequest{
-			Network:          tinyNetwork(),
-			Algorithm:        core.CryptOptCross,
-			AnnealIterations: 40,
-		}).Defaulted()
+	resolve := func(body string) *SweepRequest {
+		var w SweepWire
+		if err := json.Unmarshal([]byte(body), &w); err != nil {
+			t.Fatal(err)
+		}
+		req, err := w.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := req.Defaulted()
 		return &d
 	}
-	base := persistSweepKey(mk())
-	neutral := mk()
-	neutral.Shards = 7
-	neutral.BoundSlack = 0.5
-	if persistSweepKey(neutral) != base {
-		t.Error("Shards/BoundSlack changed the sweep key; they are result-neutral")
+	const plain = `{"network": "alexnet", "anneal_iterations": 40}`
+	base := persistSweepKey(resolve(plain))
+	if persistSweepKey(resolve(`{"network": "alexnet", "anneal_iterations": 40, "deadline_ms": 5}`)) != base {
+		t.Error("deadline_ms changed the sweep key; it never shapes the result")
 	}
-	front := mk()
-	front.Front = true
-	if persistSweepKey(front) == base {
-		t.Error("Front did not change the sweep key")
-	}
-	alg := mk()
-	alg.Algorithm = core.Unsecure
-	if persistSweepKey(alg) == base {
-		t.Error("Algorithm did not change the sweep key")
-	}
-	space := mk()
-	space.Specs = space.Specs[:4]
-	if persistSweepKey(space) == base {
-		t.Error("design space did not change the sweep key")
+	for name, body := range map[string]string{
+		"front":     `{"network": "alexnet", "anneal_iterations": 40, "front": true}`,
+		"algorithm": `{"network": "alexnet", "anneal_iterations": 40, "algorithm": "Unsecure"}`,
+		"anneal":    `{"network": "alexnet", "anneal_iterations": 41}`,
+		"mapper":    `{"network": "alexnet", "anneal_iterations": 40, "mapper": {"mode": "guided"}}`,
+		"network":   `{"network": "resnet18", "anneal_iterations": 40}`,
+		"space":     `{"network": "alexnet", "anneal_iterations": 40, "specs": [{}], "cryptos": [{}]}`,
+	} {
+		if persistSweepKey(resolve(body)) == base {
+			t.Errorf("%s did not change the sweep key", name)
+		}
 	}
 }
 
@@ -469,6 +472,39 @@ func TestSweepSmall(t *testing.T) {
 	}
 	if pareto == 0 {
 		t.Error("no Pareto point marked")
+	}
+}
+
+// TestSweepOversizedRejected: a design space whose up-front per-point
+// allocation alone exceeds the memory budget is rejected with
+// ErrRequestTooLarge at admission, before any point is bounded or
+// evaluated.
+func TestSweepOversizedRejected(t *testing.T) {
+	svc := New(Config{MaxParallel: 1, Admission: AdmissionConfig{MemoryBudgetBytes: 1 << 30}})
+	n := 1 + int(math.Sqrt(float64((1<<30)/dse.PointMemBytes)))
+	specs := make([]arch.Spec, n)
+	for i := range specs {
+		specs[i] = arch.Base()
+	}
+	cryptos := make([]cryptoengine.Config, n)
+	for i := range cryptos {
+		cryptos[i] = cryptoengine.Config{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1}
+	}
+	req := &SweepRequest{Network: tinyNetwork(), Specs: specs, Cryptos: cryptos, Algorithm: core.CryptOptCross, Front: true}
+	before := dse.PruneStats()
+	_, _, err := svc.Sweep(context.Background(), req, SubmitOptions{})
+	if !errors.Is(err, ErrRequestTooLarge) {
+		t.Fatalf("%dx%d sweep = %v, want ErrRequestTooLarge", n, n, err)
+	}
+	if c := svc.Stats().Service; c.RejectedTooLarge != 1 || c.Admitted != 0 {
+		t.Errorf("counters = %+v, want one too-large rejection and no admission", c)
+	}
+	if after := dse.PruneStats(); after != before {
+		t.Errorf("rejected sweep did work: before %+v, after %+v", before, after)
+	}
+	// Only the per-point term pushes the space over the budget.
+	if small := svc.sweepMemEstimate(&SweepRequest{Network: tinyNetwork(), Specs: specs[:1], Cryptos: cryptos[:1]}); small >= 1<<30 {
+		t.Fatalf("one-point estimate %d already exceeds the budget", small)
 	}
 }
 

@@ -92,9 +92,6 @@ type SweepWire struct {
 	Mapper *MapperWire `json:"mapper,omitempty"`
 	// Front requests the dominance-pruned front-only sweep.
 	Front bool `json:"front,omitempty"`
-	// Shards / BoundSlack tune the coordinator (result-neutral).
-	Shards     int     `json:"shards,omitempty"`
-	BoundSlack float64 `json:"bound_slack,omitempty"`
 	// DeadlineMS bounds the compute time in milliseconds (0: server default).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
@@ -198,8 +195,6 @@ func (w *SweepWire) Resolve() (*SweepRequest, error) {
 		AnnealIterations: w.AnnealIterations,
 		Mapper:           mo,
 		Front:            w.Front,
-		Shards:           w.Shards,
-		BoundSlack:       w.BoundSlack,
 	}
 	for i := range w.Specs {
 		spec, err := resolveArch(&w.Specs[i])

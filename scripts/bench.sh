@@ -7,9 +7,9 @@
 # Before any timing, the byte-identity acceptance tests run
 # (TestCoordinatorFrontMatchesUnpruned: the pruned front == ParetoFront of
 # the unpruned sweep by DesignPoint equality, on AlexNet and ResNet18;
-# TestCoordinatorShardInvariance: identical fronts across shard counts and
-# worker widths) — the JSON records that they passed, so a pruned number
-# can never be reported for a coordinator that changes results.
+# TestCoordinatorWorkerInvariance: identical fronts across worker widths)
+# — the JSON records that they passed, so a pruned number can never be
+# reported for a coordinator that changes results.
 #
 # All three numbers are measured live in the same run on the same space
 # (AlexNet, 3 arch sizes x {parallel x1, serial x1} crypto, serial guided
@@ -33,7 +33,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 echo "running pruned-front byte-identity tests..." >&2
-go test ./internal/dse -run '^(TestCoordinatorFrontMatchesUnpruned|TestCoordinatorShardInvariance)$' -count=1 >&2
+go test ./internal/dse -run '^(TestCoordinatorFrontMatchesUnpruned|TestCoordinatorWorkerInvariance)$' -count=1 >&2
 
 echo "running BenchmarkSweepColdUnpruned (3x, -benchmem)..." >&2
 go test ./internal/dse -run '^$' -bench '^BenchmarkSweepColdUnpruned$' -benchtime 3x -benchmem | grep -E '^Benchmark' >>"$tmp"
@@ -99,7 +99,7 @@ cat >"$OUT" <<EOF
   "pr": 9,
   "generated_by": "scripts/bench.sh",
   "protocol": "go test -bench -benchmem; -benchtime 3x (sweeps), 10x (pre-pass); serial guided CryptOptSingle sweep of AlexNet over 3 arch sizes x {parallel x1, serial x1} crypto engines, all in-memory caches dropped before every iteration (cold)",
-  "note": "before = BenchmarkSweepColdUnpruned, the evaluate-every-point sweep. after = BenchmarkSweepColdPruned, the same cold sweep through the dominance-pruned coordinator (bound pre-pass + streaming Pareto front, 2 shards). BenchmarkSweepBoundsPrepass is the pre-pass alone; prepass_pct_of_cold_sweep divides it by the unpruned sweep. Byte-identity of the pruned front is asserted by TestCoordinatorFrontMatchesUnpruned (DesignPoint equality vs ParetoFront of the unpruned sweep, AlexNet and ResNet18) and TestCoordinatorShardInvariance (identical fronts across shard/worker configurations), run before the benchmarks.",
+  "note": "before = BenchmarkSweepColdUnpruned, the evaluate-every-point sweep. after = BenchmarkSweepColdPruned, the same cold sweep with dominance pruning (bound pre-pass + streaming Pareto front). BenchmarkSweepBoundsPrepass is the pre-pass alone; prepass_pct_of_cold_sweep divides it by the unpruned sweep. Byte-identity of the pruned front is asserted by TestCoordinatorFrontMatchesUnpruned (DesignPoint equality vs ParetoFront of the unpruned sweep, AlexNet and ResNet18) and TestCoordinatorWorkerInvariance (identical fronts across worker-pool widths), run before the benchmarks.",
   "pruned_front_byte_identical_to_unpruned": true,
   "benchmarks": {
     "BenchmarkSweepColdUnpruned": {
