@@ -38,6 +38,7 @@ import (
 	"secureloop/internal/dse"
 	"secureloop/internal/experiments"
 	"secureloop/internal/mapper"
+	"secureloop/internal/memo"
 	"secureloop/internal/obs"
 	"secureloop/internal/store"
 )
@@ -180,31 +181,22 @@ func ratio(hits, misses int64) string {
 }
 
 // printCacheStats reports every memoisation tier with its hit ratio: the
-// in-memory mapper and AuthBlock caches, the guided-search warm store, and
+// in-memory mapper and AuthBlock memos, the guided-search counters, and
 // (when -store is set) the persistent cross-process tier.
 func printCacheStats(st *store.Store) {
-	ms := mapper.CacheStats()
-	fmt.Printf("mapper search cache:  %s hit ratio (%d hits, %d misses), %d coalesced, %d entries\n",
-		ratio(ms.Hits, ms.Misses), ms.Hits, ms.Misses, ms.Shared, ms.Entries)
-	ts := mapper.TileCacheStats()
-	fmt.Printf("mapper tile cache:    %s hit ratio (%d hits, %d misses), %d evictions, %d entries\n",
-		ratio(ts.Hits, ts.Misses), ts.Hits, ts.Misses, ts.Evictions, ts.Entries)
-	ws := mapper.WarmStartStats()
-	fmt.Printf("mapper warm store:    %s hit ratio (%d hits, %d misses), %d stores, %d evictions, %d entries\n",
-		ratio(ws.Hits, ws.Misses), ws.Hits, ws.Misses, ws.Stores, ws.Evictions, ws.Entries)
+	ms, mt, mw := mapper.CacheStats()
+	printMemo("mapper search cache:", ms)
+	printMemo("mapper tile cache:", mt)
+	printMemo("mapper warm store:", mw)
 	gs := mapper.GuidedSearchStats()
 	fmt.Printf("guided search:        %d searches, %d evaluated, %d pruned, %d skipped, %d warm seeds\n",
 		gs.Searches, gs.Evaluated, gs.Pruned, gs.Skipped, gs.WarmSeeds)
-	opt, tile := authblock.CacheStats()
-	fmt.Printf("authblock optimal:    %s hit ratio (%d hits, %d misses), %d runs, %d entries\n",
-		ratio(opt.Hits, opt.Misses), opt.Hits, opt.Misses, opt.Runs, opt.Entries)
-	fmt.Printf("authblock tile-block: %s hit ratio (%d hits, %d misses), %d entries\n",
-		ratio(tile.Hits, tile.Misses), tile.Hits, tile.Misses, tile.Entries)
-	dc, sc := authblock.DecompCacheStats()
-	fmt.Printf("authblock decomp:     %s hit ratio (%d hits, %d misses), %d evictions, %d entries\n",
-		ratio(dc.Hits, dc.Misses), dc.Hits, dc.Misses, dc.Evictions, dc.Entries)
-	fmt.Printf("authblock sizes:      %s hit ratio (%d hits, %d misses), %d evictions, %d entries\n",
-		ratio(sc.Hits, sc.Misses), sc.Hits, sc.Misses, sc.Evictions, sc.Entries)
+	ao, at, ad, as := authblock.CacheStats()
+	printMemo("authblock optimal:", ao)
+	fmt.Printf("authblock searches:   %d run\n", authblock.OptimalRuns())
+	printMemo("authblock tile-block:", at)
+	printMemo("authblock decomp:", ad)
+	printMemo("authblock sizes:", as)
 	ps := dse.PruneStats()
 	fmt.Printf("sweep prune:          %d points bounded, %d pruned, %d deferred, %d re-evaluated in the exact pass, %d full evals (%d store-answered)\n",
 		ps.Bounded, ps.Pruned, ps.Deferred, ps.Reevaluated, ps.FullEvals, ps.StoreHits)
@@ -213,6 +205,11 @@ func printCacheStats(st *store.Store) {
 		fmt.Printf("persistent store:     %s hit ratio (%d hits, %d misses), %d puts, %d corrupt, %d evicted segments, %d entries, %d bytes\n",
 			ratio(ss.Hits, ss.Misses), ss.Hits, ss.Misses, ss.Puts, ss.Corrupt, ss.EvictedSegments, ss.Entries, ss.Bytes)
 	}
+}
+
+func printMemo(label string, s memo.Stats) {
+	fmt.Printf("%-21s %s hit ratio (%d hits, %d misses), %d coalesced, %d stores, %d evictions, %d entries\n",
+		label, ratio(s.Hits, s.Misses), s.Hits, s.Misses, s.Shared, s.Stores, s.Evictions, s.Entries)
 }
 
 func fatal(err error) {

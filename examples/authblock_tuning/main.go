@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -31,11 +32,16 @@ func main() {
 	eff := crypto.EffectiveBytesPerCycle(spec.DRAM.BytesPerCycle)
 
 	search := func(l *workload.Layer) mapper.Candidate {
-		return mapper.SearchCached(mapper.Request{
+		out, err := mapper.SearchCachedCtx(context.Background(), mapper.Request{
 			Layer: l, PEsX: spec.PEsX, PEsY: spec.PEsY,
 			GLBBits: spec.GlobalBufferBits(), RFBits: spec.RegFileBits(),
 			EffectiveBytesPerCycle: eff, TopK: 1,
-		})[0]
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "authblock_tuning:", err)
+			os.Exit(1)
+		}
+		return out[0]
 	}
 	mp, mc := search(prod), search(cons)
 	fmt.Printf("producer schedule: %s\n", mp.Mapping)

@@ -2,16 +2,18 @@ package authblock
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
+
+	"secureloop/internal/memo"
 )
 
 // The optimal-assignment search and the baseline evaluation are pure
 // functions of (ProducerGrid, ConsumerGrid, Params), all comparable
 // structs, and the same grid pairs recur across scheduling algorithms,
-// annealing iterations and design-space sweeps. A process-wide memo makes
-// repeated experiments cheap. Both memos are sharded so the parallel
-// design-space sweep does not serialize on a single mutex.
+// annealing iterations and design-space sweeps, so process-wide memos make
+// repeated experiments cheap. Both are bounded so a daemon serving distinct
+// AuthBlock traffic cannot grow them without limit; the capacity sits above
+// every benchmark workload's peak, and since both searches are exact and
+// pure an eviction changes no answer.
 
 type cacheKey struct {
 	p   ProducerGrid
@@ -19,153 +21,46 @@ type cacheKey struct {
 	par Params
 }
 
-// numShards bounds lock contention across concurrent design-point
-// evaluations; power of two so the hash mixes cheaply.
-const numShards = 32
-
-// shard hashes the key fields (FNV-1a) to pick a shard index.
-func (k cacheKey) shard() int {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	for _, v := range [...]int{
-		k.p.C, k.p.H, k.p.W, k.p.TileC, k.p.TileH, k.p.TileW,
-		k.c.TileC, k.c.WinH, k.c.WinW, k.c.StepH, k.c.StepW,
-		k.c.OffH, k.c.OffW, k.c.CountC, k.c.CountH, k.c.CountW,
-		k.par.WordBits, k.par.HashBits,
-	} {
-		mix(uint64(v))
-	}
-	mix(uint64(k.p.WritesPerTile))
-	mix(uint64(k.c.FetchesPerTile))
-	return int(h % numShards)
-}
-
-type optShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]Result // guarded by mu
-}
-
-type tileShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]tileEntry // guarded by mu
-}
+// resultCapacity bounds the optimal and tile-as-AuthBlock memos.
+const resultCapacity = 1 << 15
 
 var (
-	optShards  [numShards]optShard
-	tileShards [numShards]tileShard
-
-	optHits    atomic.Int64
-	optMisses  atomic.Int64
-	tileHits   atomic.Int64
-	tileMisses atomic.Int64
+	optMemo  = memo.New[cacheKey, Result](resultCapacity, hashCacheKey)
+	tileMemo = memo.New[cacheKey, tileEntry](resultCapacity, hashCacheKey)
 )
+
+func hashCacheKey(k cacheKey) uint64 {
+	return memo.Hash(hashDecompKey(decompKey{p: k.p, c: k.c}), uint64(k.par.WordBits), uint64(k.par.HashBits))
+}
 
 type tileEntry struct {
 	costs    Costs
 	rehashed bool
 }
 
-// Stats reports cache effectiveness counters for one memo.
-type Stats struct {
-	Hits    int64
-	Misses  int64
-	Entries int64
-	// Runs counts searches that actually executed (misses neither the
-	// in-memory nor the persistent tier could answer). For the tile memo it
-	// equals Misses, which has no persistent tier.
-	Runs int64
-	// Evictions counts entries dropped by a size bound (only the bounded
-	// decomposition and candidate-size memos evict).
-	Evictions int64
+// CacheStats snapshots the counters of the optimal-assignment memo, the
+// tile-as-an-AuthBlock memo, the pair-decomposition memo and the
+// candidate-size memo.
+func CacheStats() (optimal, tile, decomp, sizes memo.Stats) {
+	return optMemo.Stats(), tileMemo.Stats(), decompMemo.Stats(), sizeMemo.Stats()
 }
 
-// HitRatio returns hits over lookups in [0, 1], or 0 before any lookup.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// CacheStats snapshots the counters of the optimal-assignment memo and the
-// tile-as-an-AuthBlock memo.
-func CacheStats() (optimal, tile Stats) {
-	optimal = Stats{Hits: optHits.Load(), Misses: optMisses.Load(), Runs: optRuns.Load()}
-	tile = Stats{Hits: tileHits.Load(), Misses: tileMisses.Load(), Runs: tileMisses.Load()}
-	for i := range optShards {
-		s := &optShards[i]
-		s.mu.Lock()
-		optimal.Entries += int64(len(s.entries))
-		s.mu.Unlock()
-	}
-	for i := range tileShards {
-		s := &tileShards[i]
-		s.mu.Lock()
-		tile.Entries += int64(len(s.entries))
-		s.mu.Unlock()
-	}
-	return optimal, tile
-}
-
-// ResetCaches drops all memoised results and zeroes the counters (used by
-// benchmarks and tests that need a cold cache).
+// ResetCaches drops all memoised results and zeroes the counters, OptimalRuns
+// included (benchmarks and tests that need a cold cache).
 func ResetCaches() {
-	for i := range optShards {
-		s := &optShards[i]
-		s.mu.Lock()
-		s.entries = nil
-		s.mu.Unlock()
-	}
-	for i := range tileShards {
-		s := &tileShards[i]
-		s.mu.Lock()
-		s.entries = nil
-		s.mu.Unlock()
-	}
-	optHits.Store(0)
-	optMisses.Store(0)
+	optMemo.Reset()
+	tileMemo.Reset()
+	decompMemo.Reset()
+	sizeMemo.Reset()
 	optRuns.Store(0)
-	tileHits.Store(0)
-	tileMisses.Store(0)
-	clearDecompCaches()
-}
-
-// OptimalCached is Optimal with process-wide memoisation.
-func OptimalCached(p ProducerGrid, c ConsumerGrid, par Params) Result {
-	r, _ := OptimalCachedCtx(context.Background(), p, c, par)
-	return r
-}
-
-// OptimalCachedCtx is the cancellable memoised search. A search interrupted
-// by cancellation is never stored, so a cancelled request cannot seed the
-// memo with a partial (non-optimal) assignment. It is OptimalStoredCtx
-// without a persistent tier.
-func OptimalCachedCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
-	return OptimalStoredCtx(ctx, nil, p, c, par)
 }
 
 // TileAsAuthBlockCached is TileAsAuthBlock with process-wide memoisation.
 func TileAsAuthBlockCached(p ProducerGrid, c ConsumerGrid, par Params) (Costs, bool) {
-	key := cacheKey{p: p, c: c, par: par}
-	s := &tileShards[key.shard()]
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		tileHits.Add(1)
-		return e.costs, e.rehashed
-	}
-	s.mu.Unlock()
-	tileMisses.Add(1)
-	costs, rehashed := TileAsAuthBlock(p, c, par)
-	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = map[cacheKey]tileEntry{}
-	}
-	s.entries[key] = tileEntry{costs: costs, rehashed: rehashed}
-	s.mu.Unlock()
-	return costs, rehashed
+	// The compute cannot fail and the background wait is never cancelled.
+	e, _ := tileMemo.Do(context.Background(), cacheKey{p: p, c: c, par: par}, func() (tileEntry, error) {
+		costs, rehashed := TileAsAuthBlock(p, c, par)
+		return tileEntry{costs: costs, rehashed: rehashed}, nil
+	})
+	return e.costs, e.rehashed
 }

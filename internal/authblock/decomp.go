@@ -1,8 +1,10 @@
 package authblock
 
 import (
+	"context"
 	"sort"
 
+	"secureloop/internal/memo"
 	"secureloop/internal/num"
 )
 
@@ -13,8 +15,8 @@ import (
 // (orientation, size) candidates per pair, so the decomposition is computed
 // once per pair, flattened into a sorted slice, and shared by EvaluateCross,
 // Sweep, the optimal search and the tile baselines. evaluateCrossReference
-// (reference.go) retains the per-candidate recomputation as the equivalence
-// oracle.
+// (reference_test.go) retains the per-candidate recomputation as the
+// equivalence oracle.
 
 // pairClass is one flattened consumer class: an overlap box inside a
 // producer tile of shape (tc, tp, tq), occurring mult times across the
@@ -142,29 +144,29 @@ type decompKey struct {
 	c ConsumerGrid
 }
 
-// decompCache memoises decompositions process-wide: the same grid pairs
+// decompMemo memoises decompositions process-wide: the same grid pairs
 // recur across candidate sizes, annealing moves and design-space sweeps.
-// Bounded and FIFO-sharded (see fifocache.go) so a long sweep over generated
-// networks cannot grow it without limit.
-var decompCache = &fifoCache[decompKey, *pairDecomposition]{hash: hashDecompKey}
+// Bounded so a long sweep over generated networks cannot grow it without
+// limit.
+var decompMemo = memo.New[decompKey, *pairDecomposition](1024, hashDecompKey)
 
 func hashDecompKey(k decompKey) uint64 {
-	return fnvMix(
-		int64(k.p.C), int64(k.p.H), int64(k.p.W),
-		int64(k.p.TileC), int64(k.p.TileH), int64(k.p.TileW), k.p.WritesPerTile,
-		int64(k.c.TileC), int64(k.c.WinH), int64(k.c.WinW),
-		int64(k.c.StepH), int64(k.c.StepW), int64(k.c.OffH), int64(k.c.OffW),
-		int64(k.c.CountC), int64(k.c.CountH), int64(k.c.CountW), k.c.FetchesPerTile,
+	return memo.Hash(
+		uint64(k.p.C), uint64(k.p.H), uint64(k.p.W),
+		uint64(k.p.TileC), uint64(k.p.TileH), uint64(k.p.TileW), uint64(k.p.WritesPerTile),
+		uint64(k.c.TileC), uint64(k.c.WinH), uint64(k.c.WinW),
+		uint64(k.c.StepH), uint64(k.c.StepW), uint64(k.c.OffH), uint64(k.c.OffW),
+		uint64(k.c.CountC), uint64(k.c.CountH), uint64(k.c.CountW), uint64(k.c.FetchesPerTile),
 	)
 }
 
 // decompositionFor returns the memoised decomposition of the pair.
 func decompositionFor(p ProducerGrid, c ConsumerGrid) *pairDecomposition {
-	key := decompKey{p: p, c: c}
-	if v, ok := decompCache.get(key); ok {
-		return v
-	}
-	return decompCache.put(key, newPairDecomposition(p, c))
+	// The compute cannot fail and the background wait is never cancelled.
+	d, _ := decompMemo.Do(context.Background(), decompKey{p: p, c: c}, func() (*pairDecomposition, error) {
+		return newPairDecomposition(p, c), nil
+	})
+	return d
 }
 
 // sizeKey captures the only fields CandidateSizes reads.
@@ -174,26 +176,11 @@ type sizeKey struct {
 	stepH, stepW        int
 }
 
-// sizeCache memoises the deduplicated candidate-size lists; callers must
-// treat the returned slice as read-only. Bounded like decompCache.
-var sizeCache = &fifoCache[sizeKey, []int]{hash: hashSizeKey}
-
-func hashSizeKey(k sizeKey) uint64 {
-	return fnvMix(
-		int64(k.tileC), int64(k.tileH), int64(k.tileW),
-		int64(k.winH), int64(k.winW), int64(k.stepH), int64(k.stepW),
+// sizeMemo memoises the deduplicated candidate-size lists; callers must
+// treat the returned slice as read-only. Bounded like decompMemo.
+var sizeMemo = memo.New[sizeKey, []int](1024, func(k sizeKey) uint64 {
+	return memo.Hash(
+		uint64(k.tileC), uint64(k.tileH), uint64(k.tileW),
+		uint64(k.winH), uint64(k.winW), uint64(k.stepH), uint64(k.stepW),
 	)
-}
-
-// DecompCacheStats snapshots the decomposition and candidate-size memo
-// counters (cmd/experiments -cachestats).
-func DecompCacheStats() (decomp, size Stats) {
-	return decompCache.stats(), sizeCache.stats()
-}
-
-// clearDecompCaches drops the decomposition and candidate-size memos
-// (ResetCaches calls this alongside the result memos).
-func clearDecompCaches() {
-	decompCache.reset()
-	sizeCache.reset()
-}
+})

@@ -32,10 +32,11 @@ func CandidateSizes(p ProducerGrid, c ConsumerGrid) []int {
 		tileC: p.TileC, tileH: p.TileH, tileW: p.TileW,
 		winH: c.WinH, winW: c.WinW, stepH: c.StepH, stepW: c.StepW,
 	}
-	if v, ok := sizeCache.get(key); ok {
-		return v
-	}
-	return sizeCache.put(key, candidateSizes(p, c))
+	// The compute cannot fail and the background wait is never cancelled.
+	v, _ := sizeMemo.Do(context.Background(), key, func() ([]int, error) {
+		return candidateSizes(p, c), nil
+	})
+	return v
 }
 
 // candidateSizes is the unmemoised CandidateSizes.

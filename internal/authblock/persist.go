@@ -9,10 +9,10 @@ import (
 )
 
 // The persistent tier of the optimal-assignment memo: OptimalStoredCtx
-// layers a content-addressed disk store beneath the sharded in-memory
-// memo, so the same (producer, consumer, params) search resolves across
-// processes and restarts. The key canonically encodes every field of the
-// in-memory cacheKey; the value is the full Result.
+// layers a content-addressed disk store beneath the in-memory memo, so the
+// same (producer, consumer, params) search resolves across processes and
+// restarts. The key canonically encodes every field of the in-memory
+// cacheKey; the value is the full Result.
 
 // optPrefix namespaces authblock records within the shared store.
 const optPrefix = "authblock.optimal"
@@ -23,7 +23,7 @@ const optPrefix = "authblock.optimal"
 var optRuns atomic.Int64
 
 // OptimalRuns reports how many optimal searches actually executed via
-// OptimalCachedCtx / OptimalStoredCtx since the last reset.
+// OptimalStoredCtx since the last reset.
 func OptimalRuns() int64 { return optRuns.Load() }
 
 // persistOptimalKey canonically encodes the memo identity.
@@ -98,52 +98,31 @@ func decodeResult(raw []byte) (Result, error) {
 	return r, nil
 }
 
-// OptimalStoredCtx is OptimalCachedCtx with a persistent tier: on an
-// in-memory miss it consults st (read-through) before running the search,
-// and a fresh result is written behind into both tiers. st may be nil, in
-// which case it is exactly OptimalCachedCtx. Undecodable records are
-// treated as misses, never errors.
+// OptimalStoredCtx is OptimalCtx with process-wide memoisation and an
+// optional persistent tier: on an in-memory miss it consults st
+// (read-through) before running the search, and a fresh result is written
+// behind into both tiers. st may be nil. Concurrent identical misses share
+// one search and one store lookup. A search interrupted by cancellation is
+// never stored, so a cancelled request cannot seed the memo with a partial
+// (non-optimal) assignment. Undecodable records are treated as misses,
+// never errors.
 func OptimalStoredCtx(ctx context.Context, st *store.Store, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
 	key := cacheKey{p: p, c: c, par: par}
-	s := &optShards[key.shard()]
-	s.mu.Lock()
-	if r, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		optHits.Add(1)
-		return r, nil
-	}
-	s.mu.Unlock()
-	optMisses.Add(1)
-
-	var pk store.Key
-	if st != nil {
-		pk = persistOptimalKey(key)
-		if raw, ok := st.Get(pk); ok {
-			if r, derr := decodeResult(raw); derr == nil {
-				s.mu.Lock()
-				if s.entries == nil {
-					s.entries = map[cacheKey]Result{}
+	return optMemo.Do(ctx, key, func() (Result, error) {
+		var pk store.Key
+		if st != nil {
+			pk = persistOptimalKey(key)
+			if raw, ok := st.Get(pk); ok {
+				if r, derr := decodeResult(raw); derr == nil {
+					return r, nil
 				}
-				s.entries[key] = r
-				s.mu.Unlock()
-				return r, nil
 			}
 		}
-	}
-
-	optRuns.Add(1)
-	r, err := OptimalCtx(ctx, p, c, par)
-	if err != nil {
+		optRuns.Add(1)
+		r, err := OptimalCtx(ctx, p, c, par)
+		if err == nil && st != nil {
+			st.Put(store.KindAuthBlock, pk, encodeResult(r))
+		}
 		return r, err
-	}
-	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = map[cacheKey]Result{}
-	}
-	s.entries[key] = r
-	s.mu.Unlock()
-	if st != nil {
-		st.Put(store.KindAuthBlock, pk, encodeResult(r))
-	}
-	return r, nil
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,13 +44,17 @@ func benchRun(b *testing.B, net *workload.Network) *run {
 	r := newRun(s, net, CryptOptCross)
 	effBW := s.Crypto.EffectiveBytesPerCycle(s.Spec.DRAM.BytesPerCycle)
 	for i := range net.Layers {
-		r.candidates[i] = mapper.SearchCached(mapper.Request{
+		var err error
+		r.candidates[i], err = mapper.SearchCachedCtx(context.Background(), mapper.Request{
 			Layer: &net.Layers[i],
 			PEsX:  s.Spec.PEsX, PEsY: s.Spec.PEsY,
 			GLBBits: s.Spec.GlobalBufferBits(), RFBits: s.Spec.RegFileBits(),
 			EffectiveBytesPerCycle: effBW,
 			TopK:                   s.TopK,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(r.candidates[i]) == 0 {
 			b.Fatalf("no candidates for layer %d", i)
 		}

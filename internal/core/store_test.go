@@ -30,8 +30,7 @@ func TestScheduleNetworkStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	net := workload.AlexNet()
 
-	mapper.ResetCache()
-	mapper.ResetWarmStore()
+	mapper.ResetCaches()
 	authblock.ResetCaches()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -45,8 +44,7 @@ func TestScheduleNetworkStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mapper.ResetCache()
-	mapper.ResetWarmStore()
+	mapper.ResetCaches()
 	authblock.ResetCaches()
 	st2, err := store.Open(dir, store.Options{})
 	if err != nil {

@@ -491,13 +491,3 @@ func PruneStats() SweepPruneStats {
 		StoreHits:   sweepStoreSkips.Load(),
 	}
 }
-
-// ResetPruneStats zeroes the pruning counters.
-func ResetPruneStats() {
-	sweepBounded.Store(0)
-	sweepPruned.Store(0)
-	sweepDeferred.Store(0)
-	sweepReevaluated.Store(0)
-	sweepFullEvals.Store(0)
-	sweepStoreSkips.Store(0)
-}

@@ -8,6 +8,7 @@ import (
 	"secureloop/internal/core"
 	"secureloop/internal/cryptoengine"
 	"secureloop/internal/mapper"
+	"secureloop/internal/memo"
 	"secureloop/internal/workload"
 )
 
@@ -30,11 +31,9 @@ func warmSweepSpace() ([]arch.Spec, []cryptoengine.Config) {
 
 // runGuidedSweep runs the miniature sweep serially from fully reset mapper
 // state and snapshots the guided-search work counters.
-func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats, mapper.WarmStats) {
+func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats, memo.Stats) {
 	t.Helper()
-	mapper.ResetCache()
-	mapper.ResetWarmStore()
-	mapper.ResetGuidedStats()
+	mapper.ResetCaches()
 	specs, cryptos := warmSweepSpace()
 	res, err := Sweep(context.Background(), workload.AlexNet(), specs, cryptos,
 		core.CryptOptSingle, Options{
@@ -44,7 +43,8 @@ func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Points, mapper.GuidedSearchStats(), mapper.WarmStartStats()
+	_, _, warmStats := mapper.CacheStats()
+	return res.Points, mapper.GuidedSearchStats(), warmStats
 }
 
 // TestSweepGuidedWarmStart is the acceptance test of the warm-start layer:
@@ -57,7 +57,7 @@ func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats,
 func TestSweepGuidedWarmStart(t *testing.T) {
 	coldPts, cold, _ := runGuidedSweep(t, false)
 	warmPts, warm, warmStats := runGuidedSweep(t, true)
-	defer mapper.ResetWarmStore()
+	defer mapper.ResetCaches()
 
 	if warmStats.Hits == 0 {
 		t.Error("warm-started sweep never hit the warm store")
@@ -93,8 +93,8 @@ func TestSweepGuidedWarmStart(t *testing.T) {
 // exposes: a guided sweep's design points are identical to the exhaustive
 // sweep's.
 func TestSweepGuidedMatchesExhaustive(t *testing.T) {
-	mapper.ResetWarmStore()
-	defer mapper.ResetWarmStore()
+	mapper.ResetCaches()
+	defer mapper.ResetCaches()
 	specs, cryptos := warmSweepSpace()
 	specs, cryptos = specs[:2], cryptos[:1]
 	net := workload.AlexNet()
@@ -103,7 +103,7 @@ func TestSweepGuidedMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapper.ResetCache()
+	mapper.ResetCaches()
 	gdRes, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle,
 		Options{Mapper: mapper.Options{Mode: mapper.Guided}, MaxParallel: 1})
 	if err != nil {

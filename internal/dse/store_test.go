@@ -17,9 +17,7 @@ import (
 // be answered only by recomputation or the persistent store — the moral
 // equivalent of starting a fresh process against the same store directory.
 func resetInMemoryCaches() {
-	mapper.ResetCache()
-	mapper.ResetWarmStore()
-	mapper.ResetGuidedStats()
+	mapper.ResetCaches()
 	authblock.ResetCaches()
 }
 

@@ -9,7 +9,9 @@ import (
 )
 
 // AnalyzerLockGuard enforces the `// guarded by <mu>` field annotations used
-// in the sharded mapper and authblock caches. A field carrying the
+// on shared mutable state: the memo shards behind the mapper and authblock
+// caches, the service's flight table and admission gate, the result store,
+// the event fanout and the sweep coordinator. A field carrying the
 // annotation may only be accessed while the annotated mutex of the same
 // struct value is held. The check is a statement-level abstract walk, not a
 // full flow analysis: lock state is tracked per "base.mu" expression text,

@@ -20,7 +20,7 @@ import (
 var AnalyzerPureDet = &Analyzer{
 	Name: "puredet",
 	Doc: "functions reachable from cached entry points (mapper.SearchCachedCtx, " +
-		"authblock.OptimalCachedCtx/OptimalStoredCtx, core.ScheduleNetworkCtx) must not " +
+		"authblock.OptimalStoredCtx, core.ScheduleNetworkCtx) must not " +
 		"call time.Now/time.Since, read the environment, use global or non-request-seeded " +
 		"randomness, or leak map iteration order into results",
 	RunModule: runPureDet,
@@ -33,7 +33,6 @@ var AnalyzerPureDet = &Analyzer{
 var puredetSeeds = []struct{ pkg, fn string }{
 	{"internal/mapper", "SearchCachedCtx"},
 	{"internal/mapper", "SearchLowerBound"},
-	{"internal/authblock", "OptimalCachedCtx"},
 	{"internal/authblock", "OptimalStoredCtx"},
 	{"internal/core", "ScheduleNetworkCtx"},
 	{"internal/dse", "Sweep"},

@@ -91,7 +91,7 @@ func BenchmarkMapperGuided(b *testing.B) {
 func BenchmarkMapperWarmStart(b *testing.B) {
 	l := benchLayer()
 	req := guidedRequest(benchRequest(&l), 0, true)
-	ResetWarmStore()
+	ResetCaches()
 	neighbour := req
 	neighbour.GLBBits *= 2
 	if _, err := SearchCtx(context.Background(), neighbour); err != nil {

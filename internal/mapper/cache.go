@@ -3,19 +3,21 @@ package mapper
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"secureloop/internal/memo"
 	"secureloop/internal/store"
 	"secureloop/internal/workload"
 )
 
-// The search cache memoises SearchCached results across experiments (the
-// same layer shapes recur in every figure's sweep). It is sharded so the
-// parallel design-space sweep and the parallel per-layer scheduling step do
-// not serialize on one mutex, and each shard carries a singleflight table so
-// concurrent requests for the same layer shape run one search and share the
-// result instead of duplicating the work.
+// The search cache memoises SearchCachedCtx results across experiments
+// (the same layer shapes recur in every figure's sweep). Concurrent
+// requests for the same layer shape run one search and share the result.
+//
+// It is unbounded on purpose. On layers whose stride exceeds the filter
+// extent the guided search's answer depends on warm-start history
+// (DESIGN.md §12), so an evicted entry could be recomputed to different
+// bytes, and a daemon without a persistent store would then answer an
+// identical request differently.
 
 type cacheKey struct {
 	layer workload.Layer
@@ -31,122 +33,58 @@ type cacheKey struct {
 	opt Options
 }
 
-// numShards bounds lock contention; power of two so the hash mixes cheaply.
-const numShards = 32
+var searchMemo = memo.New[cacheKey, []Candidate](0, hashCacheKey)
 
-type inflightSearch struct {
-	done chan struct{}
-	val  []Candidate
-	// err is the leader's failure (cancellation or a recovered panic); set
-	// before done is closed. Waiters seeing it retry — the failure may be
-	// specific to the leader's context.
-	err error
-}
-
-type cacheShard struct {
-	mu       sync.Mutex
-	entries  map[cacheKey][]Candidate     // guarded by mu
-	inflight map[cacheKey]*inflightSearch // guarded by mu
-}
-
-var (
-	shards [numShards]cacheShard
-
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	cacheShared atomic.Int64
-)
-
-// shard hashes the key fields (FNV-1a) to pick a shard.
-func (k cacheKey) shard() *cacheShard {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
+func hashCacheKey(k cacheKey) uint64 {
 	l := k.layer
-	for _, v := range [...]int{
-		l.C, l.M, l.R, l.S, l.P, l.Q,
-		l.StrideH, l.StrideW, l.PadH, l.PadW, l.N, l.WordBits,
-		k.pesX, k.pesY, k.topK,
-	} {
-		mix(uint64(v))
-	}
-	if l.Depthwise {
-		mix(1)
-	}
-	mix(uint64(k.glb))
-	mix(uint64(k.rf))
-	mix(math.Float64bits(k.effBW))
-	mix(uint64(k.opt.Mode))
-	mix(math.Float64bits(k.opt.Epsilon))
-	if k.opt.DisableWarmStart {
-		mix(1)
-	}
-	return &shards[h%numShards]
+	return memo.Hash(
+		uint64(l.C), uint64(l.M), uint64(l.R), uint64(l.S), uint64(l.P), uint64(l.Q),
+		uint64(l.StrideH), uint64(l.StrideW), uint64(l.PadH), uint64(l.PadW),
+		uint64(l.N), uint64(l.WordBits), b2u(l.Depthwise),
+		uint64(k.pesX), uint64(k.pesY), uint64(k.topK),
+		uint64(k.glb), uint64(k.rf), math.Float64bits(k.effBW),
+		uint64(k.opt.Mode), math.Float64bits(k.opt.Epsilon), b2u(k.opt.DisableWarmStart),
+	)
 }
 
-// Stats reports cache effectiveness counters.
-type Stats struct {
-	// Hits counts requests answered from a completed entry.
-	Hits int64
-	// Misses counts requests that ran a search.
-	Misses int64
-	// Shared counts requests that waited on an identical in-flight search
-	// instead of duplicating it (singleflight coalescing).
-	Shared int64
-	// Entries is the number of distinct cached searches.
-	Entries int64
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// CacheStats snapshots the search-cache counters.
-func CacheStats() Stats {
-	s := Stats{
-		Hits:   cacheHits.Load(),
-		Misses: cacheMisses.Load(),
-		Shared: cacheShared.Load(),
-	}
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.Lock()
-		s.Entries += int64(len(sh.entries))
-		sh.mu.Unlock()
-	}
-	return s
+// CacheStats snapshots the counters of the search memo, the tile-candidate
+// memo and the warm-start store.
+func CacheStats() (search, tile, warm memo.Stats) {
+	return searchMemo.Stats(), tileMemo.Stats(), warmMemo.Stats()
 }
 
-// ResetCache drops all cached searches and zeroes the counters (used by
-// benchmarks and tests that need a cold cache).
-func ResetCache() {
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.Lock()
-		sh.entries = nil
-		sh.mu.Unlock()
-	}
-	cacheHits.Store(0)
-	cacheMisses.Store(0)
-	cacheShared.Store(0)
+// ResetCaches drops the search memo, the tile-candidate memo and the
+// warm-start store, and zeroes their counters and the guided-search
+// counters (benchmarks and tests that need a cold process).
+func ResetCaches() {
+	searchMemo.Reset()
+	tileMemo.Reset()
+	warmMemo.Reset()
+	guidedSearches.Store(0)
+	guidedEvaluated.Store(0)
+	guidedPruned.Store(0)
+	guidedSkipped.Store(0)
+	guidedWarmSeeds.Store(0)
 }
 
 // cacheTopK is the k the cache stores; requests for smaller k slice the
 // cached result, so sweeping k (the paper's Figure 10) costs one search.
 const cacheTopK = 10
 
-// SearchCached is Search with process-wide memoisation. Requests with
+// SearchCachedCtx is Search with process-wide memoisation. Requests with
 // TopK <= cacheTopK share one cached search; larger requests bypass the
 // prefix optimisation and cache at their own k. Concurrent requests for the
-// same shape coalesce onto a single search. It is SearchCachedCtx with a
-// background context.
-func SearchCached(req Request) []Candidate {
-	out, _ := SearchCachedCtx(context.Background(), req)
-	return out
-}
-
-// SearchCachedCtx is the cancellable cached search. Failed or cancelled
-// searches are never stored, so a cancelled request cannot poison the cache
-// with a partial result; waiters coalesced onto a search whose leader fails
-// retry with their own context (one becomes the new leader).
+// same shape coalesce onto a single search. Failed or cancelled searches
+// are never stored, so a cancelled request cannot poison the cache with a
+// partial result; waiters coalesced onto a search whose leader fails retry
+// with their own context (one becomes the new leader).
 func SearchCachedCtx(ctx context.Context, req Request) ([]Candidate, error) {
 	storeK := cacheTopK
 	if req.TopK > storeK {
@@ -159,58 +97,15 @@ func SearchCachedCtx(ctx context.Context, req Request) ([]Candidate, error) {
 		opt: req.Opt,
 	}
 	key.layer.Name = "" // shape-keyed: identical shapes share results
-	sh := key.shard()
-
-	for {
-		sh.mu.Lock()
-		if got, ok := sh.entries[key]; ok {
-			sh.mu.Unlock()
-			cacheHits.Add(1)
-			return clipTopK(got, req.TopK), nil
-		}
-		if call, ok := sh.inflight[key]; ok {
-			sh.mu.Unlock()
-			cacheShared.Add(1)
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if call.err != nil {
-				// The leader failed with *its* context; ours may still be
-				// live, so go around and re-check (possibly leading now).
-				continue
-			}
-			return clipTopK(call.val, req.TopK), nil
-		}
-		call := &inflightSearch{done: make(chan struct{})}
-		if sh.inflight == nil {
-			sh.inflight = map[cacheKey]*inflightSearch{}
-		}
-		sh.inflight[key] = call
-		sh.mu.Unlock()
-
-		cacheMisses.Add(1)
+	val, err := searchMemo.Do(ctx, key, func() ([]Candidate, error) {
 		full := req
 		full.TopK = storeK
-		val, err := searchOrLoad(ctx, full, key)
-
-		sh.mu.Lock()
-		if err == nil {
-			if sh.entries == nil {
-				sh.entries = map[cacheKey][]Candidate{}
-			}
-			sh.entries[key] = val
-		}
-		delete(sh.inflight, key)
-		sh.mu.Unlock()
-		call.val, call.err = val, err
-		close(call.done)
-		if err != nil {
-			return nil, err
-		}
-		return clipTopK(val, req.TopK), nil
+		return searchOrLoad(ctx, full, key)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return clipTopK(val, req.TopK), nil
 }
 
 // searchOrLoad resolves a cache miss: consult the persistent store first

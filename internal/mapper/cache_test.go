@@ -1,11 +1,13 @@
 package mapper
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 
 	"secureloop/internal/mapping"
+	"secureloop/internal/memo"
 )
 
 // TestTopKCountsDistinctSignatures: repeat offers of one tiling signature
@@ -66,7 +68,7 @@ func TestTopKPruneKeepsBest(t *testing.T) {
 }
 
 func TestSearchCachedSingleflight(t *testing.T) {
-	ResetCache()
+	ResetCaches()
 	l := benchLayer()
 	req := Request{
 		Layer: &l, PEsX: 14, PEsY: 12,
@@ -81,7 +83,11 @@ func TestSearchCachedSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = SearchCached(req)
+			out, err := SearchCachedCtx(context.Background(), req)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = out
 		}(i)
 	}
 	wg.Wait()
@@ -90,7 +96,7 @@ func TestSearchCachedSingleflight(t *testing.T) {
 			t.Fatalf("caller %d saw a different result", i)
 		}
 	}
-	st := CacheStats()
+	st, _, _ := CacheStats()
 	if st.Misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 (singleflight)", st.Misses)
 	}
@@ -101,16 +107,21 @@ func TestSearchCachedSingleflight(t *testing.T) {
 		t.Errorf("entries = %d, want 1", st.Entries)
 	}
 	// A second, sequential call is a plain hit.
-	SearchCached(req)
-	if got := CacheStats(); got.Hits != st.Hits+1 {
+	searchCached(t, req)
+	if got, _, _ := CacheStats(); got.Hits != st.Hits+1 {
 		t.Errorf("sequential re-request did not hit: %+v", got)
 	}
 }
 
 func TestCacheStatsResets(t *testing.T) {
-	ResetCache()
-	st := CacheStats()
-	if st != (Stats{}) {
-		t.Fatalf("stats after reset = %+v", st)
+	l := benchLayer()
+	searchCached(t, guidedRequest(benchRequest(&l), 0, true))
+	ResetCaches()
+	search, tile, warm := CacheStats()
+	if search != (memo.Stats{}) || tile != (memo.Stats{}) || warm != (memo.Stats{}) {
+		t.Fatalf("stats after reset: search %+v, tile %+v, warm %+v", search, tile, warm)
+	}
+	if g := GuidedSearchStats(); g != (GuidedStats{}) {
+		t.Fatalf("guided stats after reset = %+v", g)
 	}
 }

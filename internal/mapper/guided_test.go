@@ -26,7 +26,7 @@ func guidedRequest(req Request, eps float64, warm bool) Request {
 // searchReference — cold, and again with whatever the warm-start store has
 // accumulated (the Epsilon = 0 result is provably independent of seeding).
 func TestGuidedSearchEquivalence(t *testing.T) {
-	ResetWarmStore()
+	ResetCaches()
 	layers := equivalenceLayers()
 	for _, spec := range equivalenceSpecs() {
 		for _, l := range layers {
@@ -180,7 +180,7 @@ func TestGuidedTablesMatchAnalyze(t *testing.T) {
 // the wrapped context error without touching any lattice — zero tilings
 // evaluated, pruned or skipped.
 func TestGuidedCancelledBeforeStart(t *testing.T) {
-	ResetGuidedStats()
+	ResetCaches()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l := workload.AlexNet().Layer(0)
@@ -223,7 +223,7 @@ func TestGuidedCancelMidRunBounded(t *testing.T) {
 	l := workload.AlexNet().Layer(2)
 	req := guidedRequest(baseRequest(l), 0, false)
 	for _, fail := range []int{1, 2, 5, 20, 100} {
-		ResetGuidedStats()
+		ResetCaches()
 		ctx := &errAfterCtx{Context: context.Background(), fail: fail}
 		_, err := SearchCtx(ctx, req)
 		if !errors.Is(err, context.Canceled) {
@@ -251,7 +251,7 @@ func (r *eventRecorder) MapperSearch(e obs.MapperSearchEvent) {
 // accounting the process-wide counters accumulate.
 
 func TestGuidedObserverEvent(t *testing.T) {
-	ResetGuidedStats()
+	ResetCaches()
 	l := workload.AlexNet().Layer(1)
 	rec := &eventRecorder{}
 	req := guidedRequest(baseRequest(l), 0, false)

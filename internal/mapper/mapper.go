@@ -12,8 +12,8 @@
 // (mapping.TilingAnalysis), breaks out of the sorted tile-candidate loops at
 // the first capacity violation (occupancy is monotone in each tile size),
 // and clones a Mapping only when a candidate actually enters the top-k. The
-// pre-optimisation implementation is retained in reference.go as the oracle
-// for the search-equivalence test.
+// pre-optimisation implementation is retained in reference_test.go as the
+// oracle for the search-equivalence test.
 package mapper
 
 import (

@@ -1,12 +1,24 @@
 package mapper
 
 import (
+	"context"
 	"testing"
 
 	"secureloop/internal/arch"
 	"secureloop/internal/model"
 	"secureloop/internal/workload"
 )
+
+// searchCached is SearchCachedCtx with a background context, failing the
+// test on error.
+func searchCached(t testing.TB, req Request) []Candidate {
+	t.Helper()
+	out, err := SearchCachedCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func baseRequest(l *workload.Layer) Request {
 	spec := arch.Base()
@@ -24,7 +36,7 @@ func TestSearchReturnsValidMappings(t *testing.T) {
 		for i := range net.Layers {
 			l := &net.Layers[i]
 			req := baseRequest(l)
-			cands := SearchCached(req)
+			cands := searchCached(t, req)
 			if len(cands) == 0 {
 				t.Fatalf("%s/%s: no candidates", net.Name, l.Name)
 			}
@@ -117,8 +129,8 @@ func TestTinyLayerFallback(t *testing.T) {
 func TestSearchCachedIdempotent(t *testing.T) {
 	l := workload.AlexNet().Layer(0)
 	req := baseRequest(l)
-	a := SearchCached(req)
-	b := SearchCached(req)
+	a := searchCached(t, req)
+	b := searchCached(t, req)
 	if len(a) != len(b) {
 		t.Fatal("cache changed result length")
 	}

@@ -1,121 +1,32 @@
 package mapper
 
 import (
+	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"secureloop/internal/memo"
 )
 
-// The tile-candidate cache memoises computeTileCandidates per loop bound.
-// The same small set of bounds (layer C/M/P/Q extents) recurs for every
-// spatial choice of every layer of every design point, and the
-// divisor/power-of-two construction is pure, so one process-wide table pays
-// for itself within a single search. The cache is sharded (the parallel
-// sweep reads it from many goroutines) and size-bounded with FIFO eviction:
-// an unbounded memo keyed by arbitrary layer extents grows for the lifetime
-// of a long sweep over generated networks, which is exactly the leak the
-// bounded variant closes. FIFO (not LRU) keeps reads lock-cheap and the
-// eviction order deterministic.
+// The tile-candidate memo caches computeTileCandidates per loop bound. The
+// same small set of bounds (layer C/M/P/Q extents) recurs for every spatial
+// choice of every layer of every design point, and the divisor/power-of-two
+// construction is pure, so one process-wide table pays for itself within a
+// single search. It is bounded: a memo keyed by arbitrary layer extents
+// would otherwise grow for the lifetime of a long sweep over generated
+// networks. Real sweeps touch a few dozen distinct bounds, far below the
+// capacity.
+var tileMemo = memo.New[int, []int](tileCapacity, func(bound int) uint64 { return uint64(bound) })
 
-const (
-	// tileShards bounds read contention; power of two for cheap masking.
-	tileShards = 8
-	// tileShardCap bounds each shard's entry count. Real sweeps touch a few
-	// dozen distinct bounds, so the cap is far above steady-state yet keeps
-	// a pathological sweep's footprint fixed.
-	tileShardCap = 128
-)
-
-type tileShard struct {
-	mu      sync.RWMutex
-	entries map[int][]int
-	order   []int // FIFO eviction queue
-}
-
-var (
-	tileCache [tileShards]tileShard
-
-	tileHits   atomic.Int64
-	tileMisses atomic.Int64
-	tileEvicts atomic.Int64
-)
+const tileCapacity = 1024
 
 // tileCandidates returns candidate GLB tile sizes for a dimension bound,
 // memoised per bound. Callers must treat the returned slice as read-only.
 func tileCandidates(bound int) []int {
-	sh := &tileCache[uint(bound)%tileShards]
-	sh.mu.RLock()
-	v, ok := sh.entries[bound]
-	sh.mu.RUnlock()
-	if ok {
-		tileHits.Add(1)
-		return v
-	}
-	tileMisses.Add(1)
-	// Compute outside the lock: the construction is pure, so a racing
-	// double-compute is wasted work at worst, and the first writer wins so
-	// all callers see one canonical slice.
-	computed := computeTileCandidates(bound)
-	sh.mu.Lock()
-	if v, ok = sh.entries[bound]; !ok {
-		if sh.entries == nil {
-			sh.entries = map[int][]int{}
-		}
-		if len(sh.order) >= tileShardCap {
-			oldest := sh.order[0]
-			sh.order = sh.order[1:]
-			delete(sh.entries, oldest)
-			tileEvicts.Add(1)
-		}
-		sh.entries[bound] = computed
-		sh.order = append(sh.order, bound)
-		v = computed
-	}
-	sh.mu.Unlock()
+	// The compute cannot fail and the background wait is never cancelled.
+	v, _ := tileMemo.Do(context.Background(), bound, func() ([]int, error) {
+		return computeTileCandidates(bound), nil
+	})
 	return v
-}
-
-// TileStats reports tile-candidate cache effectiveness counters.
-type TileStats struct {
-	// Hits counts lookups answered from the cache.
-	Hits int64
-	// Misses counts lookups that computed the candidate set.
-	Misses int64
-	// Evictions counts bounds dropped by the FIFO size bound.
-	Evictions int64
-	// Entries is the current number of cached bounds.
-	Entries int64
-}
-
-// TileCacheStats snapshots the tile-candidate cache counters.
-func TileCacheStats() TileStats {
-	s := TileStats{
-		Hits:      tileHits.Load(),
-		Misses:    tileMisses.Load(),
-		Evictions: tileEvicts.Load(),
-	}
-	for i := range tileCache {
-		sh := &tileCache[i]
-		sh.mu.RLock()
-		s.Entries += int64(len(sh.entries))
-		sh.mu.RUnlock()
-	}
-	return s
-}
-
-// resetTileCache drops all cached candidate sets and zeroes the counters
-// (tests).
-func resetTileCache() {
-	for i := range tileCache {
-		sh := &tileCache[i]
-		sh.mu.Lock()
-		sh.entries = nil
-		sh.order = nil
-		sh.mu.Unlock()
-	}
-	tileHits.Store(0)
-	tileMisses.Store(0)
-	tileEvicts.Store(0)
 }
 
 // computeTileCandidates builds the candidate set for a dimension bound: its

@@ -9,8 +9,8 @@ import (
 // same canonical slice (first-writer-wins), and the content must match a
 // fresh computation.
 func TestTileCacheHitsAndIdentity(t *testing.T) {
-	resetTileCache()
-	defer resetTileCache()
+	ResetCaches()
+	defer ResetCaches()
 	a := tileCandidates(96)
 	b := tileCandidates(96)
 	if &a[0] != &b[0] {
@@ -25,29 +25,29 @@ func TestTileCacheHitsAndIdentity(t *testing.T) {
 			t.Fatalf("cached candidates %v, computed %v", a, want)
 		}
 	}
-	s := TileCacheStats()
+	_, s, _ := CacheStats()
 	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
 		t.Errorf("stats after one miss + one hit: %+v", s)
 	}
 }
 
-// TestTileCacheBounded: the cache must stay within tileShards×tileShardCap
-// entries however many distinct bounds a sweep touches, with the overflow
+// TestTileCacheBounded: the cache must stay within tileCapacity entries
+// however many distinct bounds a sweep touches, with the overflow
 // accounted as evictions.
 func TestTileCacheBounded(t *testing.T) {
-	resetTileCache()
-	defer resetTileCache()
+	ResetCaches()
+	defer ResetCaches()
 	const lookups = 4000
 	for b := 1; b <= lookups; b++ {
 		if got := tileCandidates(b); len(got) == 0 {
 			t.Fatalf("no candidates for bound %d", b)
 		}
 	}
-	s := TileCacheStats()
+	_, s, _ := CacheStats()
 	if s.Misses != lookups {
 		t.Errorf("Misses = %d, want %d", s.Misses, lookups)
 	}
-	if max := int64(tileShards * tileShardCap); s.Entries > max {
+	if max := int64(tileCapacity); s.Entries > max {
 		t.Errorf("Entries = %d exceeds bound %d", s.Entries, max)
 	}
 	if s.Entries+s.Evictions != lookups {
@@ -63,8 +63,8 @@ func TestTileCacheBounded(t *testing.T) {
 // TestTileCacheConcurrent hammers one bound from many goroutines under
 // -race; every caller must see the identical canonical slice.
 func TestTileCacheConcurrent(t *testing.T) {
-	resetTileCache()
-	defer resetTileCache()
+	ResetCaches()
+	defer ResetCaches()
 	canonical := tileCandidates(27)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -2,10 +2,10 @@ package mapper
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"secureloop/internal/mapping"
+	"secureloop/internal/memo"
 )
 
 // The warm-start store remembers the winning tilings of completed guided
@@ -109,70 +109,42 @@ func warmKeyFor(req Request) warmKey {
 	}
 }
 
-const (
-	// warmShards bounds lock contention across parallel sweeps.
-	warmShards = 16
-	// warmShardCap bounds each shard's entry count; eviction is FIFO, which
-	// keeps the store deterministic under a serial sweep (no access-order
-	// state) and is close enough to LRU for sweeps that revisit shapes in
-	// passes.
-	warmShardCap = 64
-	// warmMaxSeeds caps the seeds stored per key. It matches cacheTopK so a
-	// full cached search's distinct winners all seed the next neighbour.
-	warmMaxSeeds = cacheTopK
-)
+// warmMaxSeeds caps the seeds stored per key. It matches cacheTopK so a
+// full cached search's distinct winners all seed the next neighbour.
+const warmMaxSeeds = cacheTopK
 
-type warmShard struct {
-	mu      sync.Mutex
-	entries map[warmKey][]Seed
-	order   []warmKey // FIFO eviction queue
-}
+// warmMemo holds the seeds per canonical shape: 16 shards of 64 keys. FIFO
+// eviction keeps the store deterministic under a serial sweep (no
+// access-order state) and is close enough to LRU for sweeps that revisit
+// shapes in passes.
+var warmMemo = memo.New[warmKey, []Seed](warmCapacity, hashWarmKey)
 
-var (
-	warmStore [warmShards]warmShard
+const warmCapacity = 1024
 
-	warmHits   atomic.Int64
-	warmMisses atomic.Int64
-	warmStores atomic.Int64
-	warmEvicts atomic.Int64
-)
-
-func (k warmKey) shard() *warmShard {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
+// hashWarmKey picks the key's shard, and with it the FIFO queue the key
+// competes in for eviction.
+func hashWarmKey(k warmKey) uint64 {
+	v := [...]uint64{
+		uint64(k.c), uint64(k.m), uint64(k.r), uint64(k.s), uint64(k.p2), uint64(k.q2),
+		uint64(k.strideH), uint64(k.strideW), uint64(k.wordBits),
+		uint64(k.pesX), uint64(k.pesY), uint64(k.bw2), 1,
 	}
-	for _, v := range [...]int{
-		k.c, k.m, k.r, k.s, int(k.p2), int(k.q2),
-		k.strideH, k.strideW, k.wordBits, k.pesX, k.pesY, int(k.bw2),
-	} {
-		mix(uint64(v))
-	}
+	n := len(v) - 1
 	if k.depthwise {
-		mix(1)
+		n++
 	}
-	return &warmStore[h%warmShards]
+	return memo.Hash(v[:n]...)
 }
 
 // warmSeeds returns the stored seeds for the request's canonical shape, or
 // nil. The returned slice is immutable: warmPut replaces entries wholesale.
 func warmSeeds(req Request) []Seed {
-	key := warmKeyFor(req)
-	sh := key.shard()
-	sh.mu.Lock()
-	seeds := sh.entries[key]
-	sh.mu.Unlock()
-	if seeds == nil {
-		warmMisses.Add(1)
-		return nil
-	}
-	warmHits.Add(1)
+	seeds, _ := warmMemo.Get(warmKeyFor(req))
 	return seeds
 }
 
 // warmPut records a completed search's winners under the canonical shape
-// key, evicting the oldest key when the shard is full.
+// key, evicting the oldest key of its shard when the shard is full.
 func warmPut(req Request, out []Candidate) {
 	n := len(out)
 	if n == 0 {
@@ -185,71 +157,7 @@ func warmPut(req Request, out []Candidate) {
 	for i := 0; i < n; i++ {
 		seeds[i] = seedFromMapping(out[i].Mapping)
 	}
-	key := warmKeyFor(req)
-	sh := key.shard()
-	sh.mu.Lock()
-	if sh.entries == nil {
-		sh.entries = map[warmKey][]Seed{}
-	}
-	if _, ok := sh.entries[key]; !ok {
-		if len(sh.order) >= warmShardCap {
-			oldest := sh.order[0]
-			sh.order = sh.order[1:]
-			delete(sh.entries, oldest)
-			warmEvicts.Add(1)
-		}
-		sh.order = append(sh.order, key)
-	}
-	sh.entries[key] = seeds
-	sh.mu.Unlock()
-	warmStores.Add(1)
-}
-
-// WarmStats reports warm-start store effectiveness counters.
-type WarmStats struct {
-	// Hits counts guided searches seeded from the store.
-	Hits int64
-	// Misses counts guided searches that started cold.
-	Misses int64
-	// Stores counts completed searches recorded into the store.
-	Stores int64
-	// Evictions counts keys dropped by the FIFO bound.
-	Evictions int64
-	// Entries is the current number of stored shape keys.
-	Entries int64
-}
-
-// WarmStartStats snapshots the warm-start store counters.
-func WarmStartStats() WarmStats {
-	s := WarmStats{
-		Hits:      warmHits.Load(),
-		Misses:    warmMisses.Load(),
-		Stores:    warmStores.Load(),
-		Evictions: warmEvicts.Load(),
-	}
-	for i := range warmStore {
-		sh := &warmStore[i]
-		sh.mu.Lock()
-		s.Entries += int64(len(sh.entries))
-		sh.mu.Unlock()
-	}
-	return s
-}
-
-// ResetWarmStore drops all stored seeds and zeroes the counters (cold
-// benchmarks and warm-vs-cold tests).
-func ResetWarmStore() {
-	for i := range warmStore {
-		sh := &warmStore[i]
-		sh.mu.Lock()
-		sh.entries = nil
-		sh.order = nil
-		sh.mu.Unlock()
-	}
-	warmHits.Store(0)
-	warmMisses.Store(0)
-	warmStores.Store(0)
-	warmEvicts.Store(0)
+	warmMemo.Set(warmKeyFor(req), seeds)
 }
 
 // Process-wide guided-search work counters (GuidedSearchStats). The per
@@ -289,13 +197,4 @@ func GuidedSearchStats() GuidedStats {
 		Skipped:   guidedSkipped.Load(),
 		WarmSeeds: guidedWarmSeeds.Load(),
 	}
-}
-
-// ResetGuidedStats zeroes the guided-search counters.
-func ResetGuidedStats() {
-	guidedSearches.Store(0)
-	guidedEvaluated.Store(0)
-	guidedPruned.Store(0)
-	guidedSkipped.Store(0)
-	guidedWarmSeeds.Store(0)
 }

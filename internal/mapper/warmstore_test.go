@@ -60,12 +60,12 @@ func TestWarmKeyCanonicalisation(t *testing.T) {
 	}
 }
 
-// TestWarmStoreBounded: the store must stay within warmShards×warmShardCap
-// keys no matter how many distinct shapes a sweep touches, with the
-// overflow accounted as evictions.
+// TestWarmStoreBounded: the store must stay within warmCapacity keys no
+// matter how many distinct shapes a sweep touches, with the overflow
+// accounted as evictions.
 func TestWarmStoreBounded(t *testing.T) {
-	ResetWarmStore()
-	defer ResetWarmStore()
+	ResetCaches()
+	defer ResetCaches()
 	l := benchLayer()
 	req := benchRequest(&l)
 	m := mappingForSeedTest(t, req)
@@ -78,18 +78,52 @@ func TestWarmStoreBounded(t *testing.T) {
 		ri.Layer = &li
 		warmPut(ri, out)
 	}
-	s := WarmStartStats()
+	_, _, s := CacheStats()
 	if s.Stores != puts {
 		t.Errorf("Stores = %d, want %d", s.Stores, puts)
 	}
-	if max := int64(warmShards * warmShardCap); s.Entries > max {
+	if max := int64(warmCapacity); s.Entries > max {
 		t.Errorf("Entries = %d exceeds bound %d", s.Entries, max)
 	}
-	if min := int64(puts - warmShards*warmShardCap); s.Evictions < min {
+	if min := int64(puts - warmCapacity); s.Evictions < min {
 		t.Errorf("Evictions = %d, want at least %d", s.Evictions, min)
 	}
 	if s.Entries+s.Evictions != puts {
 		t.Errorf("Entries+Evictions = %d, want %d", s.Entries+s.Evictions, puts)
+	}
+}
+
+// TestWarmKeyHashPinned: the warm store's shard hash is the FNV-1a fold
+// the store has always used, so a key's shard, and with it the FIFO
+// eviction order, is unchanged.
+func TestWarmKeyHashPinned(t *testing.T) {
+	fnv := func(k warmKey) uint64 {
+		h := uint64(14695981039346656037)
+		mix := func(v uint64) {
+			h ^= v
+			h *= 1099511628211
+		}
+		for _, v := range [...]int{
+			k.c, k.m, k.r, k.s, int(k.p2), int(k.q2),
+			k.strideH, k.strideW, k.wordBits, k.pesX, k.pesY, int(k.bw2),
+		} {
+			mix(uint64(v))
+		}
+		if k.depthwise {
+			mix(1)
+		}
+		return h
+	}
+	l := benchLayer()
+	base := warmKeyFor(benchRequest(&l))
+	slow := base
+	slow.bw2 = -3 // sub-1 B/cycle bandwidths bucket below zero
+	dw := base
+	dw.depthwise = true
+	for i, k := range []warmKey{base, slow, dw, {}} {
+		if got, want := hashWarmKey(k), fnv(k); got != want {
+			t.Errorf("case %d: hashWarmKey = %#x, want %#x", i, got, want)
+		}
 	}
 }
 
@@ -106,8 +140,8 @@ func mappingForSeedTest(t *testing.T, req Request) *mapping.Mapping {
 // of a neighbouring request and reproduce the winner's tiling when the
 // lattice is unchanged.
 func TestWarmSeedRoundTrip(t *testing.T) {
-	ResetWarmStore()
-	defer ResetWarmStore()
+	ResetCaches()
+	defer ResetCaches()
 	l := benchLayer()
 	req := benchRequest(&l)
 	out, err := SearchCtx(context.Background(), guidedRequest(req, 0, false))
@@ -140,9 +174,8 @@ func TestWarmSeedRoundTrip(t *testing.T) {
 // pick up the stored winners as seeds, and still return the byte-identical
 // exhaustive result.
 func TestGuidedWarmHitSeeds(t *testing.T) {
-	ResetWarmStore()
-	ResetGuidedStats()
-	defer ResetWarmStore()
+	ResetCaches()
+	defer ResetCaches()
 	l := workload.AlexNet().Layer(3)
 	req := guidedRequest(baseRequest(l), 0, true)
 	if _, err := SearchCtx(context.Background(), req); err != nil {
@@ -161,7 +194,7 @@ func TestGuidedWarmHitSeeds(t *testing.T) {
 	if s.WarmSeeds == 0 {
 		t.Error("neighbouring search applied no warm seeds")
 	}
-	if hits := WarmStartStats().Hits; hits == 0 {
+	if _, _, warm := CacheStats(); warm.Hits == 0 {
 		t.Error("neighbouring search missed the warm store")
 	}
 	exReq := neighbour

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"secureloop/internal/authblock"
+	"secureloop/internal/mapper"
 	"secureloop/internal/obs"
 	"secureloop/internal/service"
 	"secureloop/internal/service/client"
@@ -398,6 +400,166 @@ func TestAuthBlockEndpoint(t *testing.T) {
 	}
 	if len(resp.Sweep) != 3 || resp.SweepOrientation != "horizontal" {
 		t.Errorf("sweep curve malformed: %d entries along %q", len(resp.Sweep), resp.SweepOrientation)
+	}
+}
+
+// TestAuthBlockOverflowReturns500: grid sizes that overflow the AuthBlock
+// cost arithmetic panic deep in the search. The request must fail with 500
+// and an error body free of goroutine stacks, not kill the daemon. An
+// identical retry fails the same way instead of waiting on a flight the
+// panicking search left behind in the optimal memo, and the server keeps
+// answering health checks and normal requests.
+func TestAuthBlockOverflowReturns500(t *testing.T) {
+	_, c := newServer(t, service.Config{})
+	const huge = 1 << 40
+	overflow := &service.AuthBlockWire{
+		Producer: service.ProducerWire{C: huge, H: huge, W: huge, TileC: huge, TileH: huge, TileW: huge, WritesPerTile: huge},
+		Consumer: service.ConsumerWire{
+			TileC: huge, WinH: huge, WinW: huge, StepH: huge, StepW: huge, OffH: huge, OffW: huge,
+			CountC: huge, CountH: huge, CountW: huge, FetchesPerTile: huge,
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for attempt := 0; attempt < 2; attempt++ {
+		_, _, err := c.AuthBlock(ctx, overflow)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("attempt %d: err = %v, want HTTP 500", attempt, err)
+		}
+		if strings.Contains(apiErr.Message, "goroutine") || strings.Contains(apiErr.Message, ".go:") {
+			t.Errorf("attempt %d: error body carries a stack trace: %q", attempt, apiErr.Message)
+		}
+	}
+	resp, err := http.Get(c.BaseURL + "/v1/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("health after the failed request = HTTP %d", resp.StatusCode)
+	}
+	if _, _, err := c.AuthBlock(ctx, &service.AuthBlockWire{
+		Producer: service.ProducerWire{C: 8, H: 16, W: 16, TileC: 8, TileH: 4, TileW: 4, WritesPerTile: 1},
+		Consumer: service.ConsumerWire{TileC: 8, WinH: 6, WinW: 6, StepH: 4, StepW: 4, CountC: 1, CountH: 3, CountW: 3, FetchesPerTile: 1},
+	}); err != nil {
+		t.Fatalf("normal request after the failed one: %v", err)
+	}
+}
+
+// benchStats mirrors daemonStats in bench/load.go: the part of /v1/stats
+// the benchmark driver decodes, under the same JSON names.
+type benchStats struct {
+	Service struct {
+		Admitted  int64 `json:"admitted"`
+		Coalesced int64 `json:"coalesced"`
+		StoreHits int64 `json:"store_hits"`
+	} `json:"service"`
+	MapperSearch benchCache `json:"mapper_search_cache"`
+	MapperTile   benchCache `json:"mapper_tile_cache"`
+	MapperWarm   benchCache `json:"mapper_warm_store"`
+	Guided       struct {
+		Evaluated int64 `json:"evaluated"`
+		Pruned    int64 `json:"pruned"`
+	} `json:"guided_search"`
+	AuthOptimal benchCache `json:"authblock_optimal"`
+	AuthDecomp  benchCache `json:"authblock_decomp"`
+	SweepPrune  struct {
+		Bounded   int64 `json:"bounded"`
+		Pruned    int64 `json:"pruned"`
+		FullEvals int64 `json:"full_evals"`
+	} `json:"sweep_prune"`
+	Store struct {
+		Hits   int64 `json:"hits"`
+		Misses int64 `json:"misses"`
+		Puts   int64 `json:"puts"`
+		Bytes  int64 `json:"bytes"`
+	} `json:"store"`
+}
+
+type benchCache struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	Shared int64 `json:"shared"`
+	Runs   int64 `json:"runs"`
+}
+
+func (c benchCache) lookups() int64 { return c.Hits + c.Misses + c.Shared }
+
+func getBenchStats(t *testing.T, base string) benchStats {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st benchStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestStatsBenchContract guards the benchmark driver's reading of
+// /v1/stats: after one guided schedule, one front-only sweep and one
+// authblock request against a daemon with a store, every cache the driver
+// reads reports lookups under the names it decodes. (Only guided searches
+// consult the warm store.)
+func TestStatsBenchContract(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, c := newServer(t, service.Config{Store: st})
+	mapper.ResetCaches()
+	authblock.ResetCaches()
+	before := getBenchStats(t, c.BaseURL)
+
+	ctx := context.Background()
+	sched := tinyWire(40)
+	sched.Mapper = &service.MapperWire{Mode: "guided"}
+	if _, _, err := c.ScheduleBytes(ctx, sched); err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	if _, _, err := c.SweepBytes(ctx, &service.SweepWire{
+		Network:          tinyWire(40).Network,
+		Specs:            []service.ArchWire{{}, {PEsX: 16, PEsY: 14}},
+		Cryptos:          []service.CryptoWire{{Engine: "pipelined"}},
+		AnnealIterations: 20,
+		Front:            true,
+	}); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if _, _, err := c.AuthBlockBytes(ctx, &service.AuthBlockWire{
+		Producer: service.ProducerWire{C: 8, H: 16, W: 16, TileC: 8, TileH: 4, TileW: 4, WritesPerTile: 1},
+		Consumer: service.ConsumerWire{TileC: 8, WinH: 6, WinW: 6, StepH: 4, StepW: 4, CountC: 1, CountH: 3, CountW: 3, FetchesPerTile: 1},
+	}); err != nil {
+		t.Fatalf("authblock: %v", err)
+	}
+	after := getBenchStats(t, c.BaseURL)
+
+	for _, tc := range []struct {
+		name  string
+		delta int64
+	}{
+		{"service.admitted", after.Service.Admitted - before.Service.Admitted},
+		{"mapper_search_cache lookups", after.MapperSearch.lookups() - before.MapperSearch.lookups()},
+		{"mapper_tile_cache lookups", after.MapperTile.lookups() - before.MapperTile.lookups()},
+		{"mapper_warm_store lookups", after.MapperWarm.lookups() - before.MapperWarm.lookups()},
+		{"guided_search.evaluated", after.Guided.Evaluated - before.Guided.Evaluated},
+		{"authblock_optimal lookups", after.AuthOptimal.lookups() - before.AuthOptimal.lookups()},
+		{"authblock_optimal.runs", after.AuthOptimal.Runs - before.AuthOptimal.Runs},
+		{"authblock_decomp lookups", after.AuthDecomp.lookups() - before.AuthDecomp.lookups()},
+		{"sweep_prune.bounded", after.SweepPrune.Bounded - before.SweepPrune.Bounded},
+		{"sweep_prune.full_evals", after.SweepPrune.FullEvals - before.SweepPrune.FullEvals},
+		{"store lookups", after.Store.Hits + after.Store.Misses - before.Store.Hits - before.Store.Misses},
+		{"store.puts", after.Store.Puts - before.Store.Puts},
+		{"store.bytes", after.Store.Bytes - before.Store.Bytes},
+	} {
+		if tc.delta <= 0 {
+			t.Errorf("%s moved by %d, want a positive count", tc.name, tc.delta)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -287,10 +288,23 @@ func (s *Service) lead(ctx context.Context, key store.Key, fl *flight, opts Subm
 	}
 	s.admitted.Add(1)
 	rctx, rcancel := context.WithTimeout(ctx, s.adm.cfg.Deadline(opts.Deadline))
-	value, body, storeHit, err := run(rctx, obs.Multi(fl.fan, s.cfg.Observe))
+	value, body, storeHit, err := runRecovered(rctx, obs.Multi(fl.fan, s.cfg.Observe), run)
 	rcancel()
 	release()
 	finish(value, body, storeHit, err)
+}
+
+// runRecovered calls run, failing the request instead of the process when
+// the compute panics (lead runs on its own goroutine, so nothing above it
+// would recover). The error carries the panic value but no stack trace,
+// which would otherwise reach the client in the error body.
+func runRecovered(ctx context.Context, ob obs.Observer, run runFunc) (value any, body []byte, storeHit bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			value, body, storeHit, err = nil, nil, false, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return run(ctx, ob)
 }
 
 // account tallies one finished flight.
@@ -503,15 +517,9 @@ func (s *Service) BeginAuthBlock(ctx context.Context, req *AuthBlockRequest, opt
 // AuthBlockBody is the pure compute path of one authblock request (a
 // securelint puredet seed; see ScheduleBody).
 func (s *Service) AuthBlockBody(ctx context.Context, req *AuthBlockRequest, ob obs.Observer) (*AuthBlockResponse, []byte, bool, error) {
-	var opt authblock.Result
-	var err error
-	storeHit := false
-	if st := s.cfg.Store; st != nil {
-		storeHit = authblock.StoredOptimal(st, req.Producer, req.Consumer, req.Params)
-		opt, err = authblock.OptimalStoredCtx(ctx, st, req.Producer, req.Consumer, req.Params)
-	} else {
-		opt, err = authblock.OptimalCachedCtx(ctx, req.Producer, req.Consumer, req.Params)
-	}
+	st := s.cfg.Store
+	storeHit := authblock.StoredOptimal(st, req.Producer, req.Consumer, req.Params)
+	opt, err := authblock.OptimalStoredCtx(ctx, st, req.Producer, req.Consumer, req.Params)
 	if err != nil {
 		return nil, nil, false, err
 	}

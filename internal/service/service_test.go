@@ -425,7 +425,7 @@ func TestAuthBlockRoundTrip(t *testing.T) {
 	if len(body) == 0 || body[len(body)-1] != '\n' {
 		t.Fatal("canonical body must be newline-terminated")
 	}
-	want, err := authblock.OptimalCachedCtx(context.Background(), req.Producer, req.Consumer, req.Params)
+	want, err := authblock.OptimalStoredCtx(context.Background(), nil, req.Producer, req.Consumer, req.Params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"secureloop/internal/authblock"
 	"secureloop/internal/dse"
 	"secureloop/internal/mapper"
+	"secureloop/internal/memo"
 	"secureloop/internal/store"
 )
 
@@ -34,8 +35,9 @@ type QueueLoad struct {
 	Draining bool  `json:"draining"`
 }
 
-// RatioStats is the common hit/miss cache shape. Fields a given cache does
-// not track stay zero.
+// RatioStats is one in-process memo's counters (see memo.Stats); Runs is
+// set only for the AuthBlock optimal memo, where it counts the searches
+// that actually ran (misses the persistent store could not answer either).
 type RatioStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -81,26 +83,23 @@ func (s *Service) Stats() Stats {
 	out := Stats{Service: s.counters()}
 	out.Queue.Running, out.Queue.Queued, out.Queue.MemInUse, out.Queue.Draining = s.adm.Load()
 
-	ms := mapper.CacheStats()
-	out.MapperSearch = RatioStats{Hits: ms.Hits, Misses: ms.Misses, Shared: ms.Shared, Entries: ms.Entries}
-	ts := mapper.TileCacheStats()
-	out.MapperTile = RatioStats{Hits: ts.Hits, Misses: ts.Misses, Evictions: ts.Evictions, Entries: ts.Entries}
-	ws := mapper.WarmStartStats()
-	out.MapperWarm = RatioStats{Hits: ws.Hits, Misses: ws.Misses, Stores: ws.Stores, Evictions: ws.Evictions, Entries: ws.Entries}
+	ms, mt, mw := mapper.CacheStats()
+	out.MapperSearch, out.MapperTile, out.MapperWarm = ratioStats(ms), ratioStats(mt), ratioStats(mw)
 	gs := mapper.GuidedSearchStats()
 	out.GuidedSearch = GuidedStatsBody{Searches: gs.Searches, Evaluated: gs.Evaluated, Pruned: gs.Pruned, Skipped: gs.Skipped, WarmSeeds: gs.WarmSeeds}
-	opt, tile := authblock.CacheStats()
-	out.AuthOptimal = RatioStats{Hits: opt.Hits, Misses: opt.Misses, Runs: opt.Runs, Entries: opt.Entries}
-	out.AuthTileBlock = RatioStats{Hits: tile.Hits, Misses: tile.Misses, Entries: tile.Entries}
-	dc, sc := authblock.DecompCacheStats()
-	out.AuthDecomp = RatioStats{Hits: dc.Hits, Misses: dc.Misses, Evictions: dc.Evictions, Entries: dc.Entries}
-	out.AuthSizes = RatioStats{Hits: sc.Hits, Misses: sc.Misses, Evictions: sc.Evictions, Entries: sc.Entries}
+	ao, at, ad, as := authblock.CacheStats()
+	out.AuthOptimal, out.AuthTileBlock, out.AuthDecomp, out.AuthSizes = ratioStats(ao), ratioStats(at), ratioStats(ad), ratioStats(as)
+	out.AuthOptimal.Runs = authblock.OptimalRuns()
 	ps := dse.PruneStats()
 	out.SweepPrune = PruneStatsBody{Bounded: ps.Bounded, Pruned: ps.Pruned, Deferred: ps.Deferred, Reevaluated: ps.Reevaluated, FullEvals: ps.FullEvals, StoreHits: ps.StoreHits}
 	if st := s.cfg.Store; st != nil {
 		out.Store = storeStatsBody(st.Stats())
 	}
 	return out
+}
+
+func ratioStats(s memo.Stats) RatioStats {
+	return RatioStats{Hits: s.Hits, Misses: s.Misses, Shared: s.Shared, Stores: s.Stores, Evictions: s.Evictions, Entries: s.Entries}
 }
 
 func storeStatsBody(ss store.Stats) *StoreStatsBody {
