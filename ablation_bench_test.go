@@ -112,7 +112,9 @@ func BenchmarkAuthBlockOptimalSearch(b *testing.B) {
 	}
 	par := authblock.DefaultParams()
 	for i := 0; i < b.N; i++ {
-		authblock.Optimal(p, c, par)
+		if _, err := authblock.OptimalCtx(context.Background(), p, c, par); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

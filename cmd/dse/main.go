@@ -38,6 +38,7 @@ import (
 	"secureloop/internal/dse"
 	"secureloop/internal/mapper"
 	"secureloop/internal/obs"
+	"secureloop/internal/prof"
 	"secureloop/internal/store"
 	"secureloop/internal/workload"
 )
@@ -61,11 +62,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	hooks := obs.Options{CPUProfile: *cpuprofile, MemProfile: *memprofile}
+	var observer obs.Observer
 	if *progress {
-		hooks.Observer = obs.NewLogger(os.Stderr)
+		observer = obs.NewLogger(os.Stderr)
 	}
-	stopProf, err := hooks.Start()
+	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}
@@ -78,7 +79,7 @@ func main() {
 	specs, cryptos := dse.Figure16Space(arch.Base())
 
 	fmt.Fprintf(os.Stderr, "evaluating %d design points...\n", len(specs)*len(cryptos))
-	sweepOpts := dse.Options{AnnealIterations: *iters, Observe: hooks.Observer, Prune: *prune}
+	sweepOpts := dse.Options{AnnealIterations: *iters, Observe: observer, Prune: *prune}
 	if *guided {
 		sweepOpts.Mapper = mapper.Options{Mode: mapper.Guided, Epsilon: *epsilon}
 	}

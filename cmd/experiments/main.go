@@ -40,6 +40,7 @@ import (
 	"secureloop/internal/mapper"
 	"secureloop/internal/memo"
 	"secureloop/internal/obs"
+	"secureloop/internal/prof"
 	"secureloop/internal/store"
 )
 
@@ -59,17 +60,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	hooks := obs.Options{CPUProfile: *cpuprofile, MemProfile: *memprofile}
+	var observer obs.Observer
 	if *progress {
-		hooks.Observer = obs.NewLogger(os.Stderr)
+		observer = obs.NewLogger(os.Stderr)
 	}
-	stopProf, err := hooks.Start()
+	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}
 	defer stopProf()
 
-	opts := experiments.Options{Quick: *quick, Observe: hooks.Observer}
+	opts := experiments.Options{Quick: *quick, Observe: observer}
 	if *guided {
 		opts.Mapper = mapper.Options{Mode: mapper.Guided, Epsilon: *epsilon}
 	}

@@ -68,7 +68,11 @@ func main() {
 	par := authblock.Params{WordBits: prod.WordBits, HashBits: 64}
 
 	// Sweep horizontal sizes up to 64 and plot total extra traffic.
-	results := authblock.Sweep(p, c, authblock.AlongQ, 64, par)
+	results, err := authblock.SweepCtx(context.Background(), p, c, authblock.AlongQ, 64, par)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "authblock_tuning:", err)
+		os.Exit(1)
+	}
 	var maxTotal int64
 	for _, r := range results {
 		if t := r.Costs.Total(); t > maxTotal {
@@ -85,7 +89,11 @@ func main() {
 		fmt.Printf("u=%3d %12d |%s\n", r.Assignment.U, t, bar)
 	}
 
-	opt := authblock.Optimal(p, c, par)
+	opt, err := authblock.OptimalCtx(context.Background(), p, c, par)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "authblock_tuning:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("\noptimal: %s u=%d -> hash %d + redundant %d = %d extra bits\n",
 		opt.Assignment.Orientation, opt.Assignment.U,
 		opt.Costs.HashBitsTotal(), opt.Costs.RedundantBits, opt.Costs.Total())

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -37,7 +38,10 @@ func main() {
 	}
 	par := authblock.Params{WordBits: 8, HashBits: 64}
 
-	opt := authblock.Optimal(p, c, par)
+	opt, err := authblock.OptimalCtx(context.Background(), p, c, par)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("optimal AuthBlock assignment: %s, u=%d elements\n",
 		opt.Assignment.Orientation, opt.Assignment.U)
 	fmt.Printf("predicted extra traffic: hash %d bits, redundant %d bits\n\n",

@@ -29,7 +29,7 @@ type Problem interface {
 // Incremental is an optional Problem extension for states whose cost
 // responds locally to a single-component move (a layer's schedule change
 // touches only that layer and its segment neighbours). When a Problem
-// implements it, Minimize evaluates each proposed move through DeltaCost
+// implements it, MinimizeCtx evaluates each proposed move through DeltaCost
 // instead of a full Cost recomputation, turning the per-iteration cost from
 // O(segment) layer evaluations into O(1).
 type Incremental interface {
@@ -82,13 +82,6 @@ type Result struct {
 // move, so the steady-state iteration stays free of interface calls and
 // allocations.
 const moveChunk = 64
-
-// Minimize runs Algorithm 1 to completion with a background context. It is
-// a thin wrapper over MinimizeCtx; the trajectory is identical.
-func Minimize(p Problem, opts Options) Result {
-	res, _ := MinimizeCtx(context.Background(), p, opts)
-	return res
-}
 
 // MinimizeCtx runs Algorithm 1: starting from the all-top-1 state, it
 // repeatedly perturbs one layer's choice and probabilistically accepts the

@@ -1,9 +1,21 @@
 package anneal
 
 import (
+	"context"
 	"math"
 	"testing"
 )
+
+// minimize is MinimizeCtx with a background context, failing the test on
+// error.
+func minimize(t testing.TB, p Problem, opts Options) Result {
+	t.Helper()
+	res, err := MinimizeCtx(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // quadProblem: cost is sum of squared distances from a hidden target.
 type quadProblem struct {
@@ -26,7 +38,7 @@ func (p *quadProblem) Cost(c []int) float64 {
 
 func TestMinimizeFindsTarget(t *testing.T) {
 	p := &quadProblem{target: []int{3, 1, 4, 1, 5, 2, 0, 3}, k: 6}
-	res := Minimize(p, Options{Iterations: 5000, TInit: 0.5, TFinal: 1e-4, Seed: 42})
+	res := minimize(t, p, Options{Iterations: 5000, TInit: 0.5, TFinal: 1e-4, Seed: 42})
 	if res.Cost > res.InitialCost {
 		t.Fatalf("annealing worsened: %g > %g", res.Cost, res.InitialCost)
 	}
@@ -38,7 +50,7 @@ func TestMinimizeFindsTarget(t *testing.T) {
 func TestMinimizeDeterministicPerSeed(t *testing.T) {
 	mk := func(seed int64) Result {
 		p := &quadProblem{target: []int{2, 4, 1, 3}, k: 5}
-		return Minimize(p, Options{Iterations: 300, TInit: 0.3, TFinal: 1e-3, Seed: seed})
+		return minimize(t, p, Options{Iterations: 300, TInit: 0.3, TFinal: 1e-3, Seed: seed})
 	}
 	a, b := mk(7), mk(7)
 	if a.Cost != b.Cost || a.Accepted != b.Accepted {
@@ -54,7 +66,7 @@ func TestMinimizeDeterministicPerSeed(t *testing.T) {
 func TestMinimizeNeverReturnsWorseThanInitial(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := &quadProblem{target: []int{0, 0, 0}, k: 4}
-		res := Minimize(p, Options{Iterations: 50, TInit: 5, TFinal: 1, Seed: seed})
+		res := minimize(t, p, Options{Iterations: 50, TInit: 5, TFinal: 1, Seed: seed})
 		if res.Cost > res.InitialCost {
 			t.Fatalf("seed %d: best cost %g exceeds initial %g", seed, res.Cost, res.InitialCost)
 		}
@@ -63,7 +75,7 @@ func TestMinimizeNeverReturnsWorseThanInitial(t *testing.T) {
 
 func TestMinimizeSingleChoiceNoop(t *testing.T) {
 	p := &quadProblem{target: []int{0, 0}, k: 1}
-	res := Minimize(p, Options{Iterations: 100, TInit: 1, TFinal: 0.1, Seed: 1})
+	res := minimize(t, p, Options{Iterations: 100, TInit: 1, TFinal: 0.1, Seed: 1})
 	if res.Accepted != 0 {
 		t.Error("accepted moves with no alternatives")
 	}
@@ -74,7 +86,7 @@ func TestMinimizeSingleChoiceNoop(t *testing.T) {
 
 func TestMinimizeZeroIterations(t *testing.T) {
 	p := &quadProblem{target: []int{1}, k: 3}
-	res := Minimize(p, Options{Iterations: 0, Seed: 1})
+	res := minimize(t, p, Options{Iterations: 0, Seed: 1})
 	if res.Cost != res.InitialCost {
 		t.Error("zero iterations changed the state")
 	}
@@ -109,7 +121,7 @@ func (p *incQuadProblem) DeltaCost(c []int, i, next int) float64 {
 	return s + 1
 }
 
-// hideIncremental wraps an Incremental problem so Minimize only sees the
+// hideIncremental wraps an Incremental problem so MinimizeCtx only sees the
 // base interface (forcing the full-recomputation path).
 type hideIncremental struct{ p Problem }
 
@@ -123,9 +135,9 @@ func (h hideIncremental) Cost(c []int) float64 { return h.p.Cost(c) }
 func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 	opts := Options{Iterations: 800, TInit: 0.4, TFinal: 1e-3, Seed: 11}
 	full := &incQuadProblem{quadProblem: quadProblem{target: []int{3, 1, 4, 1, 5}, k: 6}}
-	fullRes := Minimize(hideIncremental{full}, opts)
+	fullRes := minimize(t, hideIncremental{full}, opts)
 	fast := &incQuadProblem{quadProblem: quadProblem{target: []int{3, 1, 4, 1, 5}, k: 6}}
-	fastRes := Minimize(fast, opts)
+	fastRes := minimize(t, fast, opts)
 	if fastRes.Cost != fullRes.Cost || fastRes.Accepted != fullRes.Accepted {
 		t.Fatalf("incremental diverged: %+v vs %+v", fastRes, fullRes)
 	}
@@ -149,7 +161,7 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 func TestEveryIterationProposesARealMove(t *testing.T) {
 	p := &quadProblem{target: []int{1, 1}, k: 2}
 	opts := Options{Iterations: 200, TInit: 0.5, TFinal: 1e-3, Seed: 5}
-	Minimize(p, opts)
+	minimize(t, p, opts)
 	if want := opts.Iterations + 1; p.calls != want {
 		t.Errorf("Cost called %d times, want %d (one per iteration plus the initial state)",
 			p.calls, want)
@@ -160,9 +172,9 @@ func TestEveryIterationProposesARealMove(t *testing.T) {
 // all moves are accepted; with near-zero temperature only improvements are.
 func TestTemperatureControlsAcceptance(t *testing.T) {
 	hot := &quadProblem{target: []int{9, 9, 9, 9}, k: 10}
-	hotRes := Minimize(hot, Options{Iterations: 500, TInit: 1e6, TFinal: 1e6, Seed: 3})
+	hotRes := minimize(t, hot, Options{Iterations: 500, TInit: 1e6, TFinal: 1e6, Seed: 3})
 	cold := &quadProblem{target: []int{9, 9, 9, 9}, k: 10}
-	coldRes := Minimize(cold, Options{Iterations: 500, TInit: 1e-9, TFinal: 1e-12, Seed: 3})
+	coldRes := minimize(t, cold, Options{Iterations: 500, TInit: 1e-9, TFinal: 1e-12, Seed: 3})
 	if hotRes.Accepted <= coldRes.Accepted {
 		t.Errorf("hot accepted %d <= cold accepted %d", hotRes.Accepted, coldRes.Accepted)
 	}

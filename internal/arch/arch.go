@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"secureloop/internal/num"
+	"secureloop/internal/store"
 )
 
 // DRAMTech identifies an off-chip memory technology with its sustained
@@ -157,3 +158,12 @@ func PEConfigs() [][2]int { return [][2]int{{14, 12}, {14, 24}, {28, 24}} }
 
 // BufferConfigs returns the GLB capacities (bytes) swept in Figure 15.
 func BufferConfigs() []int { return []int{16 * 1024, 32 * 1024, 131 * 1024} }
+
+// Encode appends the architecture's numerics to a store key. The spec and
+// DRAM names are labels and are left out.
+func (s *Spec) Encode(e *store.Enc) {
+	e.Int(int64(s.PEsX)).Int(int64(s.PEsY)).
+		Int(int64(s.GlobalBufferBytes)).Int(int64(s.RegFileBytesPerPE)).
+		Int(int64(s.WordBits)).Float(s.ClockHz).
+		Int(int64(s.DRAM.BytesPerCycle)).Float(s.DRAM.EnergyPerBit)
+}

@@ -31,7 +31,7 @@ func optimalCached(t testing.TB, p ProducerGrid, c ConsumerGrid, par Params) Res
 
 func TestOptimalCachedMatchesUncached(t *testing.T) {
 	p, c, par := cacheFixtures()
-	want := Optimal(p, c, par)
+	want := optimal(t, p, c, par)
 	got := optimalCached(t, p, c, par)
 	if got != want {
 		t.Fatalf("cached %+v != uncached %+v", got, want)
@@ -81,7 +81,7 @@ func TestCacheStatsCountHitsAndMisses(t *testing.T) {
 
 func TestCachesAreConcurrencySafe(t *testing.T) {
 	p, c, par := cacheFixtures()
-	want := Optimal(p, c, par)
+	want := optimal(t, p, c, par)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)

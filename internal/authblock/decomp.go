@@ -14,7 +14,7 @@ import (
 // evaluation. The optimal-assignment search evaluates hundreds of
 // (orientation, size) candidates per pair, so the decomposition is computed
 // once per pair, flattened into a sorted slice, and shared by EvaluateCross,
-// Sweep, the optimal search and the tile baselines. evaluateCrossReference
+// SweepCtx, the optimal search and the tile baselines. evaluateCrossReference
 // (reference_test.go) retains the per-candidate recomputation as the
 // equivalence oracle.
 

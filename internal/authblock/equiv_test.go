@@ -1,9 +1,21 @@
 package authblock
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
+
+// optimal is OptimalCtx with a background context, failing the test on
+// error.
+func optimal(t testing.TB, p ProducerGrid, c ConsumerGrid, par Params) Result {
+	t.Helper()
+	res, err := OptimalCtx(context.Background(), p, c, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // equivGrids returns a deterministic matrix of producer/consumer pair
 // geometries: hand-picked shapes covering aligned, halo, strided, clipped
@@ -104,7 +116,7 @@ func TestEvaluateCrossEquivalence(t *testing.T) {
 func TestOptimalMatchesReference(t *testing.T) {
 	par := DefaultParams()
 	for gi, g := range equivGrids(t) {
-		got := Optimal(g.p, g.c, par)
+		got := optimal(t, g.p, g.c, par)
 		want := OptimalReference(g.p, g.c, par)
 		if got != want {
 			t.Fatalf("grid %d: fast %+v != reference %+v (p=%+v c=%+v)", gi, got, want, g.p, g.c)
@@ -162,7 +174,7 @@ func BenchmarkAuthBlockOptimal(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ResetCaches()
-		Optimal(p, c, par)
+		optimal(b, p, c, par)
 	}
 }
 

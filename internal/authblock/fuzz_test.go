@@ -41,7 +41,7 @@ func FuzzEvaluateCrossEquivalence(f *testing.F) {
 				t.Fatalf("p=%+v c=%+v %v u=%d: fast %+v != reference %+v", p, c, o, uu, got, want)
 			}
 		}
-		if got, want := Optimal(p, c, par), OptimalReference(p, c, par); got != want {
+		if got, want := optimal(t, p, c, par), OptimalReference(p, c, par); got != want {
 			t.Fatalf("p=%+v c=%+v: Optimal %+v != reference %+v", p, c, got, want)
 		}
 	})

@@ -1,6 +1,7 @@
 package authblock
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -79,14 +80,18 @@ func TestOptimalConsistentWithSweep(t *testing.T) {
 			CountC: 1, CountH: 1 + rng.Intn(4), CountW: 1 + rng.Intn(4),
 			FetchesPerTile: 1,
 		}
-		opt := Optimal(p, c, par)
+		opt := optimal(t, p, c, par)
 		// The optimum must not exceed any swept point of any orientation.
 		flat := p.TileC * p.TileH * p.TileW
 		for _, o := range Orientations {
 			if skipOrientation(p, o) {
 				continue
 			}
-			for _, r := range Sweep(p, c, o, flat, par) {
+			sweep, err := SweepCtx(context.Background(), p, c, o, flat, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range sweep {
 				if opt.Costs.Total() > r.Costs.Total() {
 					t.Fatalf("optimal %d beaten by %v u=%d (%d): p=%+v c=%+v",
 						opt.Costs.Total(), o, r.Assignment.U, r.Costs.Total(), p, c)

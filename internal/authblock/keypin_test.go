@@ -1,0 +1,23 @@
+package authblock
+
+import (
+	"encoding/hex"
+	"testing"
+)
+
+// TestStoreKeyPinned pins the bytes of the optimal-assignment store key for
+// one fixed request. A change to the encoding orphans every record an
+// existing store holds, so the expected digest only ever changes together
+// with store.Version.
+func TestStoreKeyPinned(t *testing.T) {
+	k := cacheKey{
+		p: ProducerGrid{C: 64, H: 30, W: 28, TileC: 16, TileH: 6, TileW: 7, WritesPerTile: 2},
+		c: ConsumerGrid{TileC: 8, WinH: 5, WinW: 9, StepH: 3, StepW: 4, OffH: -1, OffW: -2,
+			CountC: 8, CountH: 10, CountW: 7, FetchesPerTile: 3},
+		par: Params{WordBits: 16, HashBits: 64},
+	}
+	const want = "9bd609912216e68a2c9535c8d42c5647a12fab668bab2f62b02a33b9bc0439c6"
+	if got := persistOptimalKey(k); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("authblock.optimal key = %x, want %s", got, want)
+	}
+}

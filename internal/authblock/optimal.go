@@ -97,25 +97,15 @@ func candidateSizes(p ProducerGrid, c ConsumerGrid) []int {
 	return out
 }
 
-// Optimal searches orientations x candidate sizes for the assignment that
-// minimises the total extra off-chip traffic (hash writes + hash reads +
-// redundant reads), the paper's Section 4.2 objective. Ties break toward
-// larger blocks (fewer tags to store).
-func Optimal(p ProducerGrid, c ConsumerGrid, par Params) Result {
-	return OptimalOver(p, c, par, CandidateSizes(p, c))
-}
-
-// OptimalCtx is Optimal honouring a context; see OptimalOverCtx.
-func OptimalCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
-	return OptimalOverCtx(ctx, p, c, par, CandidateSizes(p, c))
-}
-
 // sizeChunk is the cancellation granularity of the candidate-size scan: the
 // context is polled once per chunk of sizes, never per size, so the pruned
 // scan stays branch-lean.
 const sizeChunk = 32
 
-// OptimalOver is Optimal with an explicit candidate-size list.
+// OptimalCtx searches orientations x candidate sizes for the assignment
+// that minimises the total extra off-chip traffic (hash writes + hash reads
+// + redundant reads), the paper's Section 4.2 objective. Ties break toward
+// larger blocks (fewer tags to store).
 //
 // The search runs on the shared pair decomposition: the class structure is
 // built once, the producer-side hash-write traffic is computed once per
@@ -130,20 +120,12 @@ const sizeChunk = 32
 // skipping a size whose lower bound exceeds the incumbent total therefore
 // cannot change the result. TestOptimalMatchesReference holds the proof
 // obligation against the retained OptimalReference.
-func OptimalOver(p ProducerGrid, c ConsumerGrid, par Params, sizes []int) Result {
-	res, _ := optimalOver(context.Background(), p, c, par, sizes)
-	return res
-}
-
-// OptimalOverCtx is OptimalOver honouring a context, polled once per chunk
-// of candidate sizes. On cancellation it returns the best assignment found
-// so far together with ctx.Err(); callers must not treat the partial result
-// as optimal.
-func OptimalOverCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params, sizes []int) (Result, error) {
-	return optimalOver(ctx, p, c, par, sizes)
-}
-
-func optimalOver(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params, sizes []int) (Result, error) {
+//
+// The context is polled once per chunk of candidate sizes. On cancellation
+// OptimalCtx returns the best assignment found so far together with
+// ctx.Err(); callers must not treat the partial result as optimal.
+func OptimalCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
+	sizes := CandidateSizes(p, c)
 	d := decompositionFor(p, c)
 	best := Result{Assignment: Assignment{Orientation: AlongQ, U: 1}}
 	first := true
@@ -203,16 +185,10 @@ func skipOrientation(p ProducerGrid, o Orientation) bool {
 	return false
 }
 
-// Sweep evaluates every block size in [1, max] for one orientation,
-// returning per-size costs — the Figure 9 visualisation.
-func Sweep(p ProducerGrid, c ConsumerGrid, o Orientation, maxU int, par Params) []Result {
-	out, _ := SweepCtx(context.Background(), p, c, o, maxU, par)
-	return out
-}
-
-// SweepCtx is Sweep honouring a context, polled once per chunk of block
-// sizes; on cancellation the sizes evaluated so far are returned with
-// ctx.Err().
+// SweepCtx evaluates every block size in [1, maxU] for one orientation,
+// returning per-size costs — the Figure 9 visualisation. The context is
+// polled once per chunk of block sizes; on cancellation the sizes evaluated
+// so far are returned with ctx.Err().
 func SweepCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, o Orientation, maxU int, par Params) ([]Result, error) {
 	d := decompositionFor(p, c)
 	out := make([]Result, 0, maxU)

@@ -29,17 +29,32 @@ func OptimalRuns() int64 { return optRuns.Load() }
 // persistOptimalKey canonically encodes the memo identity.
 func persistOptimalKey(k cacheKey) store.Key {
 	e := store.NewEnc().String(optPrefix)
-	e.Int(int64(k.p.C)).Int(int64(k.p.H)).Int(int64(k.p.W)).
-		Int(int64(k.p.TileC)).Int(int64(k.p.TileH)).Int(int64(k.p.TileW)).
-		Int(k.p.WritesPerTile)
-	e.Int(int64(k.c.TileC)).
-		Int(int64(k.c.WinH)).Int(int64(k.c.WinW)).
-		Int(int64(k.c.StepH)).Int(int64(k.c.StepW)).
-		Int(int64(k.c.OffH)).Int(int64(k.c.OffW)).
-		Int(int64(k.c.CountC)).Int(int64(k.c.CountH)).Int(int64(k.c.CountW)).
-		Int(k.c.FetchesPerTile)
-	e.Int(int64(k.par.WordBits)).Int(int64(k.par.HashBits))
+	k.p.Encode(e)
+	k.c.Encode(e)
+	k.par.Encode(e)
 	return e.Key()
+}
+
+// Encode appends every field of the producer grid to a store key.
+func (p ProducerGrid) Encode(e *store.Enc) {
+	e.Int(int64(p.C)).Int(int64(p.H)).Int(int64(p.W)).
+		Int(int64(p.TileC)).Int(int64(p.TileH)).Int(int64(p.TileW)).
+		Int(p.WritesPerTile)
+}
+
+// Encode appends every field of the consumer grid to a store key.
+func (c ConsumerGrid) Encode(e *store.Enc) {
+	e.Int(int64(c.TileC)).
+		Int(int64(c.WinH)).Int(int64(c.WinW)).
+		Int(int64(c.StepH)).Int(int64(c.StepW)).
+		Int(int64(c.OffH)).Int(int64(c.OffW)).
+		Int(int64(c.CountC)).Int(int64(c.CountH)).Int(int64(c.CountW)).
+		Int(c.FetchesPerTile)
+}
+
+// Encode appends the cost-model widths to a store key.
+func (par Params) Encode(e *store.Enc) {
+	e.Int(int64(par.WordBits)).Int(int64(par.HashBits))
 }
 
 // StoredOptimal reports whether the persistent store already holds the

@@ -33,7 +33,7 @@ func evaluateCrossReference(p ProducerGrid, c ConsumerGrid, o Orientation, u int
 
 // OptimalReference is the original optimal-assignment search: orientations
 // outer, sizes inner, a full reference evaluation per candidate, no shared
-// decomposition, no size memo, no lower-bound pruning. Optimal must select
+// decomposition, no size memo, no lower-bound pruning. OptimalCtx must select
 // the identical assignment with identical costs.
 func OptimalReference(p ProducerGrid, c ConsumerGrid, par Params) Result {
 	best := Result{Assignment: Assignment{Orientation: AlongQ, U: 1}}

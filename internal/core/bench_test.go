@@ -87,9 +87,9 @@ func BenchmarkAnnealSegment(b *testing.B) {
 			b.StartTimer()
 			r.precomputePairMatrices(segs, 1)
 			r.prepareLayerMemos(segs)
-			res := anneal.Minimize(&segmentProblem{run: r, segment: segs[0]}, opts)
-			if res.Cost <= 0 {
-				b.Fatal("non-positive segment cost")
+			res, err := anneal.MinimizeCtx(context.Background(), &segmentProblem{run: r, segment: segs[0]}, opts)
+			if err != nil || res.Cost <= 0 {
+				b.Fatalf("segment cost %v, err %v", res.Cost, err)
 			}
 			evals += r.layerEvals.Load()
 		}
@@ -108,9 +108,9 @@ func BenchmarkAnnealMove(b *testing.B) {
 	r.prepareLayerMemos(segs)
 	prob := &segmentProblem{run: r, segment: segs[0]}
 	// Warm every memo slot the move loop can touch.
-	res := anneal.Minimize(prob, anneal.Options{Iterations: 2000, TInit: 0.05, TFinal: 1e-4, Seed: 1})
-	if res.Cost <= 0 {
-		b.Fatal("non-positive segment cost")
+	res, err := anneal.MinimizeCtx(context.Background(), prob, anneal.Options{Iterations: 2000, TInit: 0.05, TFinal: 1e-4, Seed: 1})
+	if err != nil || res.Cost <= 0 {
+		b.Fatalf("segment cost %v, err %v", res.Cost, err)
 	}
 	rng := rand.New(rand.NewSource(2))
 	choices := make([]int, len(segs[0]))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"secureloop/internal/mapper"
 	"secureloop/internal/obs"
 	"secureloop/internal/workload"
 )
@@ -152,5 +153,24 @@ func TestScheduleNetworkObserverPanicBecomesError(t *testing.T) {
 	}
 	if res != nil {
 		t.Error("panicked run returned a result")
+	}
+}
+
+// TestScheduleNetworkCancelErrorText pins the error a mid-mapping cancel
+// returns: the pool reports the context's error itself, not whichever
+// in-flight layer search happened to see the cancel first.
+func TestScheduleNetworkCancelErrorText(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mapper.ResetCaches() // cold searches, so the cancel lands mid-search
+	s := testScheduler()
+	s.MaxParallel = 2
+	ob := &hookObserver{}
+	ob.onLayer = func(obs.LayerEvent) { cancel() }
+	s.Observe = ob
+	_, err := s.ScheduleNetworkCtx(ctx, workload.MobileNetV2(), CryptOptCross)
+	const want = "core: step 1 loopnest scheduling: context canceled"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }

@@ -57,6 +57,17 @@ func Algorithms() []Algorithm {
 	return []Algorithm{CryptTileSingle, CryptOptSingle, CryptOptCross}
 }
 
+// EffectiveBandwidth is the off-chip bandwidth step 1 schedules against:
+// the DRAM bandwidth for the unsecure algorithm, min(DRAM, crypto
+// aggregate) otherwise. The DSE pruning bound calls it too, so the bound
+// and the schedule it bounds can never disagree on this number.
+func EffectiveBandwidth(spec arch.Spec, crypto cryptoengine.Config, alg Algorithm) float64 {
+	if alg == Unsecure {
+		return float64(spec.DRAM.BytesPerCycle)
+	}
+	return crypto.EffectiveBytesPerCycle(spec.DRAM.BytesPerCycle)
+}
+
 // Objective selects what the cross-layer fine-tuning step minimises.
 type Objective int
 

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"secureloop/internal/authblock"
 	"secureloop/internal/num"
-	"secureloop/internal/obs"
+	"secureloop/internal/par"
 )
 
 // pairEntry couples the AuthBlock costs of one (producer choice, consumer
@@ -84,17 +81,11 @@ func (r *run) computePair(a, b, ca, cb int) (authblock.Costs, authblock.Assignme
 
 // precomputePairMatrices fills the dense pair-cost matrices of every
 // adjacent layer pair in the given segments, fanning the independent
-// optimal-assignment searches across a bounded worker pool. Each job writes
-// one distinct matrix slot, so no synchronisation beyond the final barrier
-// is needed, and the result is identical at any parallelism: every entry is
-// a pure function of its (producer, consumer, choices) tuple.
-//
-// The run's context is polled between jobs (each job is one whole optimal
-// search — the natural batch boundary); on cancellation the workers stop
-// claiming jobs, the partial matrices are left unmemoised past the filled
-// entries, and r.ctx.Err() is returned. Worker bodies are guarded, so an
-// invariant panic in the AuthBlock cost model fails the run, not the
-// process.
+// optimal-assignment searches across the worker pool. Each job writes one
+// distinct matrix slot, and every entry is a pure function of its
+// (producer, consumer, choices) tuple, so the result is identical at any
+// parallelism. On cancellation the pool stops claiming jobs and the
+// unfilled entries stay unmemoised.
 func (r *run) precomputePairMatrices(segs [][]int, workers int) error {
 	type pairJob struct{ a, b, ca, cb int }
 	var jobs []pairJob
@@ -111,49 +102,16 @@ func (r *run) precomputePairMatrices(segs [][]int, workers int) error {
 			}
 		}
 	}
-	if len(jobs) == 0 {
-		return r.ctx.Err()
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = obs.Guard(func() error {
-				for r.ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return nil
-					}
-					j := jobs[i]
-					m := r.pairMats[j.a]
-					e := &m.entries[j.ca*m.kb+j.cb]
-					costs, assign, err := r.computePair(j.a, j.b, j.ca, j.cb)
-					if err != nil {
-						return err
-					}
-					e.costs, e.assign = costs, assign
-					e.ok = true
-				}
-				return nil
-			})
-		}(w)
-	}
-	wg.Wait()
-	if err := r.ctx.Err(); err != nil {
-		// Cancellation also surfaces through worker errors (the searches
-		// return ctx.Err()); report it once, as the cause.
-		return err
-	}
-	for _, werr := range errs {
-		if werr != nil {
-			return werr
+	return par.Each(r.ctx, workers, len(jobs), func(i int) error {
+		j := jobs[i]
+		m := r.pairMats[j.a]
+		e := &m.entries[j.ca*m.kb+j.cb]
+		costs, assign, err := r.computePair(j.a, j.b, j.ca, j.cb)
+		if err != nil {
+			return err
 		}
-	}
-	return nil
+		e.costs, e.assign = costs, assign
+		e.ok = true
+		return nil
+	})
 }

@@ -54,39 +54,13 @@ func (s *Scheduler) persistNetworkKey(net *workload.Network, alg Algorithm) stor
 // the result; anything that determines the result must be encoded here.
 func (s *Scheduler) EncodeRequest(e *store.Enc, net *workload.Network, alg Algorithm) {
 	e.Int(int64(alg))
-	encodeNetworkShape(e, net)
-
-	spec := s.Spec
-	e.Int(int64(spec.PEsX)).Int(int64(spec.PEsY)).
-		Int(int64(spec.GlobalBufferBytes)).Int(int64(spec.RegFileBytesPerPE)).
-		Int(int64(spec.WordBits)).Float(spec.ClockHz).
-		Int(int64(spec.DRAM.BytesPerCycle)).Float(spec.DRAM.EnergyPerBit)
-
-	eng := s.Crypto.Engine
-	e.Int(int64(eng.AES.Cycles)).Float(eng.AES.AreaKGates).Float(eng.AES.EnergyPJ).
-		Int(int64(eng.GFMult.Cycles)).Float(eng.GFMult.AreaKGates).Float(eng.GFMult.EnergyPJ).
-		Int(int64(s.Crypto.CountPerDatatype))
-
-	e.Int(int64(s.Params.WordBits)).Int(int64(s.Params.HashBits)).
-		Int(int64(s.TopK)).Int(int64(s.Objective))
+	net.EncodeShape(e)
+	s.Spec.Encode(e)
+	s.Crypto.Encode(e)
+	s.Params.Encode(e)
+	e.Int(int64(s.TopK)).Int(int64(s.Objective))
 	e.Int(int64(s.Anneal.Iterations)).Float(s.Anneal.TInit).Float(s.Anneal.TFinal).Int(s.Anneal.Seed)
-	e.Int(int64(s.Mapper.Mode)).Float(s.Mapper.Epsilon).Bool(s.Mapper.DisableWarmStart)
-}
-
-// encodeNetworkShape appends the network's full shape identity: every layer
-// shape in order, then the segment structure.
-func encodeNetworkShape(e *store.Enc, net *workload.Network) {
-	e.Int(int64(len(net.Layers)))
-	for i := range net.Layers {
-		mapper.EncodeLayerShape(e, net.Layers[i])
-	}
-	e.Int(int64(len(net.Segments)))
-	for _, seg := range net.Segments {
-		e.Int(int64(len(seg)))
-		for _, li := range seg {
-			e.Int(int64(li))
-		}
-	}
+	s.Mapper.Encode(e)
 }
 
 // StoredNetwork reports whether the persistent store already holds a

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"secureloop/internal/anneal"
@@ -13,6 +11,7 @@ import (
 	"secureloop/internal/model"
 	"secureloop/internal/num"
 	"secureloop/internal/obs"
+	"secureloop/internal/par"
 	"secureloop/internal/store"
 	"secureloop/internal/workload"
 )
@@ -26,9 +25,9 @@ func (s *Scheduler) ScheduleNetwork(net *workload.Network, alg Algorithm) (*Netw
 
 // ScheduleNetworkCtx runs the selected algorithm over the network,
 // honouring the context: every stage polls it at work-item boundaries (per
-// layer, per pair-matrix batch, per anneal move chunk), worker pools stop
-// launching on cancellation and drain their in-flight items, and the
-// returned error wraps ctx.Err() with the stage reached. No partial result
+// layer, per pair-matrix entry, per anneal move chunk), the worker pool
+// stops claiming work on cancellation and waits for its in-flight items,
+// and the returned error wraps ctx.Err() with the stage reached. No partial result
 // escapes a cancelled run, no goroutine outlives the call, and a panic
 // anywhere on the search path (the num.MulInt overflow guards, the
 // AuthBlock coverage invariants) is recovered at this boundary and surfaced
@@ -79,20 +78,13 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 	// pool; the mapper cache coalesces concurrent identical shapes onto a
 	// single search, so repeated layers cost one search regardless of the
 	// schedule the pool happens to pick.
-	effBW := float64(s.Spec.DRAM.BytesPerCycle)
-	if alg != Unsecure {
-		effBW = s.Crypto.EffectiveBytesPerCycle(s.Spec.DRAM.BytesPerCycle)
-	}
+	effBW := EffectiveBandwidth(s.Spec, s.Crypto, alg)
 	topK := s.TopK
 	if alg != CryptOptCross {
 		topK = 1
 	}
-	workers := s.MaxParallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ob.StageStart(obs.StageEvent{Stage: obs.StageMapping, Units: net.NumLayers()})
-	if err := run.scheduleLayers(workers, effBW, topK); err != nil {
+	if err := run.scheduleLayers(s.MaxParallel, effBW, topK); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", obs.StageMapping, err)
 	}
 	ob.StageEnd(obs.StageEvent{Stage: obs.StageMapping, Units: net.NumLayers()})
@@ -120,7 +112,7 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 			// matrices are computed up front, fanned out across the worker
 			// pool (entries are independent searches on disjoint slots).
 			ob.StageStart(obs.StageEvent{Stage: obs.StageAuthBlock, Units: len(segs)})
-			if err := run.precomputePairMatrices(segs, workers); err != nil {
+			if err := run.precomputePairMatrices(segs, s.MaxParallel); err != nil {
 				return nil, fmt.Errorf("core: %s: %w", obs.StageAuthBlock, err)
 			}
 			// Dense per-layer evaluation memos make a move pure array
@@ -134,7 +126,7 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 			// per-segment results land in disjoint slots of the choice
 			// vector, so the outcome is identical at any parallelism.
 			ob.StageStart(obs.StageEvent{Stage: obs.StageAnneal, Units: len(segs)})
-			if err := run.annealSegments(segs, tunable, workers, choices); err != nil {
+			if err := run.annealSegments(segs, tunable, s.MaxParallel, choices); err != nil {
 				return nil, fmt.Errorf("core: %s: %w", obs.StageAnneal, err)
 			}
 			ob.StageEnd(obs.StageEvent{Stage: obs.StageAnneal, Units: len(segs)})
@@ -166,57 +158,34 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 }
 
 // scheduleLayers is step 1: the per-layer loopnest searches, fanned out
-// across the worker pool. Cancellation stops further launches; in-flight
-// searches stop at their own tiling-batch boundaries. Each worker body is
-// guarded, so one malformed layer fails the run without killing the
-// process.
+// across the worker pool.
 func (r *run) scheduleLayers(workers int, effBW float64, topK int) error {
 	s, net := r.s, r.net
 	n := net.NumLayers()
-	errs := make([]error, n)
 	var done atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range net.Layers {
-		if r.ctx.Err() != nil {
-			break
+	err := par.Each(r.ctx, workers, n, func(i int) error {
+		cands, err := mapper.SearchCachedCtx(r.ctx, mapper.Request{
+			Layer: &net.Layers[i],
+			PEsX:  s.Spec.PEsX, PEsY: s.Spec.PEsY,
+			GLBBits: s.Spec.GlobalBufferBits(), RFBits: s.Spec.RegFileBits(),
+			EffectiveBytesPerCycle: effBW,
+			TopK:                   topK,
+			Opt:                    s.Mapper,
+			Observe:                s.Observe,
+			Store:                  s.Store,
+		})
+		if err != nil {
+			return err
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = obs.Guard(func() error {
-				cands, err := mapper.SearchCachedCtx(r.ctx, mapper.Request{
-					Layer: &net.Layers[i],
-					PEsX:  s.Spec.PEsX, PEsY: s.Spec.PEsY,
-					GLBBits: s.Spec.GlobalBufferBits(), RFBits: s.Spec.RegFileBits(),
-					EffectiveBytesPerCycle: effBW,
-					TopK:                   topK,
-					Opt:                    s.Mapper,
-					Observe:                s.Observe,
-					Store:                  s.Store,
-				})
-				if err != nil {
-					return err
-				}
-				r.candidates[i] = cands
-				r.ob.LayerScheduled(obs.LayerEvent{
-					Stage: obs.StageMapping,
-					Index: i, Name: net.Layers[i].Name,
-					Done: int(done.Add(1)), Total: n,
-				})
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	for _, werr := range errs {
-		if werr != nil {
-			return werr
-		}
-	}
-	if err := r.ctx.Err(); err != nil {
+		r.candidates[i] = cands
+		r.ob.LayerScheduled(obs.LayerEvent{
+			Stage: obs.StageMapping,
+			Index: i, Name: net.Layers[i].Name,
+			Done: int(done.Add(1)), Total: n,
+		})
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	for i := range net.Layers {
@@ -231,13 +200,8 @@ func (r *run) scheduleLayers(workers int, effBW float64, topK int) error {
 // observes the shared context through anneal.MinimizeCtx's move-chunk
 // polling; a cancelled segment's partial best is discarded.
 func (r *run) annealSegments(segs [][]int, tunable, workers int, choices []int) error {
-	errs := make([]error, len(segs))
-	var awg sync.WaitGroup
-	asem := make(chan struct{}, workers)
-	for si, seg := range segs {
-		if r.ctx.Err() != nil {
-			break
-		}
+	return par.Each(r.ctx, workers, len(segs), func(si int) error {
+		seg := segs[si]
 		opts := r.s.Anneal
 		opts.Iterations = int(num.MulInt64(int64(r.s.Anneal.Iterations), int64(len(seg))) / int64(tunable))
 		if opts.Iterations < 30 {
@@ -245,30 +209,15 @@ func (r *run) annealSegments(segs [][]int, tunable, workers int, choices []int) 
 		}
 		opts.Observer = r.ob
 		opts.Tag = seg[0]
-		awg.Add(1)
-		asem <- struct{}{}
-		go func(si int, seg []int, opts anneal.Options) {
-			defer awg.Done()
-			defer func() { <-asem }()
-			errs[si] = obs.Guard(func() error {
-				res, err := anneal.MinimizeCtx(r.ctx, &segmentProblem{run: r, segment: seg}, opts)
-				if err != nil {
-					return err
-				}
-				for j, li := range seg {
-					choices[li] = res.Choices[j]
-				}
-				return nil
-			})
-		}(si, seg, opts)
-	}
-	awg.Wait()
-	for _, werr := range errs {
-		if werr != nil {
-			return werr
+		res, err := anneal.MinimizeCtx(r.ctx, &segmentProblem{run: r, segment: seg}, opts)
+		if err != nil {
+			return err
 		}
-	}
-	return r.ctx.Err()
+		for j, li := range seg {
+			choices[li] = res.Choices[j]
+		}
+		return nil
+	})
 }
 
 // run carries the per-invocation state: candidates, the dense AuthBlock

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"secureloop/internal/num"
+	"secureloop/internal/store"
 )
 
 // BlockBytes is the AES block size the engines operate on.
@@ -201,4 +202,13 @@ func Figure13Configs() []Config {
 		{Engine: Serial(), CountPerDatatype: 30},
 		{Engine: Pipelined(), CountPerDatatype: 2},
 	}
+}
+
+// Encode appends the configuration's numerics to a store key. The engine
+// name is a label and is left out.
+func (c *Config) Encode(e *store.Enc) {
+	eng := c.Engine
+	e.Int(int64(eng.AES.Cycles)).Float(eng.AES.AreaKGates).Float(eng.AES.EnergyPJ).
+		Int(int64(eng.GFMult.Cycles)).Float(eng.GFMult.AreaKGates).Float(eng.GFMult.EnergyPJ).
+		Int(int64(c.CountPerDatatype))
 }

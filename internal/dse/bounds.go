@@ -38,18 +38,6 @@ func pointArea(spec arch.Spec, crypto cryptoengine.Config) float64 {
 	return accelergy.TotalAreaMM2(spec.NumPEs(), spec.GlobalBufferBytes, crypto.TotalAreaKGates())
 }
 
-// effectiveBW replicates ScheduleNetworkCtx's step-1 effective-bandwidth
-// derivation: DRAM bandwidth for the unsecure algorithm, min(DRAM, crypto
-// aggregate) otherwise. The cycle bound depends on the crypto config only
-// through this number, which is what makes bounds memoisable per
-// (spec, effBW) pair.
-func effectiveBW(spec arch.Spec, crypto cryptoengine.Config, alg core.Algorithm) float64 {
-	if alg == core.Unsecure {
-		return float64(spec.DRAM.BytesPerCycle)
-	}
-	return crypto.EffectiveBytesPerCycle(spec.DRAM.BytesPerCycle)
-}
-
 // networkCycleLB returns a lower bound on Total.Cycles of any schedule of
 // net on the design (per-layer Stats.Cycles sum over layers; each layer's
 // Stats.Cycles is bounded below by its mapper search floor and by the
@@ -65,7 +53,7 @@ func networkCycleLB(net *workload.Network, spec arch.Spec, crypto cryptoengine.C
 		// and Figure 12 share one definition of the roof.
 		rl := roofline.FromSecureArch(&spec, crypto)
 		peakMACs := rl.PeakOpsPerSec / spec.ClockHz
-		effBW := effectiveBW(spec, crypto, alg)
+		effBW := core.EffectiveBandwidth(spec, crypto, alg)
 		for i := range net.Layers {
 			l := &net.Layers[i]
 			lb := mapper.SearchLowerBound(mapper.Request{

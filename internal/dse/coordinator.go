@@ -19,7 +19,6 @@ package dse
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,6 +29,7 @@ import (
 	"secureloop/internal/cryptoengine"
 	"secureloop/internal/num"
 	"secureloop/internal/obs"
+	"secureloop/internal/par"
 	"secureloop/internal/workload"
 )
 
@@ -201,7 +201,7 @@ func (c *coordinator) computeBounds(ctx context.Context) error {
 			idx := num.MulInt(si, len(c.cryptos)) + ci
 			b := PointBound{AreaMM2: pointArea(c.specs[si], c.cryptos[ci])}
 			if c.opt.Prune {
-				bw := effectiveBW(c.specs[si], c.cryptos[ci], c.alg)
+				bw := core.EffectiveBandwidth(c.specs[si], c.cryptos[ci], c.alg)
 				lb, ok := memo[bw]
 				if !ok {
 					lb = networkCycleLB(c.net, c.specs[si], c.cryptos[ci], c.alg)
@@ -247,43 +247,18 @@ func (c *coordinator) launchOrder() []int {
 
 // run launches every job in launch order onto one pool of
 // Options.MaxParallel workers, then resolves deferred points in the exact
-// pass. Launches stop on cancellation. A failed point does not stop the
-// others; the first failure in launch order is reported.
+// pass. The pool stops claiming jobs on cancellation. A failed point does
+// not stop the others; the first failure in launch order is reported.
 func (c *coordinator) run(ctx context.Context) error {
-	workers := c.opt.MaxParallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
 	order := c.launchOrder()
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-launch:
-	for k, idx := range order {
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case sem <- struct{}{}:
-			// Acquired: always launch, so the slot is always released.
-		case <-ctx.Done():
-			break launch
-		}
-		wg.Add(1)
-		go func(k, idx int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[k] = obs.Guard(func() error { return c.evalJob(ctx, c.jobs[idx]) })
-		}(k, idx)
-	}
-	wg.Wait()
+	err := par.Each(ctx, c.opt.MaxParallel, len(order), func(k int) error {
+		return c.evalJob(ctx, c.jobs[order[k]])
+	})
 	if cerr := ctx.Err(); cerr != nil {
 		return sweepErr(cerr)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	return c.exactPass(ctx)
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"secureloop/internal/authblock"
 	"secureloop/internal/cryptoengine"
 )
@@ -67,7 +69,9 @@ func Fig9() (horizontal, vertical Table) {
 			Title:  "off-chip traffic vs AuthBlock size (" + o.String() + ")",
 			Header: []string{"u", "redundant_bits", "tag_bits", "total_bits"},
 		}
-		for _, r := range authblock.Sweep(p, c, o, maxU, par) {
+		// A background sweep cannot be cancelled, so it cannot fail.
+		sweep, _ := authblock.SweepCtx(context.Background(), p, c, o, maxU, par)
+		for _, r := range sweep {
 			// The figure counts traffic for *accessing tile_j*: tag reads
 			// plus redundant reads (hash writes on the producer side are
 			// not part of the access).

@@ -28,6 +28,7 @@ var ctxfirstPackages = []string{
 	"internal/authblock",
 	"internal/dse",
 	"internal/anneal",
+	"internal/par",
 	"internal/service",
 	"internal/service/client",
 }

@@ -22,7 +22,7 @@ import (
 //	// storekey:exclude <pkg>.<Type>.<Field> <reason>
 //
 // directive in the persist function's package. The check is interprocedural:
-// helpers like mapper.EncodeLayerShape count as coverage for the fields they
+// encoders like workload.Layer.EncodeShape count as coverage for the fields they
 // read, in whichever package the persist function lives.
 var AnalyzerKeyDrift = &Analyzer{
 	Name: "keydrift",

@@ -170,15 +170,10 @@ type Result struct {
 	Packages int
 }
 
-// Run loads the packages matching cfg and runs the selected analyzers. It is
-// RunCtx with a background context.
-func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is the cancellable lint run: the context is polled between packages
-// (each package's load-and-analyze is the natural batch), so a Ctrl-C on a
-// module-wide run stops at the next package boundary and returns ctx.Err().
+// RunCtx loads the packages matching cfg and runs the selected analyzers.
+// The context is polled between packages (each package's load-and-analyze
+// is the natural batch), so a Ctrl-C on a module-wide run stops at the next
+// package boundary and returns ctx.Err().
 // Per-package analyzers run over each matched package in turn; module
 // analyzers run once at the end over every loaded package plus the call
 // graph built over them.

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -66,7 +67,7 @@ func TestAnalyzersGolden(t *testing.T) {
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", a.Name)
-			res, err := Run(Config{Dir: dir, Checks: a.Name})
+			res, err := RunCtx(context.Background(), Config{Dir: dir, Checks: a.Name})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +156,7 @@ func b(x, y int) int {
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Dir: dir, Checks: "ceildiv"})
+	res, err := RunCtx(context.Background(), Config{Dir: dir, Checks: "ceildiv"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func b(x, y int) int {
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Dir: dir, Checks: "ceildiv"})
+	res, err := RunCtx(context.Background(), Config{Dir: dir, Checks: "ceildiv"})
 	if err != nil {
 		t.Fatal(err)
 	}

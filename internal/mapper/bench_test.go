@@ -32,7 +32,7 @@ func BenchmarkMapperSearch(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := Search(req); len(got) == 0 {
+		if got := searchUncached(b, req); len(got) == 0 {
 			b.Fatal("no candidates")
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkMapperGuided(b *testing.B) {
 		if err != nil || len(g) == 0 {
 			b.Fatalf("guided search %s: %v", lr.Name, err)
 		}
-		e := Search(benchRequest(lr))
+		e := searchUncached(b, benchRequest(lr))
 		guidedCycles += g[0].Cycles
 		exhaustiveCycles += e[0].Cycles
 	}

@@ -78,7 +78,7 @@ func ResetCaches() {
 // cached result, so sweeping k (the paper's Figure 10) costs one search.
 const cacheTopK = 10
 
-// SearchCachedCtx is Search with process-wide memoisation. Requests with
+// SearchCachedCtx is SearchCtx with process-wide memoisation. Requests with
 // TopK <= cacheTopK share one cached search; larger requests bypass the
 // prefix optimisation and cache at their own k. Concurrent requests for the
 // same shape coalesce onto a single search. Failed or cancelled searches

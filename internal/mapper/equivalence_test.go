@@ -11,7 +11,7 @@ import (
 
 // TestSearchEquivalence is the correctness guard of the optimised inner
 // loop: across a matrix of layer shapes, architecture variants, effective
-// bandwidths and k values, Search (reusable mapping, per-tiling analysis,
+// bandwidths and k values, SearchCtx (reusable mapping, per-tiling analysis,
 // monotone capacity breaks, tightened lower bound, lazy cloning) must return
 // a top-k byte-identical to searchReference (clone per tiling, full model
 // evaluation per permutation, skip-only capacity checks): same length, and
@@ -67,7 +67,7 @@ func TestSearchEquivalence(t *testing.T) {
 						TopK:                   k,
 					}
 					name := fmt.Sprintf("%s/pe%dx%d/bw%.1f/k%d", l.Name, spec.PEsX, spec.PEsY, bw, k)
-					got := Search(req)
+					got := searchUncached(t, req)
 					want := searchReference(req)
 					if len(got) != len(want) {
 						t.Errorf("%s: %d candidates, reference has %d", name, len(got), len(want))
@@ -108,7 +108,7 @@ func TestAnalysisMatchesOffchip(t *testing.T) {
 			EffectiveBytesPerCycle: float64(spec.DRAM.BytesPerCycle),
 			TopK:                   4,
 		}
-		for _, c := range Search(req) {
+		for _, c := range searchUncached(t, req) {
 			an := c.Mapping.Analyze(l)
 			if got, want := an.Compute, c.Mapping.TemporalIterations(l); got != want {
 				t.Errorf("%s: analysis compute %d, mapping says %d", l.Name, got, want)
@@ -141,7 +141,7 @@ func TestSignatureDeterminesTiling(t *testing.T) {
 		EffectiveBytesPerCycle: float64(spec.DRAM.BytesPerCycle),
 		TopK:                   6,
 	}
-	for _, c := range Search(req) {
+	for _, c := range searchUncached(t, req) {
 		sig := signature(c.Mapping)
 		for i, d := range mapping.Dims {
 			tile := int(sig[4*i]) | int(sig[4*i+1])<<8

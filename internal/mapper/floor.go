@@ -40,10 +40,9 @@ package mapper
 // untrusted inputs should guard with obs.Guard and treat a panic as "no
 // usable bound".
 func SearchLowerBound(req Request) int64 {
-	l := req.Layer
-	minTraffic := int64(float64(l.TotalVolume()*int64(l.WordBits)) / 8 / req.EffectiveBytesPerCycle)
+	minTraffic := trafficFloor(req)
 	lb := fallbackCandidates(req)[0].Cycles
-	for _, sp := range spatialChoices(l, req.PEsX, req.PEsY) {
+	for _, sp := range spatialChoices(req.Layer, req.PEsX, req.PEsY) {
 		g := newGuidedPart(req, sp, minTraffic)
 		if g == nil {
 			continue
@@ -58,4 +57,14 @@ func SearchLowerBound(req Request) int64 {
 		lb = minTraffic
 	}
 	return lb
+}
+
+// trafficFloor is the tiling-independent traffic lower bound every search
+// path prunes and clamps against: the cycles to move every element of the
+// layer's tensors across the chip boundary once at the effective
+// bandwidth. It counts every input row, so it overshoots on layers whose
+// stride exceeds the filter extent (see SearchLowerBound).
+func trafficFloor(req Request) int64 {
+	l := req.Layer
+	return int64(float64(l.TotalVolume()*int64(l.WordBits)) / 8 / req.EffectiveBytesPerCycle)
 }

@@ -39,7 +39,7 @@ func TestSearchLowerBoundSound(t *testing.T) {
 				for _, mode := range []Mode{Exhaustive, Guided} {
 					r := req
 					r.Opt = Options{Mode: mode}
-					best := Search(r)[0].Cycles
+					best := searchUncached(t, r)[0].Cycles
 					if lb > best {
 						t.Errorf("%s pe%dx%d glb%dB bw=%g mode=%v: bound %d exceeds best candidate %d",
 							l.Name, spec.PEsX, spec.PEsY, spec.GlobalBufferBytes, bw, mode, lb, best)

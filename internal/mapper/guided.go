@@ -480,7 +480,7 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	var gc guidedCounts
 	defer func() { publishGuided(req, &gc) }()
 
-	minTraffic := int64(float64(l.TotalVolume()*int64(l.WordBits)) / 8 / req.EffectiveBytesPerCycle)
+	minTraffic := trafficFloor(req)
 
 	var parts []*guidedPart
 	for _, sp := range spatialChoices(l, req.PEsX, req.PEsY) {

@@ -20,15 +20,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"secureloop/internal/mapping"
 	"secureloop/internal/model"
 	"secureloop/internal/num"
 	"secureloop/internal/obs"
+	"secureloop/internal/par"
 	"secureloop/internal/store"
 	"secureloop/internal/workload"
 )
@@ -80,19 +79,13 @@ type Request struct {
 	Store *store.Store
 }
 
-// Search returns the top-k schedules for the request, best first. The
+// SearchCtx returns the top-k schedules for the request, best first. The
 // result is never empty for a valid layer: a degenerate all-sequential
-// mapping always fits. It is SearchCtx with a background context.
-func Search(req Request) []Candidate {
-	out, _ := SearchCtx(context.Background(), req)
-	return out
-}
-
-// SearchCtx is Search honouring a context: the spatial-choice worker pool
-// stops launching on cancellation, in-flight tiling enumerations bail out at
-// tiling-batch boundaries, and the error is ctx.Err() wrapped with the layer
-// name. A panic anywhere in the search (an overflow guard tripping on a
-// malformed layer) is recovered here and surfaced as an error.
+// mapping always fits. The spatial-choice worker pool stops claiming work
+// on cancellation, in-flight tiling enumerations bail out at tiling-batch
+// boundaries, and the error is ctx.Err() wrapped with the layer name. A
+// panic anywhere in the search (an overflow guard tripping on a malformed
+// layer) is recovered here and surfaced as an error.
 // req.Opt selects between the exhaustive path and the guided best-first
 // path (guided.go); both produce top-k sets under the identical ranking.
 func SearchCtx(ctx context.Context, req Request) (out []Candidate, err error) {
@@ -104,7 +97,7 @@ func SearchCtx(ctx context.Context, req Request) (out []Candidate, err error) {
 }
 
 // search runs the spatial-choice fan-out with the given per-choice tiling
-// enumerator; Search and searchReference share it so the optimised and
+// enumerator; SearchCtx and searchReference share it so the optimised and
 // reference paths resolve ranking ties identically.
 func search(ctx context.Context, req Request, tilings func(context.Context, Request, spatialChoice, *topK)) ([]Candidate, error) {
 	if req.TopK < 1 {
@@ -113,38 +106,16 @@ func search(ctx context.Context, req Request, tilings func(context.Context, Requ
 	l := req.Layer
 
 	// Spatial choices are independent; search them in parallel and merge.
-	// Each worker body is guarded so a panicking cost model fails this one
-	// search rather than the process.
 	spatials := spatialChoices(l, req.PEsX, req.PEsY)
 	parts := make([]*topK, len(spatials))
-	errs := make([]error, len(spatials))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, sp := range spatials {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, sp spatialChoice) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = obs.Guard(func() error {
-				part := newTopK(req.TopK)
-				tilings(ctx, req, sp, part)
-				parts[i] = part
-				return nil
-			})
-		}(i, sp)
-	}
-	wg.Wait()
-	for _, werr := range errs {
-		if werr != nil {
-			return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, werr)
-		}
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, cerr)
+	err := par.Each(ctx, 0, len(spatials), func(i int) error {
+		part := newTopK(req.TopK)
+		tilings(ctx, req, spatials[i], part)
+		parts[i] = part
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, err)
 	}
 	best := newTopK(req.TopK)
 	for _, part := range parts {
@@ -310,9 +281,7 @@ func searchTilings(ctx context.Context, req Request, sp spatialChoice, best *top
 	setGLBTile(m, l, mapping.DimR, mapping.Bound(l, mapping.DimR))
 	setGLBTile(m, l, mapping.DimS, mapping.Bound(l, mapping.DimS))
 
-	// Tiling-independent traffic lower bound: all data crosses the chip
-	// boundary at least once.
-	minTrafficCycles := int64(float64(l.TotalVolume()*int64(l.WordBits)) / 8 / req.EffectiveBytesPerCycle)
+	minTrafficCycles := trafficFloor(req)
 
 	cs := tileCandidates(mapping.Bound(l, mapping.DimC))
 	ms := tileCandidates(mapping.Bound(l, mapping.DimM))

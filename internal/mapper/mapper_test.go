@@ -9,6 +9,17 @@ import (
 	"secureloop/internal/workload"
 )
 
+// searchUncached is SearchCtx with a background context, failing the test
+// on error.
+func searchUncached(t testing.TB, req Request) []Candidate {
+	t.Helper()
+	out, err := SearchCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // searchCached is SearchCachedCtx with a background context, failing the
 // test on error.
 func searchCached(t testing.TB, req Request) []Candidate {
@@ -57,7 +68,7 @@ func TestSearchReturnsValidMappings(t *testing.T) {
 
 func TestSearchSortedAndDiverse(t *testing.T) {
 	l := workload.AlexNet().Layer(2)
-	cands := Search(baseRequest(l))
+	cands := searchUncached(t, baseRequest(l))
 	if len(cands) < 2 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
@@ -77,7 +88,7 @@ func TestSearchSortedAndDiverse(t *testing.T) {
 func TestSearchCostMatchesModel(t *testing.T) {
 	l := workload.AlexNet().Layer(1)
 	req := baseRequest(l)
-	for _, c := range Search(req) {
+	for _, c := range searchUncached(t, req) {
 		want := model.SchedulingCycles(l, c.Mapping, req.EffectiveBytesPerCycle)
 		if c.Cycles != want {
 			t.Fatalf("reported %d, model says %d", c.Cycles, want)
@@ -90,8 +101,8 @@ func TestLowerBandwidthNeverImprovesBest(t *testing.T) {
 	fast := baseRequest(l)
 	slow := fast
 	slow.EffectiveBytesPerCycle = 1.5
-	bFast := Search(fast)[0].Cycles
-	bSlow := Search(slow)[0].Cycles
+	bFast := searchUncached(t, fast)[0].Cycles
+	bSlow := searchUncached(t, slow)[0].Cycles
 	if bSlow < bFast {
 		t.Errorf("slower bandwidth found faster schedule: %d < %d", bSlow, bFast)
 	}
@@ -104,8 +115,8 @@ func TestCryptoAwareSchedulingHelps(t *testing.T) {
 	// *for* that bandwidth.
 	l := workload.MobileNetV2().Layer(10)
 	eff := 3 * 16.0 / 11 // parallel engine per datatype
-	aware := Search(func() Request { r := baseRequest(l); r.EffectiveBytesPerCycle = eff; return r }())
-	naive := Search(baseRequest(l))
+	aware := searchUncached(t, func() Request { r := baseRequest(l); r.EffectiveBytesPerCycle = eff; return r }())
+	naive := searchUncached(t, baseRequest(l))
 	naiveUnderCrypto := model.SchedulingCycles(l, naive[0].Mapping, eff)
 	if aware[0].Cycles > naiveUnderCrypto {
 		t.Errorf("crypto-aware schedule (%d) worse than naive schedule under crypto (%d)",
@@ -117,7 +128,7 @@ func TestTinyLayerFallback(t *testing.T) {
 	// A 1x1x1 layer exercises the degenerate paths.
 	l := &workload.Layer{Name: "fc", C: 512, M: 1000, R: 1, S: 1, P: 1, Q: 1,
 		StrideH: 1, StrideW: 1, N: 1, WordBits: 16}
-	cands := Search(baseRequest(l))
+	cands := searchUncached(t, baseRequest(l))
 	if len(cands) == 0 {
 		t.Fatal("no candidates for FC layer")
 	}
@@ -176,6 +187,6 @@ func BenchmarkSearchConvLayer(b *testing.B) {
 	l := workload.AlexNet().Layer(2)
 	req := baseRequest(l)
 	for i := 0; i < b.N; i++ {
-		Search(req)
+		searchUncached(b, req)
 	}
 }

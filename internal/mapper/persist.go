@@ -5,7 +5,6 @@ import (
 
 	"secureloop/internal/mapping"
 	"secureloop/internal/store"
-	"secureloop/internal/workload"
 )
 
 // The persistent tier: cached searches additionally read through to, and
@@ -24,23 +23,18 @@ const persistPrefix = "mapper.search"
 // persistSearchKey canonically encodes the cached-search identity.
 func persistSearchKey(k cacheKey) store.Key {
 	e := store.NewEnc().String(persistPrefix)
-	EncodeLayerShape(e, k.layer)
+	k.layer.EncodeShape(e)
 	e.Int(int64(k.pesX)).Int(int64(k.pesY)).
-		Int(k.glb).Int(k.rf).Float(k.effBW).Int(int64(k.topK)).
-		Int(int64(k.opt.Mode)).Float(k.opt.Epsilon).Bool(k.opt.DisableWarmStart)
+		Int(k.glb).Int(k.rf).Float(k.effBW).Int(int64(k.topK))
+	k.opt.Encode(e)
 	return e.Key()
 }
 
-// EncodeLayerShape encodes every layer field a search result depends on,
-// in declaration order. The name is excluded: like the in-memory cache,
-// the persistent tier is shape-keyed. Shared with core's network-level
-// keys so the tiers agree on what "the same layer" means.
-func EncodeLayerShape(e *store.Enc, l workload.Layer) {
-	e.Int(int64(l.C)).Int(int64(l.M)).Int(int64(l.R)).Int(int64(l.S)).
-		Int(int64(l.P)).Int(int64(l.Q)).
-		Int(int64(l.StrideH)).Int(int64(l.StrideW)).
-		Int(int64(l.PadH)).Int(int64(l.PadW)).Int(int64(l.N)).
-		Bool(l.Depthwise).Int(int64(l.WordBits))
+// Encode appends the search options to a store key. Every key whose result
+// depends on a mapper search calls it, so the tiers agree on which options
+// are "the same search".
+func (o Options) Encode(e *store.Enc) {
+	e.Int(int64(o.Mode)).Float(o.Epsilon).Bool(o.DisableWarmStart)
 }
 
 // EncodeMapping encodes a complete schedule: every per-level tiling factor

@@ -16,7 +16,7 @@ import (
 // cloning — returns a byte-identical top-k. It is deliberately not exported
 // and not on any production path.
 
-// searchReference is Search with the reference inner loop.
+// searchReference is SearchCtx with the reference inner loop.
 func searchReference(req Request) []Candidate {
 	out, _ := search(context.Background(), req, searchTilingsReference)
 	return out

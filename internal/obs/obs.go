@@ -14,8 +14,6 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
-
-	"secureloop/internal/prof"
 )
 
 // Stage names one phase of the scheduling pipeline. The constants double as
@@ -168,21 +166,6 @@ func CapturePanic(errp *error) {
 func Guard(fn func() error) (err error) {
 	defer CapturePanic(&err)
 	return fn()
-}
-
-// Options bundles the run-scoped instrumentation hooks the cmd binaries
-// expose: a progress Observer and the internal/prof profile paths.
-type Options struct {
-	// Observer receives progress events; nil means none.
-	Observer Observer
-	// CPUProfile and MemProfile are prof.Start paths (empty to skip).
-	CPUProfile, MemProfile string
-}
-
-// Start begins the configured profiles and returns the stop function
-// (always non-nil). It delegates to prof.Start.
-func (o Options) Start() (stop func(), err error) {
-	return prof.Start(o.CPUProfile, o.MemProfile)
 }
 
 // Logger is an Observer that renders events as plain text lines, one per

@@ -447,6 +447,33 @@ func TestAuthBlockOverflowReturns500(t *testing.T) {
 	}
 }
 
+// TestAuthBlockHugeCurveReturns413: a /v1/authblock body asking for a
+// 10^9-entry cost curve is refused with 413 at admission (allocating the
+// curve would exhaust the process's memory), and the next normal request
+// is served.
+func TestAuthBlockHugeCurveReturns413(t *testing.T) {
+	_, c := newServer(t, service.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, _, err := c.AuthBlock(ctx, &service.AuthBlockWire{
+		Producer: service.ProducerWire{C: 1, H: 30, W: 30, TileC: 1, TileH: 30, TileW: 30, WritesPerTile: 1},
+		Consumer: service.ConsumerWire{TileC: 1, WinH: 30, WinW: 30, StepH: 30, StepW: 30,
+			CountC: 1, CountH: 1, CountW: 1, FetchesPerTile: 1},
+		MaxU: 1_000_000_000,
+	})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("huge curve: err = %v, want HTTP 413", err)
+	}
+	if _, _, err := c.AuthBlock(ctx, &service.AuthBlockWire{
+		Producer: service.ProducerWire{C: 8, H: 16, W: 16, TileC: 8, TileH: 4, TileW: 4, WritesPerTile: 1},
+		Consumer: service.ConsumerWire{TileC: 8, WinH: 6, WinW: 6, StepH: 4, StepW: 4, CountC: 1, CountH: 3, CountW: 3, FetchesPerTile: 1},
+		MaxU:     64,
+	}); err != nil {
+		t.Fatalf("normal request after the refused one: %v", err)
+	}
+}
+
 // benchStats mirrors daemonStats in bench/load.go: the part of /v1/stats
 // the benchmark driver decodes, under the same JSON names.
 type benchStats struct {

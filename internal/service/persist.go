@@ -1,13 +1,9 @@
 package service
 
 import (
-	"secureloop/internal/arch"
 	"secureloop/internal/core"
-	"secureloop/internal/cryptoengine"
 	"secureloop/internal/dse"
-	"secureloop/internal/mapper"
 	"secureloop/internal/store"
-	"secureloop/internal/workload"
 )
 
 // Request identity: every service request is content-addressed with the
@@ -80,74 +76,29 @@ func (req *SweepRequest) optionsEnc(e *store.Enc) dse.Options {
 	}
 	if e != nil {
 		e.Int(int64(req.Algorithm)).Bool(req.Front)
-		encodeNetwork(e, req.Network)
+		req.Network.EncodeShape(e)
 		e.Int(int64(len(req.Specs)))
 		for i := range req.Specs {
-			encodeSpec(e, &req.Specs[i])
+			req.Specs[i].Encode(e)
 		}
 		e.Int(int64(len(req.Cryptos)))
 		for i := range req.Cryptos {
-			encodeCrypto(e, &req.Cryptos[i])
+			req.Cryptos[i].Encode(e)
 		}
 		e.Int(int64(req.AnnealIterations))
-		e.Int(int64(req.Mapper.Mode)).Float(req.Mapper.Epsilon).Bool(req.Mapper.DisableWarmStart)
+		req.Mapper.Encode(e)
 	}
 	return opt
 }
 
-// persistAuthBlockKey canonically encodes the authblock request identity.
+// persistAuthBlockKey canonically encodes the authblock request identity:
+// both grids and the params (the optimal-assignment store key's fields),
+// then the sweep selection — the full dependency set of the response.
 func persistAuthBlockKey(req *AuthBlockRequest) store.Key {
 	e := store.NewEnc().String(authBlockPrefix)
-	encodeAuthBlockRequest(e, req)
-	return e.Key()
-}
-
-// encodeAuthBlockRequest appends every field of the grids, the params and
-// the sweep selection — the full dependency set of the response.
-func encodeAuthBlockRequest(e *store.Enc, req *AuthBlockRequest) {
-	p, c := req.Producer, req.Consumer
-	e.Int(int64(p.C)).Int(int64(p.H)).Int(int64(p.W)).
-		Int(int64(p.TileC)).Int(int64(p.TileH)).Int(int64(p.TileW)).
-		Int(p.WritesPerTile)
-	e.Int(int64(c.TileC)).
-		Int(int64(c.WinH)).Int(int64(c.WinW)).
-		Int(int64(c.StepH)).Int(int64(c.StepW)).
-		Int(int64(c.OffH)).Int(int64(c.OffW)).
-		Int(int64(c.CountC)).Int(int64(c.CountH)).Int(int64(c.CountW)).
-		Int(c.FetchesPerTile)
-	e.Int(int64(req.Params.WordBits)).Int(int64(req.Params.HashBits))
+	req.Producer.Encode(e)
+	req.Consumer.Encode(e)
+	req.Params.Encode(e)
 	e.Int(int64(req.Orientation)).Int(int64(req.MaxU))
-}
-
-// encodeNetwork appends the network's shape identity: every layer shape in
-// order, then the segment structure (the same field set as the core network
-// key's shape section).
-func encodeNetwork(e *store.Enc, net *workload.Network) {
-	e.Int(int64(len(net.Layers)))
-	for i := range net.Layers {
-		mapper.EncodeLayerShape(e, net.Layers[i])
-	}
-	e.Int(int64(len(net.Segments)))
-	for _, seg := range net.Segments {
-		e.Int(int64(len(seg)))
-		for _, li := range seg {
-			e.Int(int64(li))
-		}
-	}
-}
-
-// encodeSpec appends the architecture numerics (names are labels, waived).
-func encodeSpec(e *store.Enc, spec *arch.Spec) {
-	e.Int(int64(spec.PEsX)).Int(int64(spec.PEsY)).
-		Int(int64(spec.GlobalBufferBytes)).Int(int64(spec.RegFileBytesPerPE)).
-		Int(int64(spec.WordBits)).Float(spec.ClockHz).
-		Int(int64(spec.DRAM.BytesPerCycle)).Float(spec.DRAM.EnergyPerBit)
-}
-
-// encodeCrypto appends the crypto-engine numerics.
-func encodeCrypto(e *store.Enc, c *cryptoengine.Config) {
-	eng := c.Engine
-	e.Int(int64(eng.AES.Cycles)).Float(eng.AES.AreaKGates).Float(eng.AES.EnergyPJ).
-		Int(int64(eng.GFMult.Cycles)).Float(eng.GFMult.AreaKGates).Float(eng.GFMult.EnergyPJ).
-		Int(int64(c.CountPerDatatype))
+	return e.Key()
 }

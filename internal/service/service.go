@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"secureloop/internal/authblock"
 	"secureloop/internal/dse"
@@ -374,20 +376,6 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Schedule computes (or coalesces onto, or replays from the store) one
-// network schedule. Blocking; for progress streaming use BeginSchedule.
-func (s *Service) Schedule(ctx context.Context, req *ScheduleRequest, opts SubmitOptions) (*ScheduleResponse, []byte, error) {
-	p, err := s.BeginSchedule(ctx, req, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	body, value, _, _, err := p.Result()
-	if err != nil {
-		return nil, nil, err
-	}
-	return value.(*ScheduleResponse), body, nil
-}
-
 // BeginSchedule validates and submits a schedule request, returning its
 // Pending handle.
 func (s *Service) BeginSchedule(ctx context.Context, req *ScheduleRequest, opts SubmitOptions) (*Pending, error) {
@@ -422,20 +410,6 @@ func (s *Service) ScheduleBody(ctx context.Context, req *ScheduleRequest, ob obs
 		return nil, nil, false, err
 	}
 	return value, body, storeHit, nil
-}
-
-// Sweep computes (or coalesces onto) one design-space sweep. Blocking; for
-// progress streaming use BeginSweep.
-func (s *Service) Sweep(ctx context.Context, req *SweepRequest, opts SubmitOptions) (*SweepResponse, []byte, error) {
-	p, err := s.BeginSweep(ctx, req, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	body, value, _, _, err := p.Result()
-	if err != nil {
-		return nil, nil, err
-	}
-	return value.(*SweepResponse), body, nil
 }
 
 // BeginSweep validates and submits a sweep request, returning its Pending
@@ -486,20 +460,6 @@ func (s *Service) SweepBody(ctx context.Context, req *SweepRequest, ob obs.Obser
 	return value, body, false, nil
 }
 
-// AuthBlock computes (or coalesces onto) one AuthBlock analysis. Blocking;
-// for progress streaming use BeginAuthBlock.
-func (s *Service) AuthBlock(ctx context.Context, req *AuthBlockRequest, opts SubmitOptions) (*AuthBlockResponse, []byte, error) {
-	p, err := s.BeginAuthBlock(ctx, req, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	body, value, _, _, err := p.Result()
-	if err != nil {
-		return nil, nil, err
-	}
-	return value.(*AuthBlockResponse), body, nil
-}
-
 // BeginAuthBlock validates and submits an authblock request, returning its
 // Pending handle.
 func (s *Service) BeginAuthBlock(ctx context.Context, req *AuthBlockRequest, opts SubmitOptions) (*Pending, error) {
@@ -507,11 +467,36 @@ func (s *Service) BeginAuthBlock(ctx context.Context, req *AuthBlockRequest, opt
 		return nil, err
 	}
 	if opts.MemoryEstimate == 0 {
-		opts.MemoryEstimate = 1 << 20
+		opts.MemoryEstimate = authBlockMemEstimate(req)
 	}
 	return s.submit(ctx, persistAuthBlockKey(req), opts, func(ctx context.Context, ob obs.Observer) (any, []byte, bool, error) {
 		return s.AuthBlockBody(ctx, req, ob)
 	}), nil
+}
+
+// sweepEntryMemBytes is what one u of an authblock request's cost curve
+// costs while AuthBlockBody builds the response: the authblock.Result
+// SweepCtx appends, the SweepEntryBody copied from it, and the entry's
+// JSON at its widest (every integer at its longest decimal form, plus the
+// separating comma). It is derived on first use rather than at start-up,
+// which keeps the JSON encoder's reflection off the daemon's cold start.
+var sweepEntryMemBytes = sync.OnceValue(func() int64 {
+	const w = math.MinInt64
+	raw, _ := json.Marshal(SweepEntryBody{U: math.MinInt, Costs: CostsBody{w, w, w, w, w}})
+	return int64(unsafe.Sizeof(authblock.Result{})+unsafe.Sizeof(SweepEntryBody{})) + int64(len(raw)+1)
+})
+
+// authBlockMemEstimate is the admission memory estimate of an authblock
+// request: a flat 1 MiB for the search plus MaxU curve entries. The sum
+// saturates instead of wrapping, so an absurd curve is rejected as too
+// large rather than admitted as small.
+func authBlockMemEstimate(req *AuthBlockRequest) int64 {
+	const base = 1 << 20
+	per := sweepEntryMemBytes()
+	if int64(req.MaxU) > (math.MaxInt64-base)/per {
+		return math.MaxInt64
+	}
+	return base + int64(req.MaxU)*per
 }
 
 // AuthBlockBody is the pure compute path of one authblock request (a

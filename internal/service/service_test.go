@@ -22,6 +22,19 @@ import (
 	"secureloop/internal/workload"
 )
 
+// await blocks on a submitted request and returns its typed response and
+// canonical body.
+func await[T any](p *Pending, err error) (*T, []byte, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	body, value, _, _, err := p.Result()
+	if err != nil {
+		return nil, nil, err
+	}
+	return value.(*T), body, nil
+}
+
 // tinyNetwork is a deliberately small two-layer chain: large enough to
 // exercise the full pipeline (mapping, AuthBlock, annealing), small enough
 // to schedule in milliseconds.
@@ -135,7 +148,7 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 	var count countingObserver
 	svc := New(Config{Store: st, Observe: &count})
 
-	cold, coldBody, err := svc.Schedule(context.Background(), tinyScheduleRequest(), SubmitOptions{})
+	cold, coldBody, err := await[ScheduleResponse](svc.BeginSchedule(context.Background(), tinyScheduleRequest(), SubmitOptions{}))
 	if err != nil {
 		t.Fatalf("cold schedule: %v", err)
 	}
@@ -279,7 +292,7 @@ func TestPreCancelledDoesZeroWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	runsBefore := authblock.OptimalRuns()
-	_, _, err := svc.Schedule(ctx, tinyScheduleRequest(), SubmitOptions{})
+	_, _, err := await[ScheduleResponse](svc.BeginSchedule(ctx, tinyScheduleRequest(), SubmitOptions{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled schedule = %v, want context.Canceled", err)
 	}
@@ -418,7 +431,7 @@ func TestAuthBlockRoundTrip(t *testing.T) {
 		Params:   authblock.DefaultParams(),
 		MaxU:     4,
 	}
-	resp, body, err := svc.AuthBlock(context.Background(), req, SubmitOptions{})
+	resp, body, err := await[AuthBlockResponse](svc.BeginAuthBlock(context.Background(), req, SubmitOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +467,7 @@ func TestSweepSmall(t *testing.T) {
 		Algorithm:        core.CryptOptCross,
 		AnnealIterations: 20,
 	}
-	resp, _, err := svc.Sweep(context.Background(), req, SubmitOptions{})
+	resp, _, err := await[SweepResponse](svc.BeginSweep(context.Background(), req, SubmitOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +505,7 @@ func TestSweepOversizedRejected(t *testing.T) {
 	}
 	req := &SweepRequest{Network: tinyNetwork(), Specs: specs, Cryptos: cryptos, Algorithm: core.CryptOptCross, Front: true}
 	before := dse.PruneStats()
-	_, _, err := svc.Sweep(context.Background(), req, SubmitOptions{})
+	_, _, err := await[SweepResponse](svc.BeginSweep(context.Background(), req, SubmitOptions{}))
 	if !errors.Is(err, ErrRequestTooLarge) {
 		t.Fatalf("%dx%d sweep = %v, want ErrRequestTooLarge", n, n, err)
 	}
@@ -515,7 +528,7 @@ func TestDrainingRejects(t *testing.T) {
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := svc.Schedule(context.Background(), tinyScheduleRequest(), SubmitOptions{})
+	_, _, err := await[ScheduleResponse](svc.BeginSchedule(context.Background(), tinyScheduleRequest(), SubmitOptions{}))
 	if !errors.Is(err, ErrDraining) {
 		t.Fatalf("schedule while draining = %v, want ErrDraining", err)
 	}
@@ -548,5 +561,40 @@ func waitForCounter(t *testing.T, c *atomic.Int64, want int64) {
 			t.Fatalf("timed out waiting for counter to reach %d (have %d)", want, c.Load())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// hugeCurveRequest asks for a 10^9-entry cost curve over a tiny grid: the
+// search is trivial, but the curve alone would need hundreds of GB.
+func hugeCurveRequest() *AuthBlockRequest {
+	return &AuthBlockRequest{
+		Producer: authblock.ProducerGrid{C: 1, H: 30, W: 30, TileC: 1, TileH: 30, TileW: 30, WritesPerTile: 1},
+		Consumer: authblock.ConsumerGrid{TileC: 1, WinH: 30, WinW: 30, StepH: 30, StepW: 30,
+			CountC: 1, CountH: 1, CountW: 1, FetchesPerTile: 1},
+		Params: authblock.DefaultParams(),
+		MaxU:   1_000_000_000,
+	}
+}
+
+// TestAuthBlockOversizedRejected: an authblock request whose cost curve
+// alone exceeds the default memory budget is rejected with
+// ErrRequestTooLarge at admission instead of allocating the curve.
+func TestAuthBlockOversizedRejected(t *testing.T) {
+	svc := New(Config{})
+	p, err := svc.BeginAuthBlock(context.Background(), hugeCurveRequest(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := p.Result(); !errors.Is(err, ErrRequestTooLarge) {
+		t.Fatalf("10^9-entry curve = %v, want ErrRequestTooLarge", err)
+	}
+	if c := svc.Stats().Service; c.RejectedTooLarge != 1 || c.Admitted != 0 {
+		t.Errorf("counters = %+v, want one too-large rejection and no admission", c)
+	}
+	// Curves of the size the benchmark requests stay near the flat base.
+	small := *hugeCurveRequest()
+	small.MaxU = 64
+	if est := authBlockMemEstimate(&small); est > 1<<20+64<<10 {
+		t.Errorf("max_u 64 estimate %d, want within 64 KiB of 1 MiB", est)
 	}
 }

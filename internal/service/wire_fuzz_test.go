@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"secureloop/internal/arch"
@@ -108,6 +109,7 @@ func FuzzWireRequest(f *testing.F) {
 				if err != nil || req.Validate() != nil {
 					return store.Key{}, false
 				}
+				checkAuthBlockEstimate(t, req)
 				return persistAuthBlockKey(req), true
 			})
 		}
@@ -141,6 +143,26 @@ func checkSweepEstimate(t *testing.T, svc *Service, req *SweepRequest) {
 		if g := svc.sweepMemEstimate(grown); g < est {
 			t.Fatalf("estimate dropped from %d to %d when the space grew to %d x %d points",
 				est, g, len(grown.Specs), len(grown.Cryptos))
+		}
+	}
+}
+
+// checkAuthBlockEstimate asserts the authblock admission estimate is
+// positive and does not drop as the requested curve grows.
+func checkAuthBlockEstimate(t *testing.T, req *AuthBlockRequest) {
+	t.Helper()
+	est := authBlockMemEstimate(req)
+	if est <= 0 {
+		t.Fatalf("authblock estimate %d for max_u %d", est, req.MaxU)
+	}
+	for _, more := range []int{req.MaxU + 1, 2 * req.MaxU, math.MaxInt} {
+		if more < req.MaxU {
+			continue // 2*MaxU wrapped
+		}
+		grown := *req
+		grown.MaxU = more
+		if g := authBlockMemEstimate(&grown); g < est {
+			t.Fatalf("estimate dropped from %d to %d when max_u grew from %d to %d", est, g, req.MaxU, more)
 		}
 	}
 }

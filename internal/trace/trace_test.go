@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -124,7 +125,10 @@ func TestOptimalNeverWorseThanDirectBaseline(t *testing.T) {
 	par := authblock.Params{WordBits: 8, HashBits: 64}
 	for i := 0; i < 120; i++ {
 		p, c := randGrids(rng)
-		opt := authblock.Optimal(p, c, par)
+		opt, err := authblock.OptimalCtx(context.Background(), p, c, par)
+		if err != nil {
+			t.Fatal(err)
+		}
 		direct := authblock.EvaluateCross(p, c, authblock.AlongQ, p.TileC*p.TileH*p.TileW, par)
 		if opt.Costs.Total() > direct.Total() {
 			t.Fatalf("iter %d: optimal %d > direct baseline %d (p=%+v c=%+v, a=%+v)",

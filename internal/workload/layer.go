@@ -4,7 +4,10 @@
 // assignment needs.
 package workload
 
-import "secureloop/internal/num"
+import (
+	"secureloop/internal/num"
+	"secureloop/internal/store"
+)
 
 // Layer is one convolutional layer.
 //
@@ -154,4 +157,16 @@ type ShapeError struct {
 
 func (e *ShapeError) Error() string {
 	return "workload: layer " + e.Layer + ": " + e.Reason
+}
+
+// EncodeShape appends every layer field a schedule depends on to a store
+// key, in declaration order. The name is a label and is left out, so every
+// key over a layer is shape-keyed and the cache tiers agree on what "the
+// same layer" means.
+func (l *Layer) EncodeShape(e *store.Enc) {
+	e.Int(int64(l.C)).Int(int64(l.M)).Int(int64(l.R)).Int(int64(l.S)).
+		Int(int64(l.P)).Int(int64(l.Q)).
+		Int(int64(l.StrideH)).Int(int64(l.StrideW)).
+		Int(int64(l.PadH)).Int(int64(l.PadW)).Int(int64(l.N)).
+		Bool(l.Depthwise).Int(int64(l.WordBits))
 }

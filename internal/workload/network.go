@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"secureloop/internal/num"
+	"secureloop/internal/store"
 )
 
 // Network is an ordered set of layers plus the segment structure SecureLoop
@@ -343,4 +344,21 @@ func ByName(name string) (*Network, error) {
 		return VGG16(), nil
 	}
 	return nil, fmt.Errorf("workload: unknown network %q (want alexnet, resnet18, mobilenetv2 or vgg16)", name)
+}
+
+// EncodeShape appends the network's shape identity to a store key: every
+// layer shape in order, then the segment structure. The name is a label
+// and is left out.
+func (n *Network) EncodeShape(e *store.Enc) {
+	e.Int(int64(len(n.Layers)))
+	for i := range n.Layers {
+		n.Layers[i].EncodeShape(e)
+	}
+	e.Int(int64(len(n.Segments)))
+	for _, seg := range n.Segments {
+		e.Int(int64(len(seg)))
+		for _, li := range seg {
+			e.Int(int64(li))
+		}
+	}
 }
