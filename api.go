@@ -86,20 +86,22 @@ const (
 )
 
 // MapperOptions selects the per-layer loopnest search strategy (the
-// scheduler's Mapper field). The zero value is the exhaustive search; set
-// Mode to GuidedSearch for the lower-bound-guided mode, which is an order
-// of magnitude faster, seeding each search from the warm-start store of
-// previous searches over similar layer shapes. At the default Epsilon = 0
-// it returns the exhaustive search's results, except on layers whose
-// stride exceeds the filter extent, where its answer can depend on which
-// searches ran before it:
+// scheduler's Mapper field). The zero value is the exhaustive search, which
+// returns the exact top-k: it runs best-first on every layer whose stride
+// is at most its filter extent and walks the whole tiling lattice only on
+// the rest (ResNet-18's 1×1 stride-2 downsamples). Set Mode to GuidedSearch
+// to run best-first on every layer, seeding each search from the
+// warm-start store of previous searches over similar layer shapes. At the
+// default Epsilon = 0 it returns the exhaustive search's results, except on
+// layers whose stride exceeds the filter extent, where its answer can
+// depend on which searches ran before it:
 //
 //	s := secureloop.NewScheduler(spec, crypto)
 //	s.Mapper = secureloop.MapperOptions{Mode: secureloop.GuidedSearch}
 //
-// Epsilon > 0 relaxes the search further: each returned schedule's
+// Epsilon > 0 relaxes the guided search further: each returned schedule's
 // scheduling cycles may exceed the exhaustive result's by at most a factor
-// of (1 + Epsilon).
+// of (1 + Epsilon). The exhaustive search ignores Epsilon.
 type MapperOptions = mapper.Options
 
 // The loopnest search modes.

@@ -9,10 +9,13 @@
 //	    [-prune] [-csv out.csv] [-progress]
 //	    [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -guided switches every loopnest search to the lower-bound-guided mode
-// with cross-design-point warm starts (an order of magnitude faster per
-// layer; at the default -epsilon 0 it matches the exhaustive search except
-// on layers whose stride exceeds the filter extent, see DESIGN.md §12).
+// -guided switches every loopnest search to the guided mode: the
+// lower-bound-guided best-first search on every layer, with
+// cross-design-point warm starts and the -epsilon relaxation. The default
+// exhaustive mode already runs that search, cold and exact, on every layer
+// whose stride is at most its filter extent. At the default -epsilon 0 the
+// guided mode matches the exhaustive one except on layers whose stride
+// exceeds the filter extent (see DESIGN.md §12).
 // -prune turns on dominance pruning: a cheap bound pre-pass plus a
 // streaming Pareto front let the sweep skip design points that cannot
 // reach the front, and the output (the front itself, byte-identical to the

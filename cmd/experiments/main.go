@@ -10,14 +10,17 @@
 // -quick trades fidelity for speed (fewer annealing iterations and seeds);
 // use it for smoke runs. The full run regenerates every experiment at
 // paper-scale settings. -guided switches every loopnest search to the
-// lower-bound-guided mode (byte-identical results at the default -epsilon 0,
-// an order of magnitude faster). -store names a persistent result-store
-// directory: a warm rerun replays byte-identical schedules from disk instead
-// of recomputing them. -progress streams per-stage scheduling progress to
-// stderr. -cachestats reports every memoisation tier's hit ratio and
-// counters (mapper search cache, tile-candidate cache, warm-start store,
-// guided-search work, AuthBlock memos, sweep-coordinator pruning,
-// persistent store) after the run.
+// guided mode: the lower-bound-guided best-first search on every layer,
+// with warm starts (the default exhaustive mode already runs it, cold and
+// exact, on every layer whose stride is at most its filter extent; at the
+// default -epsilon 0 the two modes agree except on layers whose stride
+// exceeds the filter extent, see DESIGN.md §12). -store names a persistent
+// result-store directory: a warm rerun replays byte-identical schedules
+// from disk instead of recomputing them. -progress streams per-stage
+// scheduling progress to stderr. -cachestats reports every memoisation
+// tier's hit ratio and counters (mapper search cache, tile-candidate
+// cache, warm-start store, best-first search work, AuthBlock memos,
+// sweep-coordinator pruning, persistent store) after the run.
 //
 // Ctrl-C cancels the run: in-flight schedules stop at their next stage
 // boundary and the error names the stage that was interrupted.
@@ -182,7 +185,7 @@ func ratio(hits, misses int64) string {
 }
 
 // printCacheStats reports every memoisation tier with its hit ratio: the
-// in-memory mapper and AuthBlock memos, the guided-search counters, and
+// in-memory mapper and AuthBlock memos, the best-first search counters, and
 // (when -store is set) the persistent cross-process tier.
 func printCacheStats(st *store.Store) {
 	ms, mt, mw := mapper.CacheStats()

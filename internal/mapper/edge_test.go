@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -43,6 +44,35 @@ func TestSpatialFactorsEdgeCases(t *testing.T) {
 		for _, f := range got {
 			if f < 1 || f > c.axis {
 				t.Errorf("spatialFactors(%d,%d): factor %d outside [1,%d]", c.bound, c.axis, f, c.axis)
+			}
+		}
+	}
+}
+
+// TestSpatialFactorsMatchesLinearScan: the divisor-pair search picks the
+// factors a linear scan down from the array axis picks.
+func TestSpatialFactorsMatchesLinearScan(t *testing.T) {
+	scan := func(bound, axis int) []int {
+		if bound <= 1 || axis <= 1 {
+			return []int{1}
+		}
+		full := min(bound, axis)
+		div := 1
+		for f := full; f >= 1; f-- {
+			if bound%f == 0 {
+				div = f
+				break
+			}
+		}
+		if div == full {
+			return []int{full}
+		}
+		return []int{full, div}
+	}
+	for bound := -2; bound <= 5000; bound++ {
+		for axis := -2; axis <= 200; axis++ {
+			if got, want := spatialFactors(bound, axis), scan(bound, axis); !slices.Equal(got, want) {
+				t.Fatalf("spatialFactors(%d,%d) = %v, linear scan %v", bound, axis, got, want)
 			}
 		}
 	}

@@ -7,6 +7,8 @@
 
 package mapper
 
+import "secureloop/internal/workload"
+
 // SearchLowerBound returns a lower bound on the scheduling cycles of the
 // best candidate SearchCtx can return for req, on either search path
 // (exhaustive or guided) and at any TopK.
@@ -63,8 +65,18 @@ func SearchLowerBound(req Request) int64 {
 // path prunes and clamps against: the cycles to move every element of the
 // layer's tensors across the chip boundary once at the effective
 // bandwidth. It counts every input row, so it overshoots on layers whose
-// stride exceeds the filter extent (see SearchLowerBound).
+// stride exceeds the filter extent (see SearchLowerBound and floorHolds).
 func trafficFloor(req Request) int64 {
 	l := req.Layer
 	return int64(float64(l.TotalVolume()*int64(l.WordBits)) / 8 / req.EffectiveBytesPerCycle)
+}
+
+// floorHolds reports whether trafficFloor is a true lower bound on every
+// candidate of the layer. The tiles of an output axis fetch windows of
+// (extent-1)×stride + filter input rows each; while the stride is at most
+// the filter extent, neighbouring windows overlap or touch, so together
+// they cover every input row the floor counts. A larger stride leaves gaps
+// between windows that the cost model never fetches.
+func floorHolds(l *workload.Layer) bool {
+	return l.StrideH <= l.R && l.StrideW <= l.S
 }

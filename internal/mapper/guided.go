@@ -1,33 +1,35 @@
-// Guided search: a lower-bound-guided best-first enumeration of the same
-// tiling lattice the exhaustive path walks, replacing brute force on the
-// per-layer hot path (ROADMAP item 4).
+// Best-first search: a lower-bound-guided enumeration of the same tiling
+// lattice the lattice walk (searchTilings) visits. Guided mode always runs
+// it; exhaustive mode runs it at Epsilon = 0 without the warm-start store
+// on every layer whose traffic floor holds (floorHolds), which is every
+// built-in layer except ResNet-18's three 1×1 stride-2 downsamples.
 //
-// The exhaustive search pays a full mapping.Analyze plus a six-way
-// permutation fold for every capacity-feasible tiling. The guided search
-// observes that every term of scoreTiling's per-tiling lower bound —
-// compute cycles, the distinct-tile traffic floor MinOffchipElems, and the
-// GLB occupancy — factorizes per dimension once the spatial skeleton is
-// fixed. It therefore precomputes per-dimension candidate tables for each
-// spatial choice, derives the exact lower bound of every lattice point with
-// a handful of integer multiplies (pass A), sorts the survivors by bound,
+// The lattice walk pays a full mapping.Analyze plus a six-way permutation
+// fold for every capacity-feasible tiling. The best-first search observes
+// that every term of scoreTiling's per-tiling lower bound — compute
+// cycles, the distinct-tile traffic floor MinOffchipElems, and the GLB
+// occupancy — factorizes per dimension once the spatial skeleton is fixed.
+// It therefore precomputes per-dimension candidate tables for each spatial
+// choice, derives the exact lower bound of every lattice point with a
+// handful of integer multiplies (pass A), sorts the survivors by bound,
 // and only scores tilings through the full permutation fold (pass B) until
 // the next-best bound proves no unexplored tiling can rank within the
-// top-k. At Epsilon = 0 the result is byte-identical to the exhaustive
-// search, and at Epsilon > 0 every returned rank is within (1+Epsilon)× of
-// the exhaustive rank's scheduling cycles, as long as every bound is a true
-// lower bound (see DESIGN.md §12 for the argument). One bound is not: the
+// top-k. At Epsilon = 0 the result is byte-identical to the lattice walk,
+// and at Epsilon > 0 every returned rank is within (1+Epsilon)× of the
+// exact rank's scheduling cycles, as long as every bound is a true lower
+// bound (see DESIGN.md §12 for the argument). One bound is not: the
 // tiling-independent traffic floor counts every input row, but when the
 // stride exceeds the filter extent the cost model fetches only the rows a
 // window touches, so the floor can sit above the achievable cost. On such
-// layers (ResNet-18's 1×1 stride-2 downsamples) both searches stop at a
-// visit-order-dependent candidate, guided and exhaustive can disagree, and
-// the guided answer depends on the warm-start seeds, i.e. on which searches
-// ran before it. TestSearchEquivalence and TestGuidedSearchEquivalence
-// cover no such layer.
+// layers both searches stop at a visit-order-dependent candidate, so
+// exhaustive mode keeps the lattice walk there, while a guided answer can
+// differ from it and depends on the warm-start seeds, i.e. on which
+// searches ran before it. TestGuidedSearchEquivalence covers no such
+// layer.
 //
-// A warm-start store (warmstore.go) seeds the search with previous winners
-// for similar layer shapes, so DSE sweeps over neighbouring design points
-// start with a tight pruning threshold instead of a cold one.
+// A warm-start store (warmstore.go) seeds guided searches with previous
+// winners for similar layer shapes, so DSE sweeps over neighbouring design
+// points start with a tight pruning threshold instead of a cold one.
 package mapper
 
 import (
@@ -47,29 +49,32 @@ import (
 type Mode int
 
 const (
-	// Exhaustive enumerates every capacity-feasible tiling (the historical
-	// path, retained as the guided search's oracle).
+	// Exhaustive returns the exact top-k of the whole tiling lattice: the
+	// best-first search at Epsilon 0 without warm starts where the traffic
+	// floor holds, the lattice walk where it overshoots.
 	Exhaustive Mode = iota
-	// Guided is the lower-bound-guided best-first search.
+	// Guided is the lower-bound-guided best-first search on every layer,
+	// with Epsilon and warm starts.
 	Guided
 )
 
 // Options selects the search strategy and its accuracy knob. The zero value
-// (exhaustive) preserves the historical behaviour exactly.
+// (exhaustive) returns the historical exact answers.
 type Options struct {
 	Mode Mode
-	// Epsilon is the admissible scheduling-cycle regression of the guided
-	// search relative to the exhaustive top-k: rank-i cycles are at most
-	// (1+Epsilon) times the exhaustive rank-i cycles. 0 (the default) makes
-	// the guided result byte-identical to the exhaustive one, except on
-	// layers whose stride exceeds the filter extent, where the traffic
-	// floor overshoots (see the file comment).
+	// Epsilon is the admissible scheduling-cycle regression of a guided
+	// search relative to the exact top-k: rank-i cycles are at most
+	// (1+Epsilon) times the exact rank-i cycles. 0 (the default) makes the
+	// guided result byte-identical to the exhaustive one, except on layers
+	// whose stride exceeds the filter extent, where the traffic floor
+	// overshoots (see the file comment). Exhaustive mode ignores it.
 	Epsilon float64
-	// DisableWarmStart skips the cross-request warm-start store. Seeds only
-	// tighten pruning, so where every bound holds the results at
-	// Epsilon = 0 are unaffected; on layers whose stride exceeds the filter
-	// extent, and at any Epsilon > 0, seeds can change the answer. It
-	// exists for cold benchmarks and determinism-sensitive tests.
+	// DisableWarmStart skips the cross-request warm-start store in guided
+	// mode; exhaustive mode never uses the store. Seeds only tighten
+	// pruning, so where every bound holds the results at Epsilon = 0 are
+	// unaffected; on layers whose stride exceeds the filter extent, and at
+	// any Epsilon > 0, seeds can change the answer. It exists for cold
+	// benchmarks and determinism-sensitive tests.
 	DisableWarmStart bool
 }
 
@@ -463,10 +468,11 @@ func snapTile(cands []int, tile int) int {
 	return cands[i-1]
 }
 
-// searchGuided is the guided-mode body of SearchCtx. It shares spatial
-// enumeration, tile candidates, capacity arithmetic, scoring and top-k
-// semantics with the exhaustive path; only the evaluation *order* and the
-// bound-driven stopping differ.
+// searchGuided is SearchCtx's best-first body, in guided mode and in
+// exhaustive mode where the floor holds. It shares spatial enumeration,
+// tile candidates, capacity arithmetic, scoring and top-k semantics with
+// the lattice walk; only the evaluation *order* and the bound-driven
+// stopping differ.
 func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	if req.TopK < 1 {
 		req.TopK = 1
@@ -475,7 +481,12 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, cerr)
 	}
-	eps := req.Opt.Epsilon
+	// Exhaustive mode asks for the exact top-k and must leave no trace in
+	// the warm-start store, so Epsilon and seeding apply to guided mode only.
+	eps, seeded := 0.0, false
+	if req.Opt.Mode == Guided {
+		eps, seeded = req.Opt.Epsilon, !req.Opt.DisableWarmStart
+	}
 	best := newTopK(req.TopK)
 	var gc guidedCounts
 	defer func() { publishGuided(req, &gc) }()
@@ -492,7 +503,7 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	// Warm-start seeds tighten the pruning threshold before any lattice is
 	// walked; each is snapped to its spatial choice's lattice and scored
 	// like any other tiling.
-	if !req.Opt.DisableWarmStart {
+	if seeded {
 		for _, sd := range warmSeeds(req) {
 			key := sd.spatialKey()
 			for _, g := range parts {
@@ -545,7 +556,7 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	if len(out) == 0 {
 		out = fallbackCandidates(req)
 	}
-	if !req.Opt.DisableWarmStart {
+	if seeded {
 		warmPut(req, out)
 	}
 	return out, nil

@@ -13,7 +13,10 @@
 // the first capacity violation (occupancy is monotone in each tile size),
 // and clones a Mapping only when a candidate actually enters the top-k. The
 // pre-optimisation implementation is retained in reference_test.go as the
-// oracle for the search-equivalence test.
+// oracle for the search-equivalence test. Exhaustive-mode searches walk
+// this lattice only on layers whose traffic floor overshoots; elsewhere
+// they run the best-first search of guided.go, which returns the same
+// bytes.
 package mapper
 
 import (
@@ -65,9 +68,9 @@ type Request struct {
 	// TopK is how many distinct schedules to return (>=1).
 	TopK int
 	// Opt selects the search strategy; the zero value (exhaustive, ε=0)
-	// preserves the historical behaviour exactly.
+	// returns the historical answers exactly.
 	Opt Options
-	// Observe receives per-search instrumentation events (guided-search
+	// Observe receives per-search instrumentation events (best-first search
 	// evaluated/pruned/skipped accounting); nil means none. It is not part
 	// of the cached-search identity.
 	Observe obs.Observer
@@ -86,11 +89,14 @@ type Request struct {
 // boundaries, and the error is ctx.Err() wrapped with the layer name. A
 // panic anywhere in the search (an overflow guard tripping on a malformed
 // layer) is recovered here and surfaced as an error.
-// req.Opt selects between the exhaustive path and the guided best-first
-// path (guided.go); both produce top-k sets under the identical ranking.
+// Guided mode always runs the best-first search (guided.go). Exhaustive
+// mode runs it too, at Epsilon 0 and without the warm-start store,
+// wherever the traffic floor is a true lower bound (floorHolds): there it
+// returns the lattice walk's exact top-k. Only on layers where the floor
+// overshoots does exhaustive mode walk the whole lattice (searchTilings).
 func SearchCtx(ctx context.Context, req Request) (out []Candidate, err error) {
 	defer obs.CapturePanic(&err)
-	if req.Opt.Mode == Guided {
+	if req.Opt.Mode == Guided || floorHolds(req.Layer) {
 		return searchGuided(ctx, req)
 	}
 	return search(ctx, req, searchTilings)
@@ -203,15 +209,19 @@ func spatialFactors(bound, axis int) []int {
 	if bound <= 1 || axis <= 1 {
 		return []int{1}
 	}
-	full := bound
-	if full > axis {
-		full = axis
-	}
+	full := min(bound, axis)
+	// The largest divisor <= full, found among the divisor pairs
+	// (d, bound/d) with d <= bound/d: √bound steps, however large the axis.
 	div := 1
-	for f := full; f >= 1; f-- {
-		if bound%f == 0 {
-			div = f
-			break
+	for d := 1; d <= bound/d; d++ {
+		if bound%d != 0 {
+			continue
+		}
+		if d <= full {
+			div = max(div, d)
+		}
+		if q := bound / d; q <= full {
+			div = max(div, q)
 		}
 	}
 	if div == full {

@@ -160,9 +160,11 @@ func warmPut(req Request, out []Candidate) {
 	warmMemo.Set(warmKeyFor(req), seeds)
 }
 
-// Process-wide guided-search work counters (GuidedSearchStats). The per
-// search numbers also flow through obs.MapperSearchEvent; these aggregates
-// serve tests and the experiments -cachestats report.
+// Process-wide best-first search work counters (GuidedSearchStats). They
+// count every best-first search, in guided mode and in exhaustive mode
+// where the traffic floor holds; lattice walks add nothing. The per-search
+// numbers also flow through obs.MapperSearchEvent; these aggregates serve
+// tests, /v1/stats and the experiments -cachestats report.
 var (
 	guidedSearches  atomic.Int64
 	guidedEvaluated atomic.Int64
@@ -171,9 +173,10 @@ var (
 	guidedWarmSeeds atomic.Int64
 )
 
-// GuidedStats aggregates guided-search work accounting across the process.
+// GuidedStats aggregates best-first search work accounting across the
+// process, in both modes.
 type GuidedStats struct {
-	// Searches counts guided searches run.
+	// Searches counts best-first searches run.
 	Searches int64
 	// Evaluated counts tilings fully scored (permutation fold), warm seeds
 	// included.
@@ -188,7 +191,7 @@ type GuidedStats struct {
 	WarmSeeds int64
 }
 
-// GuidedSearchStats snapshots the guided-search counters.
+// GuidedSearchStats snapshots the best-first search counters.
 func GuidedSearchStats() GuidedStats {
 	return GuidedStats{
 		Searches:  guidedSearches.Load(),

@@ -67,13 +67,15 @@ type AnnealEvent struct {
 	Best       float64 `json:"best"`
 }
 
-// MapperSearchEvent accounts for one guided mapper search: how many tilings
-// were fully scored versus disposed of cheaply. Evaluated counts tilings
-// scored through the full permutation fold (warm-start seeds included);
-// Pruned counts capacity-feasible tilings whose analytical lower bound
-// exceeded the pruning threshold, so they were never scored; Skipped counts
-// tilings inside spatial choices discarded wholesale by their part-level
-// bound. WarmSeeds is how many warm-start seeds were applied.
+// MapperSearchEvent accounts for one best-first mapper search, in guided
+// mode or in exhaustive mode where the traffic floor holds (a full lattice
+// walk emits none): how many tilings were fully scored versus disposed of
+// cheaply. Evaluated counts tilings scored through the full permutation
+// fold (warm-start seeds included); Pruned counts capacity-feasible tilings
+// whose analytical lower bound exceeded the pruning threshold, so they
+// were never scored; Skipped counts tilings inside spatial choices
+// discarded wholesale by their part-level bound. WarmSeeds is how many
+// warm-start seeds were applied.
 type MapperSearchEvent struct {
 	Layer     string `json:"layer"`
 	Evaluated int64  `json:"evaluated"`

@@ -128,6 +128,46 @@ func TestSweepKeyNeutralKnobs(t *testing.T) {
 	}
 }
 
+// TestHugeArrayAxisMeetsDeadline: a one-layer network whose output rows
+// (a prime, 1000000007) are spread over a 1000000006-wide PE axis resolves
+// well inside two seconds. Finding the bound's largest divisor that fits
+// the axis has no cancellation point, so it must cost √bound steps, not
+// one per PE.
+func TestHugeArrayAxisMeetsDeadline(t *testing.T) {
+	const body = `{
+		"network": {"name": "huge", "layers": [{"name": "l0", "c": 1, "m": 1, "r": 1, "s": 1, "p": 1000000007, "q": 1}]},
+		"arch": {"pes_x": 1000000006},
+		"deadline_ms": 200
+	}`
+	var w ScheduleWire
+	if err := json.Unmarshal([]byte(body), &w); err != nil {
+		t.Fatal(err)
+	}
+	req, err := w.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{})
+	start := time.Now()
+	p, err := svc.BeginSchedule(context.Background(), req, SubmitOptions{Deadline: time.Duration(w.DeadlineMS) * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, _, err := p.Result()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("schedule failed after %v: %v", time.Since(start), err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("schedule still unresolved after 2 s")
+	}
+}
+
 // countingObserver counts StageStart calls.
 type countingObserver struct {
 	obs.Nop

@@ -48,7 +48,9 @@ type RatioStats struct {
 	Entries   int64 `json:"entries"`
 }
 
-// GuidedStatsBody is the guided mapper search's counters on the wire.
+// GuidedStatsBody is the best-first mapper search's counters on the wire.
+// They count every best-first search, in guided mode and in exhaustive mode
+// wherever the traffic floor holds.
 type GuidedStatsBody struct {
 	Searches  int64 `json:"searches"`
 	Evaluated int64 `json:"evaluated"`

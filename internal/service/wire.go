@@ -70,7 +70,8 @@ type CryptoWire struct {
 type MapperWire struct {
 	// Mode is "exhaustive" (default) or "guided".
 	Mode string `json:"mode,omitempty"`
-	// Epsilon is the guided search's exploration margin.
+	// Epsilon is the guided search's exploration margin; exhaustive mode
+	// ignores it.
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// DisableWarmStart turns off cross-request warm starts.
 	DisableWarmStart bool `json:"disable_warm_start,omitempty"`
