@@ -122,10 +122,13 @@ type CryptoConfig = cryptoengine.Config
 // CryptoEngine is one AES-GCM engine microarchitecture (Table 2).
 type CryptoEngine = cryptoengine.EngineArch
 
-// Observer receives progress events from a running search (stage start/end,
-// per-layer completion, annealing progress). Implementations must be safe
-// for concurrent use; events carry no wall-clock state, so an observed run
-// stays byte-identical to an unobserved one.
+// Observer receives events from a running search: progress (stage
+// start/end, per-layer completion, annealing progress) and the work-count
+// events MapperSearch and AuthBlockSearch, one per mapper or AuthBlock
+// search that actually ran for this request (a search a cache answered
+// reports nothing). Implementations must be safe for concurrent use;
+// events carry no wall-clock state, so an observed run stays
+// byte-identical to an unobserved one.
 type Observer = obs.Observer
 
 // NewProgressLogger returns an Observer that renders progress events as

@@ -19,8 +19,9 @@
 // from disk instead of recomputing them. -progress streams per-stage
 // scheduling progress to stderr. -cachestats reports every memoisation
 // tier's hit ratio and counters (mapper search cache, tile-candidate
-// cache, warm-start store, best-first search work, AuthBlock memos,
-// sweep-coordinator pruning, persistent store) after the run.
+// cache, warm-start store, AuthBlock memos, persistent store) after the
+// run, with the best-first mapper and AuthBlock searches the run's
+// schedulers reported.
 //
 // Ctrl-C cancels the run: in-flight schedules stop at their next stage
 // boundary and the error names the stage that was interrupted.
@@ -38,7 +39,6 @@ import (
 	"time"
 
 	"secureloop/internal/authblock"
-	"secureloop/internal/dse"
 	"secureloop/internal/experiments"
 	"secureloop/internal/mapper"
 	"secureloop/internal/memo"
@@ -63,17 +63,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var observer obs.Observer
+	var logger obs.Observer
 	if *progress {
-		observer = obs.NewLogger(os.Stderr)
+		logger = obs.NewLogger(os.Stderr)
 	}
+	var tally obs.Tally // the searches -cachestats reports
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}
 	defer stopProf()
 
-	opts := experiments.Options{Quick: *quick, Observe: observer}
+	opts := experiments.Options{Quick: *quick, Observe: obs.Multi(logger, &tally)}
 	if *guided {
 		opts.Mapper = mapper.Options{Mode: mapper.Guided, Epsilon: *epsilon}
 	}
@@ -171,7 +172,7 @@ func main() {
 	})
 
 	if *cachestats {
-		printCacheStats(st)
+		printCacheStats(st, tally.Counts())
 	}
 }
 
@@ -185,25 +186,22 @@ func ratio(hits, misses int64) string {
 }
 
 // printCacheStats reports every memoisation tier with its hit ratio: the
-// in-memory mapper and AuthBlock memos, the best-first search counters, and
-// (when -store is set) the persistent cross-process tier.
-func printCacheStats(st *store.Store) {
+// in-memory mapper and AuthBlock memos, the searches the run's schedulers
+// reported (work), and (when -store is set) the persistent cross-process
+// tier.
+func printCacheStats(st *store.Store, work obs.Counts) {
 	ms, mt, mw := mapper.CacheStats()
 	printMemo("mapper search cache:", ms)
 	printMemo("mapper tile cache:", mt)
 	printMemo("mapper warm store:", mw)
-	gs := mapper.GuidedSearchStats()
 	fmt.Printf("guided search:        %d searches, %d evaluated, %d pruned, %d skipped, %d warm seeds\n",
-		gs.Searches, gs.Evaluated, gs.Pruned, gs.Skipped, gs.WarmSeeds)
+		work.MapperSearches, work.Evaluated, work.Pruned, work.Skipped, work.WarmSeeds)
 	ao, at, ad, as := authblock.CacheStats()
 	printMemo("authblock optimal:", ao)
-	fmt.Printf("authblock searches:   %d run\n", authblock.OptimalRuns())
+	fmt.Printf("authblock searches:   %d run\n", work.AuthBlockSearches)
 	printMemo("authblock tile-block:", at)
 	printMemo("authblock decomp:", ad)
 	printMemo("authblock sizes:", as)
-	ps := dse.PruneStats()
-	fmt.Printf("sweep prune:          %d points bounded, %d pruned, %d deferred, %d re-evaluated in the exact pass, %d full evals (%d store-answered)\n",
-		ps.Bounded, ps.Pruned, ps.Deferred, ps.Reevaluated, ps.FullEvals, ps.StoreHits)
 	if st != nil {
 		ss := st.Stats()
 		fmt.Printf("persistent store:     %s hit ratio (%d hits, %d misses), %d puts, %d corrupt, %d evicted segments, %d entries, %d bytes\n",

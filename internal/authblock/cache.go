@@ -45,14 +45,13 @@ func CacheStats() (optimal, tile, decomp, sizes memo.Stats) {
 	return optMemo.Stats(), tileMemo.Stats(), decompMemo.Stats(), sizeMemo.Stats()
 }
 
-// ResetCaches drops all memoised results and zeroes the counters, OptimalRuns
-// included (benchmarks and tests that need a cold cache).
+// ResetCaches drops all memoised results and zeroes the memo counters
+// (benchmarks and tests that need a cold cache).
 func ResetCaches() {
 	optMemo.Reset()
 	tileMemo.Reset()
 	decompMemo.Reset()
 	sizeMemo.Reset()
-	optRuns.Store(0)
 }
 
 // TileAsAuthBlockCached is TileAsAuthBlock with process-wide memoisation.

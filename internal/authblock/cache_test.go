@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"secureloop/internal/memo"
+	"secureloop/internal/obs"
 )
 
 func cacheFixtures() (ProducerGrid, ConsumerGrid, Params) {
@@ -22,7 +23,7 @@ func cacheFixtures() (ProducerGrid, ConsumerGrid, Params) {
 // deadline.
 func optimalCached(t testing.TB, p ProducerGrid, c ConsumerGrid, par Params) Result {
 	t.Helper()
-	r, err := OptimalStoredCtx(context.Background(), nil, p, c, par)
+	r, err := OptimalStoredCtx(context.Background(), nil, nil, p, c, par)
 	if err != nil {
 		t.Error(err)
 	}
@@ -54,17 +55,20 @@ func TestTileAsAuthBlockCachedMatchesUncached(t *testing.T) {
 func TestCacheStatsCountHitsAndMisses(t *testing.T) {
 	ResetCaches()
 	p, c, par := cacheFixtures()
-	optimalCached(t, p, c, par)
-	optimalCached(t, p, c, par)
-	optimalCached(t, p, c, par)
+	var work obs.Tally
+	for i := 0; i < 3; i++ {
+		if _, err := OptimalStoredCtx(context.Background(), &work, nil, p, c, par); err != nil {
+			t.Fatal(err)
+		}
+	}
 	TileAsAuthBlockCached(p, c, par)
 	TileAsAuthBlockCached(p, c, par)
 	opt, tile, _, _ := CacheStats()
 	if opt.Misses != 1 || opt.Hits != 2 || opt.Entries != 1 {
 		t.Errorf("optimal stats = %+v", opt)
 	}
-	if runs := OptimalRuns(); runs != 1 {
-		t.Errorf("OptimalRuns = %d, want 1", runs)
+	if runs := work.Counts().AuthBlockSearches; runs != 1 {
+		t.Errorf("AuthBlock searches reported = %d, want 1", runs)
 	}
 	if tile.Misses != 1 || tile.Hits != 1 || tile.Entries != 1 {
 		t.Errorf("tile stats = %+v", tile)
@@ -73,9 +77,6 @@ func TestCacheStatsCountHitsAndMisses(t *testing.T) {
 	opt, tile, decomp, sizes := CacheStats()
 	if opt != (memo.Stats{}) || tile != (memo.Stats{}) || decomp != (memo.Stats{}) || sizes != (memo.Stats{}) {
 		t.Errorf("stats after reset: opt=%+v tile=%+v decomp=%+v sizes=%+v", opt, tile, decomp, sizes)
-	}
-	if runs := OptimalRuns(); runs != 0 {
-		t.Errorf("OptimalRuns after reset = %d", runs)
 	}
 }
 

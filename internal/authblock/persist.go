@@ -3,8 +3,8 @@ package authblock
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
+	"secureloop/internal/obs"
 	"secureloop/internal/store"
 )
 
@@ -16,15 +16,6 @@ import (
 
 // optPrefix namespaces authblock records within the shared store.
 const optPrefix = "authblock.optimal"
-
-// optRuns counts actual OptimalCtx executions through the cached path —
-// misses that neither tier could answer. Warm-versus-cold assertions use
-// it to prove a warm sweep re-runs (almost) nothing.
-var optRuns atomic.Int64
-
-// OptimalRuns reports how many optimal searches actually executed via
-// OptimalStoredCtx since the last reset.
-func OptimalRuns() int64 { return optRuns.Load() }
 
 // persistOptimalKey canonically encodes the memo identity.
 func persistOptimalKey(k cacheKey) store.Key {
@@ -120,8 +111,10 @@ func decodeResult(raw []byte) (Result, error) {
 // one search and one store lookup. A search interrupted by cancellation is
 // never stored, so a cancelled request cannot seed the memo with a partial
 // (non-optimal) assignment. Undecodable records are treated as misses,
-// never errors.
-func OptimalStoredCtx(ctx context.Context, st *store.Store, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
+// never errors. When the search actually runs, ob (nil: none) receives one
+// AuthBlockSearch event; a memo hit, a wait on another caller's search and
+// a store hit report nothing.
+func OptimalStoredCtx(ctx context.Context, ob obs.Observer, st *store.Store, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
 	key := cacheKey{p: p, c: c, par: par}
 	return optMemo.Do(ctx, key, func() (Result, error) {
 		var pk store.Key
@@ -133,7 +126,9 @@ func OptimalStoredCtx(ctx context.Context, st *store.Store, p ProducerGrid, c Co
 				}
 			}
 		}
-		optRuns.Add(1)
+		if ob != nil {
+			ob.AuthBlockSearch(obs.AuthBlockSearchEvent{})
+		}
 		r, err := OptimalCtx(ctx, p, c, par)
 		if err == nil && st != nil {
 			st.Put(store.KindAuthBlock, pk, encodeResult(r))

@@ -74,7 +74,7 @@ func (r *run) computePair(a, b, ca, cb int) (authblock.Costs, authblock.Assignme
 		}
 		return costs, assign, nil
 	default:
-		res, err := authblock.OptimalStoredCtx(r.ctx, r.s.Store, p, c, r.s.Params)
+		res, err := authblock.OptimalStoredCtx(r.ctx, r.ob, r.s.Store, p, c, r.s.Params)
 		return res.Costs, res.Assignment, err
 	}
 }

@@ -85,8 +85,8 @@ func TestSweepCancelMidSweep(t *testing.T) {
 
 // TestSweepCancelDuringPrepass: a pruned sweep cancelled while its bound
 // pre-pass runs stops the pre-pass at the next spec and evaluates no
-// point. The pre-pass never completes, so the process-wide Bounded counter
-// does not move.
+// point. The pre-pass never completes, so the sweep's own accounting
+// reports no bounded point and no evaluation.
 func TestSweepCancelDuringPrepass(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -98,7 +98,6 @@ func TestSweepCancelDuringPrepass(t *testing.T) {
 			cancel()
 		}
 	}
-	before := PruneStats()
 	res, err := Sweep(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptCross,
 		Options{AnnealIterations: 20, Observe: ob, Prune: true})
 	if !errors.Is(err, context.Canceled) {
@@ -113,9 +112,8 @@ func TestSweepCancelDuringPrepass(t *testing.T) {
 	if n := ob.points.Load(); n != 0 {
 		t.Errorf("%d design points evaluated after cancellation in the pre-pass", n)
 	}
-	after := PruneStats()
-	if after.Bounded != before.Bounded || after.FullEvals != before.FullEvals {
-		t.Errorf("pre-pass ran to completion despite cancellation: before %+v, after %+v", before, after)
+	if res.Stats.Bounded != 0 || res.Stats.FullEvals != 0 {
+		t.Errorf("pre-pass ran to completion despite cancellation: %+v", res.Stats)
 	}
 }
 

@@ -71,8 +71,8 @@ const PointMemBytes = int64(unsafe.Sizeof(pointJob{}) + unsafe.Sizeof(jobState(0
 type FrontStats struct {
 	// Points is the design-point count of the sweep.
 	Points int
-	// Bounded counts points given a pre-pass cycle lower bound (all of them
-	// when pruning is on, 0 otherwise).
+	// Bounded counts points given a pre-pass cycle lower bound: all of them
+	// once a pruned sweep's pre-pass completes, 0 otherwise.
 	Bounded int
 	// Pruned counts points skipped by dominance without a full evaluation
 	// (exact-pass prunes of deferred points included).
@@ -99,7 +99,8 @@ type SweepResult struct {
 	// Front is the Pareto front in ascending area, byte-identical to
 	// ParetoFront over the unpruned sweep's points.
 	Front []DesignPoint
-	// Stats is the run's work accounting.
+	// Stats is the run's work accounting. A failed sweep returns no points
+	// but still reports the work it did before failing.
 	Stats FrontStats
 }
 
@@ -133,10 +134,10 @@ func Sweep(ctx context.Context, net *workload.Network, specs []arch.Spec, crypto
 	}
 	c.ob.StageStart(obs.StageEvent{Stage: obs.StageSweep, Units: jobs})
 	if err := c.computeBounds(ctx); err != nil {
-		return SweepResult{}, err
+		return SweepResult{Stats: c.frontStats()}, err
 	}
 	if err := c.run(ctx); err != nil {
-		return SweepResult{}, err
+		return SweepResult{Stats: c.frontStats()}, err
 	}
 	points := c.evaluatedPoints()
 	MarkPareto(points)
@@ -175,6 +176,7 @@ type coordinator struct {
 	front   frontTracker
 	done    atomic.Int64 // terminal dispositions, for monotone progress
 
+	bounded     int // set once the pre-pass completes
 	pruned      atomic.Int64
 	deferred    atomic.Int64
 	reevaluated atomic.Int64
@@ -213,7 +215,7 @@ func (c *coordinator) computeBounds(ctx context.Context) error {
 		}
 	}
 	if c.opt.Prune {
-		sweepBounded.Add(int64(len(c.jobs)))
+		c.bounded = len(c.jobs)
 	}
 	return nil
 }
@@ -273,13 +275,11 @@ func (c *coordinator) evalJob(ctx context.Context, job pointJob) error {
 		case boundPrune:
 			c.state[job.Index] = statePruned
 			c.pruned.Add(1)
-			sweepPruned.Add(1)
 			c.emitSkip(job, obs.SweepPruned, true)
 			return nil
 		case boundDefer:
 			c.state[job.Index] = stateDeferred
 			c.deferred.Add(1)
-			sweepDeferred.Add(1)
 			c.emitSkip(job, obs.SweepDeferred, false)
 			return nil
 		}
@@ -307,10 +307,8 @@ func (c *coordinator) evaluateJob(ctx context.Context, job pointJob) error {
 	c.state[job.Index] = stateEvaluated
 	c.front.add(dp.AreaMM2, dp.Cycles)
 	c.fullEvals.Add(1)
-	sweepFullEvals.Add(1)
 	if storeHit {
 		c.storeHits.Add(1)
-		sweepStoreSkips.Add(1)
 		c.ob.SweepPoint(obs.SweepPointEvent{
 			Index: job.Index, Label: dp.Label(), Outcome: obs.SweepStoreHit,
 			Done: int(c.done.Add(1)), Total: len(c.jobs),
@@ -358,12 +356,10 @@ func (c *coordinator) exactPass(ctx context.Context) error {
 		if c.front.check(job.Bound.AreaMM2, job.Bound.CycleLB) == boundPrune {
 			c.state[idx] = statePruned
 			c.pruned.Add(1)
-			sweepPruned.Add(1)
 			c.emitSkip(job, obs.SweepPruned, true)
 			continue
 		}
 		c.reevaluated.Add(1)
-		sweepReevaluated.Add(1)
 		if err := c.evaluateJob(ctx, job); err != nil {
 			return err
 		}
@@ -410,59 +406,13 @@ func (c *coordinator) pointErr(job pointJob, err error) error {
 
 // frontStats snapshots the run's counters.
 func (c *coordinator) frontStats() FrontStats {
-	bounded := 0
-	if c.opt.Prune {
-		bounded = len(c.jobs)
-	}
 	return FrontStats{
 		Points:      len(c.jobs),
-		Bounded:     bounded,
+		Bounded:     c.bounded,
 		Pruned:      int(c.pruned.Load()),
 		Deferred:    int(c.deferred.Load()),
 		Reevaluated: int(c.reevaluated.Load()),
 		FullEvals:   int(c.fullEvals.Load()),
 		StoreHits:   int(c.storeHits.Load()),
-	}
-}
-
-// Process-wide pruning counters (PruneStats): how much work the dominance
-// pre-pass disposed of across every sweep in the process, reported by
-// `experiments -cachestats` next to the cache tiers' hit ratios.
-var (
-	sweepBounded     atomic.Int64
-	sweepPruned      atomic.Int64
-	sweepDeferred    atomic.Int64
-	sweepReevaluated atomic.Int64
-	sweepFullEvals   atomic.Int64
-	sweepStoreSkips  atomic.Int64
-)
-
-// SweepPruneStats aggregates the coordinator's pruning work across the
-// process.
-type SweepPruneStats struct {
-	// Bounded counts design points given a pre-pass cycle lower bound.
-	Bounded int64
-	// Pruned counts points skipped by dominance without a full evaluation.
-	Pruned int64
-	// Deferred counts points sent to the exact pass by a bound tie.
-	Deferred int64
-	// Reevaluated counts deferred points fully evaluated in the exact pass.
-	Reevaluated int64
-	// FullEvals counts full scheduler evaluations run by sweeps.
-	FullEvals int64
-	// StoreHits counts evaluations answered by the persistent store's
-	// network tier.
-	StoreHits int64
-}
-
-// PruneStats snapshots the coordinator's pruning counters.
-func PruneStats() SweepPruneStats {
-	return SweepPruneStats{
-		Bounded:     sweepBounded.Load(),
-		Pruned:      sweepPruned.Load(),
-		Deferred:    sweepDeferred.Load(),
-		Reevaluated: sweepReevaluated.Load(),
-		FullEvals:   sweepFullEvals.Load(),
-		StoreHits:   sweepStoreSkips.Load(),
 	}
 }

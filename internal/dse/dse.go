@@ -59,10 +59,12 @@ type Options struct {
 	AnnealIterations int
 	// Observe receives sweep-level progress events: one LayerScheduled per
 	// evaluated design point and one SweepPoint per point disposed of
-	// without a fresh evaluation, under obs.StageSweep (nil means none). The
-	// observer is deliberately not forwarded into the per-point schedulers —
-	// dozens of concurrent runs interleaving their stage events would drown
-	// the sweep-level signal.
+	// without a fresh evaluation, under obs.StageSweep (nil means none). Of
+	// the per-point and baseline schedulers' events it receives only the
+	// work-count events (MapperSearch, AuthBlockSearch), so a Tally sees the
+	// sweep's whole search work. Their progress events are dropped: dozens of
+	// concurrent runs interleaving their stage events would drown the
+	// sweep-level signal.
 	Observe obs.Observer
 	// Mapper selects the per-layer loopnest search strategy for every design
 	// point (zero value: exhaustive). Guided mode pays off most here: a sweep
@@ -99,8 +101,21 @@ func newScheduler(spec arch.Spec, crypto cryptoengine.Config, opt Options) *core
 	}
 	s.Mapper = opt.Mapper
 	s.Store = opt.Store
+	if opt.Observe != nil {
+		s.Observe = workCounts{o: opt.Observe}
+	}
 	return s
 }
+
+// workCounts forwards a per-point scheduler's work-count events to the
+// sweep's observer and drops its progress events (see Options.Observe).
+type workCounts struct {
+	obs.Nop
+	o obs.Observer
+}
+
+func (w workCounts) MapperSearch(e obs.MapperSearchEvent)       { w.o.MapperSearch(e) }
+func (w workCounts) AuthBlockSearch(e obs.AuthBlockSearchEvent) { w.o.AuthBlockSearch(e) }
 
 // unsecureCycles schedules the network on one architecture without crypto
 // engines. The result does not depend on the crypto config (the Unsecure

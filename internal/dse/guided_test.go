@@ -9,6 +9,7 @@ import (
 	"secureloop/internal/cryptoengine"
 	"secureloop/internal/mapper"
 	"secureloop/internal/memo"
+	"secureloop/internal/obs"
 	"secureloop/internal/workload"
 )
 
@@ -30,13 +31,15 @@ func warmSweepSpace() ([]arch.Spec, []cryptoengine.Config) {
 }
 
 // runGuidedSweep runs the miniature sweep serially from fully reset mapper
-// state and snapshots the guided-search work counters.
-func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats, memo.Stats) {
+// state and returns the searches it reported.
+func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, obs.Counts, memo.Stats) {
 	t.Helper()
 	mapper.ResetCaches()
 	specs, cryptos := warmSweepSpace()
+	var work obs.Tally
 	res, err := Sweep(context.Background(), workload.AlexNet(), specs, cryptos,
 		core.CryptOptSingle, Options{
+			Observe:     &work,
 			Mapper:      mapper.Options{Mode: mapper.Guided, DisableWarmStart: !warm},
 			MaxParallel: 1,
 		})
@@ -44,7 +47,7 @@ func runGuidedSweep(t *testing.T, warm bool) ([]DesignPoint, mapper.GuidedStats,
 		t.Fatal(err)
 	}
 	_, _, warmStats := mapper.CacheStats()
-	return res.Points, mapper.GuidedSearchStats(), warmStats
+	return res.Points, work.Counts(), warmStats
 }
 
 // TestSweepGuidedWarmStart is the acceptance test of the warm-start layer:
@@ -65,8 +68,8 @@ func TestSweepGuidedWarmStart(t *testing.T) {
 	if warm.WarmSeeds == 0 {
 		t.Error("warm-started sweep applied no seeds")
 	}
-	if warm.Searches != cold.Searches {
-		t.Errorf("search counts differ: warm %d, cold %d", warm.Searches, cold.Searches)
+	if warm.MapperSearches != cold.MapperSearches {
+		t.Errorf("search counts differ: warm %d, cold %d", warm.MapperSearches, cold.MapperSearches)
 	}
 	if warm.Evaluated >= cold.Evaluated {
 		t.Errorf("warm sweep evaluated %d tilings, cold evaluated %d — warm starts saved nothing",

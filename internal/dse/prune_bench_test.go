@@ -78,7 +78,7 @@ func BenchmarkSweepColdPruned(b *testing.B) {
 // BenchmarkSweepBoundsPrepass isolates the coordinator's pre-pass: the
 // per-point exact area and cycle lower bound over the same space, nothing
 // else. Its ns/op is what every pruned sweep pays before any pruning can
-// happen; scripts/bench.sh asserts it stays a small fraction of the cold
+// happen; BENCH_PR9.json records it as a small fraction of the cold
 // sweep.
 func BenchmarkSweepBoundsPrepass(b *testing.B) {
 	net := workload.AlexNet()

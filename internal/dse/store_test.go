@@ -9,6 +9,7 @@ import (
 	"secureloop/internal/core"
 	"secureloop/internal/cryptoengine"
 	"secureloop/internal/mapper"
+	"secureloop/internal/obs"
 	"secureloop/internal/store"
 	"secureloop/internal/workload"
 )
@@ -37,11 +38,14 @@ func closeStore(t *testing.T, st *store.Store) {
 	}
 }
 
-// runStoreSweep runs a serial guided sweep against the given store.
-func runStoreSweep(t *testing.T, net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, st *store.Store, iters int) []DesignPoint {
+// runStoreSweep runs a serial guided sweep against the given store and
+// returns its points and the searches it ran.
+func runStoreSweep(t *testing.T, net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config, st *store.Store, iters int) ([]DesignPoint, obs.Counts) {
 	t.Helper()
+	var work obs.Tally
 	res, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
 		AnnealIterations: iters,
+		Observe:          &work,
 		Mapper:           mapper.Options{Mode: mapper.Guided},
 		MaxParallel:      1,
 		Store:            st,
@@ -49,7 +53,7 @@ func runStoreSweep(t *testing.T, net *workload.Network, specs []arch.Spec, crypt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Points
+	return res.Points, work.Counts()
 }
 
 // TestSweepStoreWarmEquivalence is the acceptance test of the persistent
@@ -69,12 +73,12 @@ func TestSweepStoreWarmEquivalence(t *testing.T) {
 			dir := t.TempDir()
 			resetInMemoryCaches()
 			cold := openStore(t, dir)
-			coldPts := runStoreSweep(t, net, sp, cr, cold, 40)
+			coldPts, _ := runStoreSweep(t, net, sp, cr, cold, 40)
 			closeStore(t, cold)
 
 			resetInMemoryCaches()
 			warm := openStore(t, dir)
-			warmPts := runStoreSweep(t, net, sp, cr, warm, 40)
+			warmPts, _ := runStoreSweep(t, net, sp, cr, warm, 40)
 			hits := warm.Stats().Hits
 			closeStore(t, warm)
 			resetInMemoryCaches()
@@ -108,9 +112,8 @@ func TestSweepStoreWarmFewerEvals(t *testing.T) {
 
 	resetInMemoryCaches()
 	cold := openStore(t, dir)
-	runStoreSweep(t, net, specs, cryptos, cold, 40)
-	coldEvals := mapper.GuidedSearchStats().Evaluated
-	coldRuns := authblock.OptimalRuns()
+	_, coldWork := runStoreSweep(t, net, specs, cryptos, cold, 40)
+	coldEvals, coldRuns := coldWork.Evaluated, coldWork.AuthBlockSearches
 	closeStore(t, cold)
 	if coldEvals == 0 || coldRuns == 0 {
 		t.Fatalf("cold sweep did no work (evaluated %d, optimal runs %d)", coldEvals, coldRuns)
@@ -118,9 +121,8 @@ func TestSweepStoreWarmFewerEvals(t *testing.T) {
 
 	resetInMemoryCaches()
 	warm := openStore(t, dir)
-	runStoreSweep(t, net, specs, cryptos, warm, 50)
-	warmEvals := mapper.GuidedSearchStats().Evaluated
-	warmRuns := authblock.OptimalRuns()
+	_, warmWork := runStoreSweep(t, net, specs, cryptos, warm, 50)
+	warmEvals, warmRuns := warmWork.Evaluated, warmWork.AuthBlockSearches
 	closeStore(t, warm)
 	resetInMemoryCaches()
 
@@ -137,7 +139,7 @@ func TestSweepStoreWarmFewerEvals(t *testing.T) {
 // BenchmarkSweepStoreCold is the cold baseline for BenchmarkSweepStoreWarm:
 // the identical sweep against a fresh, empty store each iteration with all
 // in-memory caches dropped, so every schedule is computed from scratch and
-// written behind. scripts/bench.sh reports the warm sweep's speedup over
+// written behind. BENCH_PR7.json records the warm sweep's speedup over
 // this number.
 func BenchmarkSweepStoreCold(b *testing.B) {
 	net := workload.AlexNet()
@@ -174,15 +176,17 @@ func BenchmarkSweepStoreCold(b *testing.B) {
 // by the store written during setup, with all in-memory caches dropped
 // before each iteration so the disk tier does the work. The cold-evals and
 // warm-evals/op metrics count mapper tiling evaluations plus AuthBlock
-// optimal searches; scripts/bench.sh derives the eval-reduction ratio from
-// them for BENCH_PR7.json.
+// optimal searches; BENCH_PR7.json records the eval-reduction ratio they
+// give.
 func BenchmarkSweepStoreWarm(b *testing.B) {
 	dir := b.TempDir()
 	net := workload.AlexNet()
 	specs, cryptos := warmSweepSpace()
-	run := func(st *store.Store) {
+	run := func(st *store.Store) int64 {
+		var work obs.Tally
 		_, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, Options{
 			AnnealIterations: 40,
+			Observe:          &work,
 			Mapper:           mapper.Options{Mode: mapper.Guided},
 			MaxParallel:      1,
 			Store:            st,
@@ -190,6 +194,8 @@ func BenchmarkSweepStoreWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		c := work.Counts()
+		return c.Evaluated + c.AuthBlockSearches
 	}
 
 	resetInMemoryCaches()
@@ -202,8 +208,7 @@ func BenchmarkSweepStoreWarm(b *testing.B) {
 			b.Fatal(cerr)
 		}
 	}()
-	run(st)
-	coldEvals := mapper.GuidedSearchStats().Evaluated + authblock.OptimalRuns()
+	coldEvals := run(st)
 
 	var warmEvals int64
 	b.ResetTimer()
@@ -211,8 +216,7 @@ func BenchmarkSweepStoreWarm(b *testing.B) {
 		b.StopTimer()
 		resetInMemoryCaches()
 		b.StartTimer()
-		run(st)
-		warmEvals += mapper.GuidedSearchStats().Evaluated + authblock.OptimalRuns()
+		warmEvals += run(st)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(coldEvals), "cold-evals")

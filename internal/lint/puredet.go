@@ -22,7 +22,8 @@ var AnalyzerPureDet = &Analyzer{
 	Doc: "functions reachable from cached entry points (mapper.SearchCachedCtx, " +
 		"authblock.OptimalStoredCtx, core.ScheduleNetworkCtx) must not " +
 		"call time.Now/time.Since, read the environment, use global or non-request-seeded " +
-		"randomness, or leak map iteration order into results",
+		"randomness, leak map iteration order into results, or update a package-level " +
+		"sync/atomic variable (count per request through the observer instead)",
 	RunModule: runPureDet,
 }
 
@@ -169,10 +170,15 @@ func checkPureFunc(mp *ModulePass, node *FuncNode, seed *types.Func) {
 
 	info := node.Pkg.Info
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok &&
-			isRandNewSource(info, call) && len(call.Args) == 1 && nonRequestSeed(info, call.Args[0]) {
-			mp.Reportf(call.Pos(),
-				"seeds rand.NewSource from a non-request value on a cached path (reachable from %s); the seed must come from the request", from)
+		if call, ok := n.(*ast.CallExpr); ok {
+			if isRandNewSource(info, call) && len(call.Args) == 1 && nonRequestSeed(info, call.Args[0]) {
+				mp.Reportf(call.Pos(),
+					"seeds rand.NewSource from a non-request value on a cached path (reachable from %s); the seed must come from the request", from)
+			}
+			if v := globalAtomicUpdate(info, call); v != nil {
+				mp.Reportf(call.Pos(),
+					"updates package-level atomic %s on a cached path (reachable from %s); a process-wide counter mixes every request's work together, so count per request through the observer", v.Name(), from)
+			}
 		}
 		stmts := stmtList(n)
 		for i, s := range stmts {
@@ -203,6 +209,39 @@ func isRandNewSource(info *types.Info, call *ast.CallExpr) bool {
 	}
 	path := fn.Pkg().Path()
 	return path == "math/rand" || path == "math/rand/v2"
+}
+
+// globalAtomicUpdate returns the package-level variable whose Add, Store,
+// Swap or CompareAndSwap method (of a sync/atomic type) call invokes, or
+// nil.
+func globalAtomicUpdate(info *types.Info, call *ast.CallExpr) *types.Var {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return nil
+	}
+	switch fn.Name() {
+	case "Add", "Store", "Swap", "CompareAndSwap":
+	default:
+		return nil
+	}
+	var id *ast.Ident
+	switch x := unparen(sel.X).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr: // a qualified identifier, pkg.Var
+		id = x.Sel
+	default:
+		return nil
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+		return nil
+	}
+	return v
 }
 
 // nonRequestSeed reports whether the seed expression draws on anything other

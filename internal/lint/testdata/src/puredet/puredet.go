@@ -1,14 +1,15 @@
 // Package puredet is the golden fixture for the puredet check: a cached
 // entry point (CachedEntry, seeded in the check's table) reaching
-// determinism violations through static calls, a function-typed field, and
-// an interface method set — plus unreachable and allowlisted functions that
-// must stay clean, and a suppressed case.
+// determinism violations and process-wide counters through static calls, a
+// function-typed field, and an interface method set — plus unreachable and
+// allowlisted functions that must stay clean, and a suppressed case.
 package puredet
 
 import (
 	"math/rand"
 	"os"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -33,8 +34,22 @@ func CachedEntry(r request) int {
 	total += leakOrder(r.Items)
 	total += viaInterface(worker{})
 	total += suppressed()
+	total += countGlobally(&request{})
 	allowedSink(total)
 	return total
+}
+
+// hits is a process-wide counter: every request's work lands in it.
+var hits atomic.Int64
+
+// countGlobally writes the package-level counter (flagged) next to a
+// per-request counter and a read, which are fine.
+func countGlobally(r *request) int {
+	hits.Add(1)   // want "updates package-level atomic hits on a cached path"
+	hits.Store(0) // want "updates package-level atomic hits on a cached path"
+	var perRequest atomic.Int64
+	perRequest.Add(r.Seed)
+	return int(hits.Load() + perRequest.Load())
 }
 
 // stamp is reached by a static call.
@@ -108,8 +123,10 @@ func suppressed() int {
 	return int(time.Now().Unix())
 }
 
-// notReachable is never called from the seed: despite the wall-clock read it
-// must produce no finding, pinning the reachability boundary.
+// notReachable is never called from the seed: despite the wall-clock read
+// and the counter update it must produce no finding, pinning the
+// reachability boundary.
 func notReachable() int64 {
+	hits.Add(1)
 	return time.Now().Unix()
 }

@@ -109,8 +109,8 @@ func BenchmarkMapperWarmStart(b *testing.B) {
 
 // BenchmarkMapperSearchReference measures the retained pre-optimisation
 // inner loop (the oracle of TestSearchEquivalence) on the same request, so
-// scripts/bench.sh can record a live before/after pair — time and
-// allocations — on the machine running the script.
+// a run of both records a live before/after pair — time and allocations —
+// on one machine.
 func BenchmarkMapperSearchReference(b *testing.B) {
 	l := benchLayer()
 	spec := arch.Base()

@@ -61,17 +61,12 @@ func CacheStats() (search, tile, warm memo.Stats) {
 }
 
 // ResetCaches drops the search memo, the tile-candidate memo and the
-// warm-start store, and zeroes their counters and the guided-search
-// counters (benchmarks and tests that need a cold process).
+// warm-start store, and zeroes their counters (benchmarks and tests that
+// need a cold process).
 func ResetCaches() {
 	searchMemo.Reset()
 	tileMemo.Reset()
 	warmMemo.Reset()
-	guidedSearches.Store(0)
-	guidedEvaluated.Store(0)
-	guidedPruned.Store(0)
-	guidedSkipped.Store(0)
-	guidedWarmSeeds.Store(0)
 }
 
 // cacheTopK is the k the cache stores; requests for smaller k slice the

@@ -121,7 +121,4 @@ func TestCacheStatsResets(t *testing.T) {
 	if search != (memo.Stats{}) || tile != (memo.Stats{}) || warm != (memo.Stats{}) {
 		t.Fatalf("stats after reset: search %+v, tile %+v, warm %+v", search, tile, warm)
 	}
-	if g := GuidedSearchStats(); g != (GuidedStats{}) {
-		t.Fatalf("guided stats after reset = %+v", g)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"secureloop/internal/arch"
+	"secureloop/internal/obs"
 	"secureloop/internal/workload"
 )
 
@@ -121,17 +122,18 @@ func TestExhaustiveLeavesWarmStoreAlone(t *testing.T) {
 	if warmBefore.Entries == 0 {
 		t.Fatal("the guided search stored no seeds")
 	}
-	guidedBefore := GuidedSearchStats()
+	var work obs.Tally
+	req.Observe = &work
 	searchUncached(t, req)
 	if _, _, warm := CacheStats(); warm != warmBefore {
 		t.Errorf("exhaustive search touched the warm store: %+v, before %+v", warm, warmBefore)
 	}
-	g := GuidedSearchStats()
-	if g.Searches != guidedBefore.Searches+1 {
-		t.Errorf("best-first searches = %d, want %d", g.Searches, guidedBefore.Searches+1)
+	g := work.Counts()
+	if g.MapperSearches != 1 {
+		t.Errorf("best-first searches = %d, want 1", g.MapperSearches)
 	}
-	if g.WarmSeeds != guidedBefore.WarmSeeds {
-		t.Errorf("exhaustive search applied %d warm seeds", g.WarmSeeds-guidedBefore.WarmSeeds)
+	if g.WarmSeeds != 0 {
+		t.Errorf("exhaustive search applied %d warm seeds", g.WarmSeeds)
 	}
 }
 

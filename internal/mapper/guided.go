@@ -99,14 +99,6 @@ func stopLB(lb, kth int64, eps float64) bool {
 	return float64(lb)*(1+eps) > float64(kth)
 }
 
-// guidedCounts aggregates one search's work accounting.
-type guidedCounts struct {
-	evaluated int64
-	pruned    int64
-	skipped   int64
-	warmSeeds int
-}
-
 // lbEntry is one capacity-feasible lattice point awaiting evaluation: its
 // exact analytical lower bound and the packed per-axis candidate indices.
 type lbEntry struct {
@@ -343,7 +335,7 @@ func (g *guidedPart) pointLB(wb int64, eff float64, minTraffic, wE, iE, oE int64
 // snapshot threshold, and collect the survivors for sorted evaluation. The
 // bound itself is not monotone along an axis (ceiling padding), so only
 // capacity — which is monotone — drives the breaks.
-func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraffic int64, best *topK, entries []lbEntry, gc *guidedCounts) ([]lbEntry, error) {
+func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraffic int64, best *topK, entries []lbEntry, work *obs.MapperSearchEvent) ([]lbEntry, error) {
 	wb := int64(req.Layer.WordBits)
 	kth, full := best.kthCycles()
 	for ic := range g.ax[0].cands {
@@ -366,7 +358,7 @@ func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraf
 					pOverflow = false
 					lb := g.pointLB(wb, req.EffectiveBytesPerCycle, minTraffic, wE, iE, oE, ic, im, ip, iq)
 					if full && stopLB(lb, kth, eps) {
-						gc.pruned++
+						work.Pruned++
 						continue
 					}
 					entries = append(entries, lbEntry{
@@ -396,7 +388,7 @@ func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraf
 // bound proves no unexplored tiling can enter the top-k. The threshold only
 // tightens as candidates land, so a tiling discarded against the current
 // k-th could never have displaced the final k-th.
-func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, minTraffic int64, best *topK, entries []lbEntry, gc *guidedCounts) error {
+func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, minTraffic int64, best *topK, entries []lbEntry, work *obs.MapperSearchEvent) error {
 	slices.SortFunc(entries, func(a, b lbEntry) int {
 		if a.lb != b.lb {
 			if a.lb < b.lb {
@@ -420,7 +412,7 @@ func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, min
 			}
 		}
 		if kth, full := best.kthCycles(); full && stopLB(e.lb, kth, eps) {
-			gc.pruned += int64(len(entries) - n)
+			work.Pruned += int64(len(entries) - n)
 			return nil
 		}
 		ic := int(e.idx >> 24)
@@ -432,7 +424,7 @@ func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, min
 		setGLBTile(g.m, l, mapping.DimP, g.ax[2].cands[ip])
 		setGLBTile(g.m, l, mapping.DimQ, g.ax[3].cands[iq])
 		scoreTiling(req, g.m, minTraffic, best)
-		gc.evaluated++
+		work.Evaluated++
 	}
 	return nil
 }
@@ -488,8 +480,10 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 		eps, seeded = req.Opt.Epsilon, !req.Opt.DisableWarmStart
 	}
 	best := newTopK(req.TopK)
-	var gc guidedCounts
-	defer func() { publishGuided(req, &gc) }()
+	work := obs.MapperSearchEvent{Layer: l.Name}
+	if req.Observe != nil {
+		defer func() { req.Observe.MapperSearch(work) }()
+	}
 
 	minTraffic := trafficFloor(req)
 
@@ -509,8 +503,8 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 			for _, g := range parts {
 				if g.sp.normKey() == key {
 					if g.evalSeed(req, sd, minTraffic, best) {
-						gc.warmSeeds++
-						gc.evaluated++
+						work.WarmSeeds++
+						work.Evaluated++
 					}
 					break
 				}
@@ -539,13 +533,13 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	for _, pi := range order {
 		g := parts[pi]
 		if kth, full := best.kthCycles(); full && stopLB(g.minLB, kth, eps) {
-			gc.skipped += g.lattice
+			work.Skipped += g.lattice
 			continue
 		}
 		var err error
-		entries, err = g.scan(ctx, req, eps, minTraffic, best, entries[:0], &gc)
+		entries, err = g.scan(ctx, req, eps, minTraffic, best, entries[:0], &work)
 		if err == nil {
-			err = g.evaluate(ctx, req, eps, minTraffic, best, entries, &gc)
+			err = g.evaluate(ctx, req, eps, minTraffic, best, entries, &work)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, err)
@@ -560,23 +554,4 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 		warmPut(req, out)
 	}
 	return out, nil
-}
-
-// publishGuided folds one search's accounting into the process-wide
-// counters and emits the per-search obs event.
-func publishGuided(req Request, gc *guidedCounts) {
-	guidedSearches.Add(1)
-	guidedEvaluated.Add(gc.evaluated)
-	guidedPruned.Add(gc.pruned)
-	guidedSkipped.Add(gc.skipped)
-	guidedWarmSeeds.Add(int64(gc.warmSeeds))
-	if req.Observe != nil {
-		req.Observe.MapperSearch(obs.MapperSearchEvent{
-			Layer:     req.Layer.Name,
-			Evaluated: gc.evaluated,
-			Pruned:    gc.pruned,
-			Skipped:   gc.skipped,
-			WarmSeeds: gc.warmSeeds,
-		})
-	}
 }

@@ -180,11 +180,13 @@ func TestGuidedTablesMatchAnalyze(t *testing.T) {
 // the wrapped context error without touching any lattice — zero tilings
 // evaluated, pruned or skipped.
 func TestGuidedCancelledBeforeStart(t *testing.T) {
-	ResetCaches()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l := workload.AlexNet().Layer(0)
-	out, err := SearchCtx(ctx, guidedRequest(baseRequest(l), 0, false))
+	var work obs.Tally
+	req := guidedRequest(baseRequest(l), 0, false)
+	req.Observe = &work
+	out, err := SearchCtx(ctx, req)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -194,7 +196,7 @@ func TestGuidedCancelledBeforeStart(t *testing.T) {
 	if out != nil {
 		t.Errorf("cancelled search returned %d candidates", len(out))
 	}
-	if s := GuidedSearchStats(); s.Evaluated != 0 || s.Pruned != 0 || s.Skipped != 0 {
+	if s := work.Counts(); s.Evaluated != 0 || s.Pruned != 0 || s.Skipped != 0 {
 		t.Errorf("pre-cancelled search did work: %+v", s)
 	}
 }
@@ -223,13 +225,14 @@ func TestGuidedCancelMidRunBounded(t *testing.T) {
 	l := workload.AlexNet().Layer(2)
 	req := guidedRequest(baseRequest(l), 0, false)
 	for _, fail := range []int{1, 2, 5, 20, 100} {
-		ResetCaches()
+		var work obs.Tally
+		req.Observe = &work
 		ctx := &errAfterCtx{Context: context.Background(), fail: fail}
 		_, err := SearchCtx(ctx, req)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("fail=%d: err = %v, want context.Canceled", fail, err)
 		}
-		s := GuidedSearchStats()
+		s := work.Counts()
 		if max := int64(fail) * evalChunk; s.Evaluated > max {
 			t.Errorf("fail=%d: %d tilings evaluated after cancellation, chunk bound allows %d",
 				fail, s.Evaluated, max)
@@ -247,15 +250,14 @@ func (r *eventRecorder) MapperSearch(e obs.MapperSearchEvent) {
 	r.events = append(r.events, e)
 }
 
-// TestGuidedObserverEvent: the per-search obs event must carry the same
-// accounting the process-wide counters accumulate.
-
+// TestGuidedObserverEvent: one search emits one MapperSearch event naming
+// its layer, and a Tally folds exactly that event's accounting.
 func TestGuidedObserverEvent(t *testing.T) {
-	ResetCaches()
 	l := workload.AlexNet().Layer(1)
 	rec := &eventRecorder{}
+	var work obs.Tally
 	req := guidedRequest(baseRequest(l), 0, false)
-	req.Observe = rec
+	req.Observe = obs.Multi(rec, &work)
 	if _, err := SearchCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +265,12 @@ func TestGuidedObserverEvent(t *testing.T) {
 		t.Fatalf("observer saw %d MapperSearch events, want 1", len(rec.events))
 	}
 	e := rec.events[0]
-	s := GuidedSearchStats()
+	s := work.Counts()
 	if e.Layer != l.Name {
 		t.Errorf("event layer %q, want %q", e.Layer, l.Name)
 	}
-	if e.Evaluated != s.Evaluated || e.Pruned != s.Pruned || e.Skipped != s.Skipped {
-		t.Errorf("event %+v disagrees with counters %+v", e, s)
+	if s.MapperSearches != 1 || e.Evaluated != s.Evaluated || e.Pruned != s.Pruned || e.Skipped != s.Skipped {
+		t.Errorf("event %+v disagrees with the tally %+v", e, s)
 	}
 	if e.Evaluated == 0 {
 		t.Error("guided search evaluated no tilings")

@@ -2,7 +2,6 @@ package mapper
 
 import (
 	"math"
-	"sync/atomic"
 
 	"secureloop/internal/mapping"
 	"secureloop/internal/memo"
@@ -158,46 +157,4 @@ func warmPut(req Request, out []Candidate) {
 		seeds[i] = seedFromMapping(out[i].Mapping)
 	}
 	warmMemo.Set(warmKeyFor(req), seeds)
-}
-
-// Process-wide best-first search work counters (GuidedSearchStats). They
-// count every best-first search, in guided mode and in exhaustive mode
-// where the traffic floor holds; lattice walks add nothing. The per-search
-// numbers also flow through obs.MapperSearchEvent; these aggregates serve
-// tests, /v1/stats and the experiments -cachestats report.
-var (
-	guidedSearches  atomic.Int64
-	guidedEvaluated atomic.Int64
-	guidedPruned    atomic.Int64
-	guidedSkipped   atomic.Int64
-	guidedWarmSeeds atomic.Int64
-)
-
-// GuidedStats aggregates best-first search work accounting across the
-// process, in both modes.
-type GuidedStats struct {
-	// Searches counts best-first searches run.
-	Searches int64
-	// Evaluated counts tilings fully scored (permutation fold), warm seeds
-	// included.
-	Evaluated int64
-	// Pruned counts capacity-feasible tilings disposed of by the analytical
-	// lower bound without scoring.
-	Pruned int64
-	// Skipped counts tilings inside spatial choices skipped wholesale by
-	// the part-level bound.
-	Skipped int64
-	// WarmSeeds counts warm-start seeds applied.
-	WarmSeeds int64
-}
-
-// GuidedSearchStats snapshots the best-first search counters.
-func GuidedSearchStats() GuidedStats {
-	return GuidedStats{
-		Searches:  guidedSearches.Load(),
-		Evaluated: guidedEvaluated.Load(),
-		Pruned:    guidedPruned.Load(),
-		Skipped:   guidedSkipped.Load(),
-		WarmSeeds: guidedWarmSeeds.Load(),
-	}
 }

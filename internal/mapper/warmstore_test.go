@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"secureloop/internal/mapping"
+	"secureloop/internal/obs"
 	"secureloop/internal/workload"
 )
 
@@ -177,21 +178,23 @@ func TestGuidedWarmHitSeeds(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
 	l := workload.AlexNet().Layer(3)
+	var cold, warm obs.Tally
 	req := guidedRequest(baseRequest(l), 0, true)
+	req.Observe = &cold
 	if _, err := SearchCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	if s := GuidedSearchStats(); s.WarmSeeds != 0 {
+	if s := cold.Counts(); s.WarmSeeds != 0 {
 		t.Fatalf("cold search applied %d warm seeds", s.WarmSeeds)
 	}
 	neighbour := req
 	neighbour.GLBBits *= 2
+	neighbour.Observe = &warm
 	got, err := SearchCtx(context.Background(), neighbour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := GuidedSearchStats()
-	if s.WarmSeeds == 0 {
+	if warm.Counts().WarmSeeds == 0 {
 		t.Error("neighbouring search applied no warm seeds")
 	}
 	if _, _, warm := CacheStats(); warm.Hits == 0 {

@@ -1,9 +1,10 @@
 package obs
 
-// The serialized event stream: every Observer callback has an Event
-// envelope carrying a sequence number and exactly one payload, so progress
-// can cross a process boundary (the cmd/secured SSE stream) as one ordered,
-// self-describing JSON stream instead of six parallel callback channels.
+// The serialized event stream: every Observer callback but AuthBlockSearch
+// has an Event envelope carrying a sequence number and exactly one payload,
+// so progress can cross a process boundary (the cmd/secured SSE stream) as
+// one ordered, self-describing JSON stream instead of parallel callback
+// channels.
 //
 // Sequence numbers are assigned by the Fanout observer (fanout.go) at emit
 // time, strictly increasing per fanout, so a consumer can both order events
@@ -88,6 +89,12 @@ func (m multi) AnnealProgress(e AnnealEvent) {
 func (m multi) MapperSearch(e MapperSearchEvent) {
 	for _, o := range m {
 		o.MapperSearch(e)
+	}
+}
+
+func (m multi) AuthBlockSearch(e AuthBlockSearchEvent) {
+	for _, o := range m {
+		o.AuthBlockSearch(e)
 	}
 }
 

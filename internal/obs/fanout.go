@@ -100,14 +100,6 @@ func (f *Fanout) Close() {
 	}
 }
 
-// Seq reports how many events have been emitted so far (the last assigned
-// sequence number).
-func (f *Fanout) Seq() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seq
-}
-
 // emit assigns the next sequence number and offers the event to every
 // subscriber. The single lock both orders sequence numbers and serialises
 // sends, so per-subscriber ordering matches Seq order; the non-blocking
@@ -145,6 +137,10 @@ func (f *Fanout) AnnealProgress(e AnnealEvent) {
 func (f *Fanout) MapperSearch(e MapperSearchEvent) {
 	f.emit(Event{Kind: EventMapperSearch, Mapper: &e})
 }
+
+// AuthBlockSearch is dropped: the event has no Event kind, so it never
+// reaches a subscriber.
+func (f *Fanout) AuthBlockSearch(AuthBlockSearchEvent) {}
 
 func (f *Fanout) SweepPoint(e SweepPointEvent) {
 	f.emit(Event{Kind: EventSweepPoint, Sweep: &e})

@@ -84,6 +84,12 @@ type MapperSearchEvent struct {
 	WarmSeeds int    `json:"warm_seeds"`
 }
 
+// AuthBlockSearchEvent accounts for one AuthBlock optimal-assignment search
+// that actually ran: one the memo and the persistent store could not
+// answer. The event itself is the count. It has no Event kind, so it never
+// reaches the serialized progress stream.
+type AuthBlockSearchEvent struct{}
+
 // SweepOutcome names how a sweep disposed of one design point without a
 // fresh full evaluation.
 type SweepOutcome string
@@ -113,28 +119,90 @@ type SweepPointEvent struct {
 	Total   int          `json:"total"`
 }
 
-// Observer receives progress events from the search pipeline. Methods may
-// be called concurrently from worker goroutines; implementations must be
-// safe for concurrent use. Implementations must not mutate shared search
-// state — the pipeline treats them as pure sinks.
+// Observer receives events from the search pipeline. Methods may be called
+// concurrently from worker goroutines; implementations must be safe for
+// concurrent use. Implementations must not mutate shared search state — the
+// pipeline treats them as pure sinks.
+//
+// MapperSearch and AuthBlockSearch are the work-count events: each reports
+// one search that actually ran, to the observer of the request that ran it.
+// A search a memo or the persistent store answered reports nothing, so a
+// request that coalesced onto another's search is not charged for it. The
+// other four methods report progress.
 type Observer interface {
 	StageStart(e StageEvent)
 	StageEnd(e StageEvent)
 	LayerScheduled(e LayerEvent)
 	AnnealProgress(e AnnealEvent)
 	MapperSearch(e MapperSearchEvent)
+	AuthBlockSearch(e AuthBlockSearchEvent)
 	SweepPoint(e SweepPointEvent)
 }
 
 // Nop is the no-op Observer; the zero value is ready to use.
 type Nop struct{}
 
-func (Nop) StageStart(StageEvent)          {}
-func (Nop) StageEnd(StageEvent)            {}
-func (Nop) LayerScheduled(LayerEvent)      {}
-func (Nop) AnnealProgress(AnnealEvent)     {}
-func (Nop) MapperSearch(MapperSearchEvent) {}
-func (Nop) SweepPoint(SweepPointEvent)     {}
+func (Nop) StageStart(StageEvent)                {}
+func (Nop) StageEnd(StageEvent)                  {}
+func (Nop) LayerScheduled(LayerEvent)            {}
+func (Nop) AnnealProgress(AnnealEvent)           {}
+func (Nop) MapperSearch(MapperSearchEvent)       {}
+func (Nop) AuthBlockSearch(AuthBlockSearchEvent) {}
+func (Nop) SweepPoint(SweepPointEvent)           {}
+
+// Counts is the search work a Tally was told about.
+type Counts struct {
+	// MapperSearches counts MapperSearch events; Evaluated, Pruned, Skipped
+	// and WarmSeeds sum their fields.
+	MapperSearches, Evaluated, Pruned, Skipped, WarmSeeds int64
+	// AuthBlockSearches counts AuthBlockSearch events.
+	AuthBlockSearches int64
+}
+
+// Add returns the field-wise sum of c and d.
+func (c Counts) Add(d Counts) Counts {
+	return Counts{
+		MapperSearches:    c.MapperSearches + d.MapperSearches,
+		Evaluated:         c.Evaluated + d.Evaluated,
+		Pruned:            c.Pruned + d.Pruned,
+		Skipped:           c.Skipped + d.Skipped,
+		WarmSeeds:         c.WarmSeeds + d.WarmSeeds,
+		AuthBlockSearches: c.AuthBlockSearches + d.AuthBlockSearches,
+	}
+}
+
+// Tally is an Observer that counts the work-count events and ignores
+// progress. Attach one per request (alongside any progress observer, with
+// Multi) to learn what that request's searches cost. The zero value is
+// ready to use; it is safe for concurrent use.
+type Tally struct {
+	Nop
+	mu sync.Mutex
+	c  Counts // guarded by mu
+}
+
+func (t *Tally) MapperSearch(e MapperSearchEvent) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.c.MapperSearches++
+	t.c.Evaluated += e.Evaluated
+	t.c.Pruned += e.Pruned
+	t.c.Skipped += e.Skipped
+	t.c.WarmSeeds += int64(e.WarmSeeds)
+}
+
+func (t *Tally) AuthBlockSearch(AuthBlockSearchEvent) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.c.AuthBlockSearches++
+}
+
+// Counts snapshots the tally.
+func (t *Tally) Counts() Counts {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.c
+}
 
 // OrNop returns o, or the no-op observer when o is nil, so pipeline code
 // never branches on nil.
@@ -170,11 +238,14 @@ func Guard(fn func() error) (err error) {
 	return fn()
 }
 
-// Logger is an Observer that renders events as plain text lines, one per
-// event (annealing progress is thinned to quartile steps per segment). It
-// serialises concurrent emitters with a mutex, so output lines never
-// interleave. Suitable for the cmd binaries' -progress flag.
+// Logger is an Observer that renders progress events as plain text lines,
+// one per event (annealing progress is thinned to quartile steps per
+// segment). It prints no work-count event: those are counts for a Tally,
+// and a sweep reports one per search. It serialises concurrent emitters with
+// a mutex, so output lines never interleave. Suitable for the cmd binaries'
+// -progress flag.
 type Logger struct {
+	Nop
 	mu      sync.Mutex
 	w       io.Writer
 	annealQ map[int]int // per-segment-tag last reported quartile
@@ -207,13 +278,6 @@ func (l *Logger) SweepPoint(e SweepPointEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	fmt.Fprintf(l.w, "[%s] %d/%d %s (%s)\n", StageSweep, e.Done, e.Total, e.Label, e.Outcome)
-}
-
-func (l *Logger) MapperSearch(e MapperSearchEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, "[%s] %s guided: evaluated=%d pruned=%d skipped=%d warm-seeds=%d\n",
-		StageMapping, e.Layer, e.Evaluated, e.Pruned, e.Skipped, e.WarmSeeds)
 }
 
 func (l *Logger) AnnealProgress(e AnnealEvent) {

@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -67,5 +68,46 @@ func TestLoggerRendersEvents(t *testing.T) {
 	}
 	if n := strings.Count(out, "segment@7"); n > 4 {
 		t.Errorf("anneal progress not thinned: %d lines", n)
+	}
+}
+
+// TestLoggerSkipsWorkCounts: the -progress renderer prints no line for the
+// work-count events, which a sweep emits once per search.
+func TestLoggerSkipsWorkCounts(t *testing.T) {
+	var sb strings.Builder
+	l := NewLogger(&sb)
+	l.MapperSearch(MapperSearchEvent{Layer: "conv1", Evaluated: 3})
+	l.AuthBlockSearch(AuthBlockSearchEvent{})
+	if sb.Len() != 0 {
+		t.Errorf("work-count events printed %q", sb.String())
+	}
+}
+
+// TestTallyCountsWorkEvents: a Tally reached through Multi from concurrent
+// emitters folds every work-count event exactly once.
+func TestTallyCountsWorkEvents(t *testing.T) {
+	var tally Tally
+	ob := Multi(Nop{}, &tally)
+	const workers, each = 8, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ob.MapperSearch(MapperSearchEvent{Evaluated: 3, Pruned: 2, Skipped: 1, WarmSeeds: 1})
+				ob.AuthBlockSearch(AuthBlockSearchEvent{})
+				ob.StageStart(StageEvent{Stage: StageMapping})
+			}
+		}()
+	}
+	wg.Wait()
+	const n = workers * each
+	want := Counts{MapperSearches: n, Evaluated: 3 * n, Pruned: 2 * n, Skipped: n, WarmSeeds: n, AuthBlockSearches: n}
+	if got := tally.Counts(); got != want {
+		t.Errorf("tally = %+v, want %+v", got, want)
+	}
+	if got := want.Add(want); got.AuthBlockSearches != 2*n || got.Evaluated != 6*n {
+		t.Errorf("Counts.Add = %+v", got)
 	}
 }

@@ -1,26 +1,26 @@
 package service
 
 import (
+	"secureloop/internal/arch"
 	"secureloop/internal/core"
+	"secureloop/internal/cryptoengine"
 	"secureloop/internal/dse"
 	"secureloop/internal/store"
+	"secureloop/internal/workload"
 )
 
 // Request identity: every service request is content-addressed with the
 // store's canonical key codec, and that key is the singleflight coalescing
 // identity — two requests share one flight exactly when their canonical
-// encodings agree. The schedule key delegates to the scheduler's own
-// EncodeRequest, so "identical service request" and "identical network-tier
-// store request" are the same relation by construction.
+// encodings agree. These keys name flights only; no record is stored under
+// them. The schedule key is the scheduler's own EncodeRequest (the
+// network-tier store key's content) followed by the labels the response
+// carries: the network, layer, architecture and crypto engine names. The
+// store tiers are shape-keyed and leave those names out, but two requests
+// that share a flight share one body, so the flight key must tell them
+// apart.
 //
-// Deliberately excluded from every key (same rationale as internal/core's
-// network tier): Name fields are labels over encoded numerics.
-//
-// storekey:exclude workload.Network.Name results are shape-keyed; the network name is a label
-// storekey:exclude workload.Layer.Name results are shape-keyed; the layer name is a label
-// storekey:exclude arch.Spec.Name architecture names are labels over the encoded numerics
-// storekey:exclude arch.DRAMTech.Name DRAM technology names are labels over the encoded numerics
-// storekey:exclude cryptoengine.EngineArch.Name engine names are labels over the encoded unit specs
+// storekey:exclude arch.DRAMTech.Name DRAM technology names are labels over the encoded numerics and no response carries them
 
 // Key prefixes namespace the three request kinds within one store.
 const (
@@ -33,7 +33,24 @@ const (
 func persistScheduleKey(req *ScheduleRequest) store.Key {
 	e := store.NewEnc().String(schedulePrefix)
 	req.schedulerEnc(e)
+	encodeLabels(e, req.Network, []arch.Spec{req.Spec}, []cryptoengine.Config{req.Crypto})
 	return e.Key()
+}
+
+// encodeLabels appends the names a schedule or sweep response carries, in
+// request order. The counts are already in the key, so the sequence is
+// unambiguous.
+func encodeLabels(e *store.Enc, net *workload.Network, specs []arch.Spec, cryptos []cryptoengine.Config) {
+	e.String(net.Name)
+	for i := range net.Layers {
+		e.String(net.Layers[i].Name)
+	}
+	for i := range specs {
+		e.String(specs[i].Name)
+	}
+	for i := range cryptos {
+		e.String(cryptos[i].Engine.Name)
+	}
 }
 
 // schedulerEnc materialises the core.Scheduler the request describes and,
@@ -62,6 +79,7 @@ func (req *ScheduleRequest) schedulerEnc(e *store.Enc) *core.Scheduler {
 func persistSweepKey(req *SweepRequest) store.Key {
 	e := store.NewEnc().String(sweepPrefix)
 	req.optionsEnc(e)
+	encodeLabels(e, req.Network, req.Specs, req.Cryptos)
 	return e.Key()
 }
 

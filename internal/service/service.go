@@ -77,6 +77,8 @@ type Service struct {
 
 	mu      sync.Mutex
 	flights map[store.Key]*flight // guarded by mu
+	// work sums the Accounting of every finished flight.
+	work Accounting // guarded by mu
 
 	admitted, coalesced  atomic.Int64
 	rejQueue, rejLarge   atomic.Int64
@@ -112,13 +114,45 @@ func (s *Service) RetryAfterSeconds() int { return s.adm.RetryAfterSeconds() }
 // the rest are followers (subscribe to the fanout, wait on done).
 type flight struct {
 	fan  *obs.Fanout
+	work obs.Tally // the compute's work-count events
 	done chan struct{}
+	res  result // valid after done closes
+}
 
-	// Results, valid after done closes.
+// result is what one flight produced; every request it served reads it.
+type result struct {
 	body     []byte
 	value    any
 	storeHit bool
+	acct     Accounting
 	err      error
+}
+
+// Accounting is the search work behind one response: the mapper and
+// AuthBlock searches its flight ran and, for a sweep, the coordinator's
+// accounting. Work a memo or another flight did is charged there, not here;
+// a coalesced follower reports its leader's accounting.
+type Accounting struct {
+	obs.Counts
+	// Sweep is the sweep coordinator's accounting (zero for schedule and
+	// authblock requests).
+	Sweep dse.FrontStats
+}
+
+// add returns the field-wise sum of a and b.
+func (a Accounting) add(b Accounting) Accounting {
+	return Accounting{
+		Counts: a.Counts.Add(b.Counts),
+		Sweep: dse.FrontStats{
+			Points:      a.Sweep.Points + b.Sweep.Points,
+			Bounded:     a.Sweep.Bounded + b.Sweep.Bounded,
+			Pruned:      a.Sweep.Pruned + b.Sweep.Pruned,
+			Deferred:    a.Sweep.Deferred + b.Sweep.Deferred,
+			Reevaluated: a.Sweep.Reevaluated + b.Sweep.Reevaluated,
+			FullEvals:   a.Sweep.FullEvals + b.Sweep.FullEvals,
+			StoreHits:   a.Sweep.StoreHits + b.Sweep.StoreHits,
+		},
+	}
 }
 
 // SubmitOptions tunes one submission.
@@ -145,11 +179,8 @@ type Pending struct {
 	done   chan struct{}
 	cancel context.CancelFunc
 
-	body      []byte
-	value     any
-	storeHit  bool
+	res       result
 	coalesced bool
-	err       error
 }
 
 // Events is the ordered progress stream (nil unless requested). It closes
@@ -167,13 +198,23 @@ func (p *Pending) Cancel() { p.cancel() }
 // response body, the typed response value, and the serving accounting.
 func (p *Pending) Result() (body []byte, value any, storeHit, coalesced bool, err error) {
 	<-p.done
-	return p.body, p.value, p.storeHit, p.coalesced, p.err
+	return p.res.body, p.res.value, p.res.storeHit, p.coalesced, p.res.err
 }
 
-// runFunc computes one response under a context, emitting progress through
-// ob: it returns the typed response, its canonical body, and whether the
-// persistent store answered without evaluation.
-type runFunc func(ctx context.Context, ob obs.Observer) (value any, body []byte, storeHit bool, err error)
+// Accounting blocks until the flight finishes and returns the search work
+// it did. Requests that coalesced onto one flight report the same
+// accounting; a request that failed before its flight ran reports none.
+func (p *Pending) Accounting() Accounting {
+	<-p.done
+	return p.res.acct
+}
+
+// runFunc computes one response under a context, emitting progress and
+// work-count events through ob: it returns the typed response, its
+// canonical body, whether the persistent store answered without
+// evaluation, and a sweep's coordinator accounting (zero for the other
+// kinds).
+type runFunc func(ctx context.Context, ob obs.Observer) (value any, body []byte, storeHit bool, sweep dse.FrontStats, err error)
 
 // submit runs the coalesce → admit → compute pipeline for one request
 // identity. The returned Pending's goroutine drives the singleflight retry
@@ -196,7 +237,7 @@ func (s *Service) submit(ctx context.Context, key store.Key, opts SubmitOptions,
 		if p.events != nil {
 			defer close(p.events)
 		}
-		p.body, p.value, p.storeHit, p.coalesced, p.err = s.drive(cctx, key, opts, p.events, run)
+		p.res, p.coalesced = s.drive(cctx, key, opts, p.events, run)
 	}()
 	return p
 }
@@ -206,7 +247,7 @@ func (s *Service) submit(ctx context.Context, key store.Key, opts SubmitOptions,
 // compute runs in its own goroutine so this one can keep draining the
 // subscription while it works — events reach out live, and a subscriber
 // can never fill the fanout buffer unread during compute.
-func (s *Service) drive(ctx context.Context, key store.Key, opts SubmitOptions, out chan obs.Event, run runFunc) (body []byte, value any, storeHit, coalesced bool, err error) {
+func (s *Service) drive(ctx context.Context, key store.Key, opts SubmitOptions, out chan obs.Event, run runFunc) (res result, coalesced bool) {
 	everCoalesced := false
 	for {
 		fl, leader := s.joinOrLead(key)
@@ -234,11 +275,11 @@ func (s *Service) drive(ctx context.Context, key store.Key, opts SubmitOptions, 
 				if sub != nil {
 					sub.Unsubscribe()
 				}
-				return nil, nil, false, everCoalesced, ctx.Err()
+				return result{err: ctx.Err()}, everCoalesced
 			}
 		}
-		if fl.err == nil || leader || ctx.Err() != nil || !isCtxErr(fl.err) {
-			return fl.body, fl.value, fl.storeHit, everCoalesced, fl.err
+		if fl.res.err == nil || leader || ctx.Err() != nil || !isCtxErr(fl.res.err) {
+			return fl.res, everCoalesced
 		}
 		// The flight died of a context failure that is not ours: its leader
 		// gave up. Retry — the next round may make us the leader. (A leader
@@ -263,14 +304,16 @@ func (s *Service) joinOrLead(key store.Key) (*flight, bool) {
 // lead runs the leader's side of one flight: admission, deadline, compute,
 // publish, retire. It runs in its own goroutine (the driving goroutine
 // forwards events concurrently); the flight's lifetime is the leader's
-// context.
+// context. The compute's work is charged to the flight once, however many
+// requests it serves.
 func (s *Service) lead(ctx context.Context, key store.Key, fl *flight, opts SubmitOptions, run runFunc) {
-	finish := func(value any, body []byte, storeHit bool, err error) {
+	finish := func(res result) {
 		s.mu.Lock()
 		delete(s.flights, key)
+		s.work = s.work.add(res.acct)
 		s.mu.Unlock()
-		fl.value, fl.body, fl.storeHit, fl.err = value, body, storeHit, err
-		s.account(storeHit, err)
+		fl.res = res
+		s.account(res.storeHit, res.err)
 		close(fl.done)
 		fl.fan.Close()
 	}
@@ -285,28 +328,30 @@ func (s *Service) lead(ctx context.Context, key store.Key, fl *flight, opts Subm
 		case errors.Is(err, ErrDraining):
 			s.rejDraining.Add(1)
 		}
-		finish(nil, nil, false, err)
+		finish(result{err: err})
 		return
 	}
 	s.admitted.Add(1)
 	rctx, rcancel := context.WithTimeout(ctx, s.adm.cfg.Deadline(opts.Deadline))
-	value, body, storeHit, err := runRecovered(rctx, obs.Multi(fl.fan, s.cfg.Observe), run)
+	res := runRecovered(rctx, obs.Multi(fl.fan, &fl.work, s.cfg.Observe), run)
 	rcancel()
 	release()
-	finish(value, body, storeHit, err)
+	res.acct.Counts = fl.work.Counts()
+	finish(res)
 }
 
 // runRecovered calls run, failing the request instead of the process when
 // the compute panics (lead runs on its own goroutine, so nothing above it
 // would recover). The error carries the panic value but no stack trace,
 // which would otherwise reach the client in the error body.
-func runRecovered(ctx context.Context, ob obs.Observer, run runFunc) (value any, body []byte, storeHit bool, err error) {
+func runRecovered(ctx context.Context, ob obs.Observer, run runFunc) (res result) {
 	defer func() {
 		if r := recover(); r != nil {
-			value, body, storeHit, err = nil, nil, false, fmt.Errorf("panic: %v", r)
+			res = result{err: fmt.Errorf("panic: %v", r)}
 		}
 	}()
-	return run(ctx, ob)
+	res.value, res.body, res.storeHit, res.acct.Sweep, res.err = run(ctx, ob)
+	return res
 }
 
 // account tallies one finished flight.
@@ -385,8 +430,9 @@ func (s *Service) BeginSchedule(ctx context.Context, req *ScheduleRequest, opts 
 	if opts.MemoryEstimate == 0 {
 		opts.MemoryEstimate = scheduleMemEstimate(req)
 	}
-	return s.submit(ctx, persistScheduleKey(req), opts, func(ctx context.Context, ob obs.Observer) (any, []byte, bool, error) {
-		return s.ScheduleBody(ctx, req, ob)
+	return s.submit(ctx, persistScheduleKey(req), opts, func(ctx context.Context, ob obs.Observer) (any, []byte, bool, dse.FrontStats, error) {
+		value, body, storeHit, err := s.ScheduleBody(ctx, req, ob)
+		return value, body, storeHit, dse.FrontStats{}, err
 	}), nil
 }
 
@@ -423,14 +469,16 @@ func (s *Service) BeginSweep(ctx context.Context, req *SweepRequest, opts Submit
 	if opts.MemoryEstimate == 0 {
 		opts.MemoryEstimate = s.sweepMemEstimate(req)
 	}
-	return s.submit(ctx, persistSweepKey(req), opts, func(ctx context.Context, ob obs.Observer) (any, []byte, bool, error) {
-		return s.SweepBody(ctx, req, ob)
+	return s.submit(ctx, persistSweepKey(req), opts, func(ctx context.Context, ob obs.Observer) (any, []byte, bool, dse.FrontStats, error) {
+		value, body, stats, err := s.SweepBody(ctx, req, ob)
+		return value, body, false, stats, err
 	}), nil
 }
 
 // SweepBody is the pure compute path of one sweep request (a securelint
-// puredet seed; see ScheduleBody).
-func (s *Service) SweepBody(ctx context.Context, req *SweepRequest, ob obs.Observer) (*SweepResponse, []byte, bool, error) {
+// puredet seed; see ScheduleBody). Besides the response it returns the
+// coordinator's accounting, also when the sweep fails.
+func (s *Service) SweepBody(ctx context.Context, req *SweepRequest, ob obs.Observer) (*SweepResponse, []byte, dse.FrontStats, error) {
 	opt := req.optionsEnc(nil)
 	opt.Observe = obs.OrNop(ob)
 	opt.MaxParallel = s.cfg.MaxParallel
@@ -438,7 +486,7 @@ func (s *Service) SweepBody(ctx context.Context, req *SweepRequest, ob obs.Obser
 
 	res, err := dse.Sweep(ctx, req.Network, req.Specs, req.Cryptos, req.Algorithm, opt)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, res.Stats, err
 	}
 	points := res.Points
 	if req.Front {
@@ -455,9 +503,9 @@ func (s *Service) SweepBody(ctx context.Context, req *SweepRequest, ob obs.Obser
 	}
 	body, err := encodeBody(value)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, res.Stats, err
 	}
-	return value, body, false, nil
+	return value, body, res.Stats, nil
 }
 
 // BeginAuthBlock validates and submits an authblock request, returning its
@@ -469,8 +517,9 @@ func (s *Service) BeginAuthBlock(ctx context.Context, req *AuthBlockRequest, opt
 	if opts.MemoryEstimate == 0 {
 		opts.MemoryEstimate = authBlockMemEstimate(req)
 	}
-	return s.submit(ctx, persistAuthBlockKey(req), opts, func(ctx context.Context, ob obs.Observer) (any, []byte, bool, error) {
-		return s.AuthBlockBody(ctx, req, ob)
+	return s.submit(ctx, persistAuthBlockKey(req), opts, func(ctx context.Context, ob obs.Observer) (any, []byte, bool, dse.FrontStats, error) {
+		value, body, storeHit, err := s.AuthBlockBody(ctx, req, ob)
+		return value, body, storeHit, dse.FrontStats{}, err
 	}), nil
 }
 
@@ -504,7 +553,7 @@ func authBlockMemEstimate(req *AuthBlockRequest) int64 {
 func (s *Service) AuthBlockBody(ctx context.Context, req *AuthBlockRequest, ob obs.Observer) (*AuthBlockResponse, []byte, bool, error) {
 	st := s.cfg.Store
 	storeHit := authblock.StoredOptimal(st, req.Producer, req.Consumer, req.Params)
-	opt, err := authblock.OptimalStoredCtx(ctx, st, req.Producer, req.Consumer, req.Params)
+	opt, err := authblock.OptimalStoredCtx(ctx, ob, st, req.Producer, req.Consumer, req.Params)
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -63,8 +63,9 @@ func tinyScheduleRequest() *ScheduleRequest {
 	}
 }
 
-// TestScheduleKeyTiers: every result-bearing request knob changes the
-// canonical key; pure labels do not.
+// TestScheduleKeyTiers: every request knob the response depends on changes
+// the canonical key — the labels the body carries included, so requests
+// that differ only in a name never share a flight.
 func TestScheduleKeyTiers(t *testing.T) {
 	base := persistScheduleKey(tinyScheduleRequest())
 	mutate := func(name string, f func(*ScheduleRequest), want bool) {
@@ -88,9 +89,11 @@ func TestScheduleKeyTiers(t *testing.T) {
 	mutate("crypto count", func(r *ScheduleRequest) { r.Crypto.CountPerDatatype = 2 }, true)
 	mutate("layer shape", func(r *ScheduleRequest) { r.Network.Layers[0].C = 12 }, true)
 	mutate("segments", func(r *ScheduleRequest) { r.Network.Segments = [][]int{{0}, {1}} }, true)
-	mutate("network name", func(r *ScheduleRequest) { r.Network.Name = "renamed" }, false)
-	mutate("layer name", func(r *ScheduleRequest) { r.Network.Layers[0].Name = "renamed" }, false)
-	mutate("arch name", func(r *ScheduleRequest) { r.Spec.Name = "renamed" }, false)
+	mutate("network name", func(r *ScheduleRequest) { r.Network.Name = "renamed" }, true)
+	mutate("layer name", func(r *ScheduleRequest) { r.Network.Layers[0].Name = "renamed" }, true)
+	mutate("arch name", func(r *ScheduleRequest) { r.Spec.Name = "renamed" }, true)
+	mutate("engine name", func(r *ScheduleRequest) { r.Crypto.Engine.Name = "renamed" }, true)
+	mutate("dram name", func(r *ScheduleRequest) { r.Spec.DRAM.Name = "renamed" }, false)
 }
 
 // TestSweepKeyNeutralKnobs: the wire deadline shapes only how long a sweep
@@ -200,7 +203,6 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 	}
 
 	count.stages.Store(0)
-	runsBefore := authblock.OptimalRuns()
 	p, err := svc.BeginSchedule(context.Background(), tinyScheduleRequest(), SubmitOptions{})
 	if err != nil {
 		t.Fatalf("warm begin: %v", err)
@@ -218,7 +220,7 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 	if n := count.stages.Load(); n != 0 {
 		t.Errorf("warm repeat started %d stages, want 0", n)
 	}
-	if d := authblock.OptimalRuns() - runsBefore; d != 0 {
+	if d := p.Accounting().AuthBlockSearches; d != 0 {
 		t.Errorf("warm repeat ran %d AuthBlock optimisations, want 0", d)
 	}
 	c := svc.Stats().Service
@@ -331,15 +333,15 @@ func TestPreCancelledDoesZeroWork(t *testing.T) {
 	svc := New(Config{Observe: &count})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	runsBefore := authblock.OptimalRuns()
-	_, _, err := await[ScheduleResponse](svc.BeginSchedule(ctx, tinyScheduleRequest(), SubmitOptions{}))
+	p, err := svc.BeginSchedule(ctx, tinyScheduleRequest(), SubmitOptions{})
+	_, _, err = await[ScheduleResponse](p, err)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled schedule = %v, want context.Canceled", err)
 	}
 	if n := count.stages.Load(); n != 0 {
 		t.Errorf("pre-cancelled request started %d stages, want 0", n)
 	}
-	if d := authblock.OptimalRuns() - runsBefore; d != 0 {
+	if d := p.Accounting().AuthBlockSearches; d != 0 {
 		t.Errorf("pre-cancelled request ran %d AuthBlock optimisations, want 0", d)
 	}
 	c := svc.Stats().Service
@@ -435,7 +437,7 @@ func TestAuthBlockWarmStoreHit(t *testing.T) {
 		Consumer: authblock.ConsumerGrid{TileC: 4, WinH: 7, WinW: 7, StepH: 5, StepW: 5, CountC: 1, CountH: 3, CountW: 3, FetchesPerTile: 1},
 		Params:   authblock.DefaultParams(),
 	}
-	begin := func() (storeHit bool) {
+	begin := func() (storeHit bool, searches int64) {
 		p, err := svc.BeginAuthBlock(context.Background(), req, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -444,17 +446,17 @@ func TestAuthBlockWarmStoreHit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return storeHit
+		return storeHit, p.Accounting().AuthBlockSearches
 	}
-	if begin() {
+	if hit, _ := begin(); hit {
 		t.Error("cold authblock request reported a store hit")
 	}
-	runsBefore := authblock.OptimalRuns()
-	if !begin() {
+	hit, searches := begin()
+	if !hit {
 		t.Error("warm authblock repeat did not report a store hit")
 	}
-	if d := authblock.OptimalRuns() - runsBefore; d != 0 {
-		t.Errorf("warm repeat ran %d optimal searches, want 0", d)
+	if searches != 0 {
+		t.Errorf("warm repeat ran %d optimal searches, want 0", searches)
 	}
 	if c := svc.Stats().Service; c.StoreHits != 1 {
 		t.Errorf("store_hits = %d, want 1", c.StoreHits)
@@ -478,7 +480,7 @@ func TestAuthBlockRoundTrip(t *testing.T) {
 	if len(body) == 0 || body[len(body)-1] != '\n' {
 		t.Fatal("canonical body must be newline-terminated")
 	}
-	want, err := authblock.OptimalStoredCtx(context.Background(), nil, req.Producer, req.Consumer, req.Params)
+	want, err := authblock.OptimalStoredCtx(context.Background(), nil, nil, req.Producer, req.Consumer, req.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,16 +546,19 @@ func TestSweepOversizedRejected(t *testing.T) {
 		cryptos[i] = cryptoengine.Config{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1}
 	}
 	req := &SweepRequest{Network: tinyNetwork(), Specs: specs, Cryptos: cryptos, Algorithm: core.CryptOptCross, Front: true}
-	before := dse.PruneStats()
-	_, _, err := await[SweepResponse](svc.BeginSweep(context.Background(), req, SubmitOptions{}))
+	p, err := svc.BeginSweep(context.Background(), req, SubmitOptions{})
+	_, _, err = await[SweepResponse](p, err)
 	if !errors.Is(err, ErrRequestTooLarge) {
 		t.Fatalf("%dx%d sweep = %v, want ErrRequestTooLarge", n, n, err)
 	}
 	if c := svc.Stats().Service; c.RejectedTooLarge != 1 || c.Admitted != 0 {
 		t.Errorf("counters = %+v, want one too-large rejection and no admission", c)
 	}
-	if after := dse.PruneStats(); after != before {
-		t.Errorf("rejected sweep did work: before %+v, after %+v", before, after)
+	if a := p.Accounting(); a != (Accounting{}) {
+		t.Errorf("rejected sweep did work: %+v", a)
+	}
+	if st := svc.Stats(); st.SweepPrune != (PruneStatsBody{}) {
+		t.Errorf("rejected sweep counted in /v1/stats: %+v", st.SweepPrune)
 	}
 	// Only the per-point term pushes the space over the budget.
 	if small := svc.sweepMemEstimate(&SweepRequest{Network: tinyNetwork(), Specs: specs[:1], Cryptos: cryptos[:1]}); small >= 1<<30 {

@@ -2,15 +2,16 @@ package service
 
 import (
 	"secureloop/internal/authblock"
-	"secureloop/internal/dse"
 	"secureloop/internal/mapper"
 	"secureloop/internal/memo"
 	"secureloop/internal/store"
 )
 
-// Stats is the /v1/stats snapshot: the same counters the experiments
-// binary prints with -cachestats, as structured JSON, plus the service's
-// own request counters and the admission gate's instantaneous load.
+// Stats is the /v1/stats snapshot: the process-wide memos' counters, the
+// search work of every flight this service finished (guided_search,
+// authblock_optimal.runs and sweep_prune, each the sum of the flights'
+// Accounting), the service's own request counters and the admission gate's
+// instantaneous load.
 type Stats struct {
 	Service Counters  `json:"service"`
 	Queue   QueueLoad `json:"queue"`
@@ -37,7 +38,8 @@ type QueueLoad struct {
 
 // RatioStats is one in-process memo's counters (see memo.Stats); Runs is
 // set only for the AuthBlock optimal memo, where it counts the searches
-// that actually ran (misses the persistent store could not answer either).
+// this service's flights actually ran (misses the persistent store could
+// not answer either).
 type RatioStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -87,13 +89,16 @@ func (s *Service) Stats() Stats {
 
 	ms, mt, mw := mapper.CacheStats()
 	out.MapperSearch, out.MapperTile, out.MapperWarm = ratioStats(ms), ratioStats(mt), ratioStats(mw)
-	gs := mapper.GuidedSearchStats()
-	out.GuidedSearch = GuidedStatsBody{Searches: gs.Searches, Evaluated: gs.Evaluated, Pruned: gs.Pruned, Skipped: gs.Skipped, WarmSeeds: gs.WarmSeeds}
 	ao, at, ad, as := authblock.CacheStats()
 	out.AuthOptimal, out.AuthTileBlock, out.AuthDecomp, out.AuthSizes = ratioStats(ao), ratioStats(at), ratioStats(ad), ratioStats(as)
-	out.AuthOptimal.Runs = authblock.OptimalRuns()
-	ps := dse.PruneStats()
-	out.SweepPrune = PruneStatsBody{Bounded: ps.Bounded, Pruned: ps.Pruned, Deferred: ps.Deferred, Reevaluated: ps.Reevaluated, FullEvals: ps.FullEvals, StoreHits: ps.StoreHits}
+	s.mu.Lock()
+	w := s.work
+	s.mu.Unlock()
+	out.GuidedSearch = GuidedStatsBody{Searches: w.MapperSearches, Evaluated: w.Evaluated, Pruned: w.Pruned, Skipped: w.Skipped, WarmSeeds: w.WarmSeeds}
+	out.AuthOptimal.Runs = w.AuthBlockSearches
+	ps := w.Sweep
+	out.SweepPrune = PruneStatsBody{Bounded: int64(ps.Bounded), Pruned: int64(ps.Pruned), Deferred: int64(ps.Deferred),
+		Reevaluated: int64(ps.Reevaluated), FullEvals: int64(ps.FullEvals), StoreHits: int64(ps.StoreHits)}
 	if st := s.cfg.Store; st != nil {
 		out.Store = storeStatsBody(st.Stats())
 	}

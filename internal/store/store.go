@@ -100,7 +100,6 @@ type op struct {
 	val  []byte
 	seq  uint64
 	ack  chan struct{} // flush barrier: writer fsyncs then closes
-	comp chan error    // compaction request: writer compacts then replies
 }
 
 // Store is a disk-backed, content-addressed result store: an append-only
@@ -205,9 +204,9 @@ func listSegments(dir string) ([]uint64, error) {
 			continue
 		}
 		if strings.HasSuffix(name, tmpSuffix) {
-			// Leftover from a compaction that never reached its atomic
-			// rename: the old segments are still intact, so the temp file
-			// is garbage by construction.
+			// Left behind by the compaction of an earlier version, which
+			// crashed before its atomic rename: the old segments are still
+			// intact, so the temp file is garbage by construction.
 			_ = os.Remove(filepath.Join(dir, name))
 			continue
 		}
@@ -435,21 +434,6 @@ func (s *Store) Flush() {
 	<-ack
 }
 
-// Compact rewrites the live entries into a single fresh segment (sorted by
-// key for determinism), atomically renames it into place, and deletes the
-// old segments. Reclaims space held by superseded and evicted records.
-func (s *Store) Compact() error {
-	reply := make(chan error, 1)
-	s.sendMu.Lock()
-	if s.closed {
-		s.sendMu.Unlock()
-		return fmt.Errorf("store: compact on closed store")
-	}
-	s.ops <- op{comp: reply}
-	s.sendMu.Unlock()
-	return <-reply
-}
-
 // Close drains pending writes, fsyncs, and closes every segment file.
 // Safe to call twice.
 func (s *Store) Close() error {
@@ -498,19 +482,14 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Dir returns the directory the store is rooted at.
-func (s *Store) Dir() string { return s.dir }
-
 // run is the writer goroutine: the only place segment files are appended,
-// rotated, evicted, or compacted, so none of those need file-level locks.
+// rotated or evicted, so none of those need file-level locks.
 func (s *Store) run() {
 	defer s.wg.Done()
 	for o := range s.ops {
 		switch {
 		case o.put:
 			s.appendRecord(o)
-		case o.comp != nil:
-			o.comp <- s.compactNow()
 		case o.ack != nil:
 			if err := s.activeSeg().f.Sync(); err != nil {
 				s.ioErrors.Add(1)
@@ -533,7 +512,7 @@ func encodeRecord(kind byte, key Key, val []byte) []byte {
 }
 
 // activeSeg snapshots the active-segment pointer under mu. Only the writer
-// goroutine swaps it (rotate, compactNow), but Stats and Open share mu, so
+// goroutine swaps it (rotate), but Stats and Open share mu, so
 // even the writer's own reads take the read lock.
 func (s *Store) activeSeg() *segment {
 	s.mu.RLock()
@@ -609,85 +588,4 @@ func (s *Store) evict() {
 		s.evictSegs.Add(1)
 		s.evictBytes.Add(victim.size)
 	}
-}
-
-// compactNow runs on the writer goroutine, so it is serialized with every
-// append that was enqueued before the Compact call; puts enqueued after it
-// simply land in the fresh active segment. Live entries are collected,
-// sorted by key bytes (map order must not leak into the file), written to
-// a temp file, fsynced, and atomically renamed; only then are the old
-// segments removed, so a crash at any point leaves either the old log or
-// the new one fully intact.
-func (s *Store) compactNow() error {
-	type kv struct {
-		key Key
-		r   ref
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	live := make([]kv, 0, len(s.index))
-	for k, r := range s.index {
-		live = append(live, kv{key: k, r: r})
-	}
-	sort.Slice(live, func(i, j int) bool {
-		return string(live[i].key[:]) < string(live[j].key[:])
-	})
-
-	nextID := s.segIDs[len(s.segIDs)-1] + 1
-	path := segPath(s.dir, nextID)
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	newIndex := make(map[Key]ref, len(live))
-	var off int64
-	for _, e := range live {
-		seg := s.segs[e.r.seg]
-		buf := make([]byte, headerSize+int(e.r.plen))
-		if _, err := seg.f.ReadAt(buf, e.r.off); err != nil {
-			s.ioErrors.Add(1)
-			continue
-		}
-		payload := buf[headerSize:]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[:4]) {
-			s.corrupt.Add(1)
-			continue
-		}
-		if _, err := f.WriteAt(buf, off); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: compact write: %w", err)
-		}
-		newIndex[e.key] = ref{seg: nextID, off: off, plen: e.r.plen}
-		off += int64(len(buf))
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact sync: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact rename: %w", err)
-	}
-
-	old := s.segIDs
-	for _, id := range old {
-		seg := s.segs[id]
-		seg.f.Close()
-		if err := os.Remove(seg.path); err != nil {
-			s.ioErrors.Add(1)
-		}
-		delete(s.segs, id)
-	}
-	newSeg := &segment{id: nextID, path: path, f: f, size: off}
-	s.segs = map[uint64]*segment{nextID: newSeg}
-	s.segIDs = []uint64{nextID}
-	s.active = newSeg
-	s.index = newIndex
-	s.totalBytes.Store(off)
-	return nil
 }
