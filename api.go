@@ -86,15 +86,14 @@ const (
 )
 
 // MapperOptions selects the per-layer loopnest search strategy (the
-// scheduler's Mapper field). The zero value is the exhaustive search, which
-// returns the exact top-k: it runs best-first on every layer whose stride
-// is at most its filter extent and walks the whole tiling lattice only on
-// the rest (ResNet-18's 1×1 stride-2 downsamples). Set Mode to GuidedSearch
-// to run best-first on every layer, seeding each search from the
+// scheduler's Mapper field). Both modes run the same best-first search. The
+// zero value is the exhaustive search, which returns the exact top-k on
+// every layer. Set Mode to GuidedSearch to seed each search from the
 // warm-start store of previous searches over similar layer shapes. At the
 // default Epsilon = 0 it returns the exhaustive search's results, except on
-// layers whose stride exceeds the filter extent, where its answer can
-// depend on which searches ran before it:
+// layers whose stride exceeds the filter extent (ResNet-18's 1×1 stride-2
+// downsamples), where its answer can depend on which searches ran before
+// it:
 //
 //	s := secureloop.NewScheduler(spec, crypto)
 //	s.Mapper = secureloop.MapperOptions{Mode: secureloop.GuidedSearch}

@@ -119,7 +119,14 @@ func main() {
 	}
 }
 
+// countAlong counts the consumer windows along one axis: the positions off,
+// off+step, ... below extent whose window reaches into the tensor, at least
+// one. A non-positive step never advances, so it counts nothing and returns
+// 0; ConsumerGrid.Validate then rejects the step.
 func countAlong(extent, off, step, win int) int {
+	if step <= 0 {
+		return 0
+	}
 	n := 0
 	for pos := off; pos < extent; pos += step {
 		if pos+win > 0 {

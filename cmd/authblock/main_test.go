@@ -1,0 +1,28 @@
+package main
+
+import (
+	"testing"
+	"time"
+)
+
+// TestCountAlongNonPositiveStep: a consumer step that never advances must
+// not hang the command before ConsumerGrid.Validate can reject it, so
+// countAlong returns 0 promptly for it.
+func TestCountAlongNonPositiveStep(t *testing.T) {
+	for _, c := range []struct{ off, step, win int }{
+		{0, -1, 20}, // -cstep -1x20
+		{0, 0, 0},   // -cwin 0x20 -cstep 0x20 -coff 0x0
+		{10, 0, 20}, // -cstep 0x20
+	} {
+		done := make(chan int, 1)
+		go func() { done <- countAlong(30, c.off, c.step, c.win) }()
+		select {
+		case n := <-done:
+			if n != 0 {
+				t.Errorf("countAlong(30, %d, %d, %d) = %d, want 0", c.off, c.step, c.win, n)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("countAlong(30, %d, %d, %d) did not return within a second", c.off, c.step, c.win)
+		}
+	}
+}

@@ -9,11 +9,10 @@
 //	    [-prune] [-csv out.csv] [-progress]
 //	    [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -guided switches every loopnest search to the guided mode: the
-// lower-bound-guided best-first search on every layer, with
-// cross-design-point warm starts and the -epsilon relaxation. The default
-// exhaustive mode already runs that search, cold and exact, on every layer
-// whose stride is at most its filter extent. At the default -epsilon 0 the
+// -guided switches every loopnest search to the guided mode: the same
+// lower-bound-guided best-first search, with cross-design-point warm starts
+// and the -epsilon relaxation. The default exhaustive mode runs that
+// search cold and exact on every layer. At the default -epsilon 0 the
 // guided mode matches the exhaustive one except on layers whose stride
 // exceeds the filter extent (see DESIGN.md §12).
 // -prune turns on dominance pruning: a cheap bound pre-pass plus a

@@ -10,13 +10,12 @@
 // -quick trades fidelity for speed (fewer annealing iterations and seeds);
 // use it for smoke runs. The full run regenerates every experiment at
 // paper-scale settings. -guided switches every loopnest search to the
-// guided mode: the lower-bound-guided best-first search on every layer,
-// with warm starts (the default exhaustive mode already runs it, cold and
-// exact, on every layer whose stride is at most its filter extent; at the
-// default -epsilon 0 the two modes agree except on layers whose stride
-// exceeds the filter extent, see DESIGN.md §12). -store names a persistent
-// result-store directory: a warm rerun replays byte-identical schedules
-// from disk instead of recomputing them. -progress streams per-stage
+// guided mode: the same lower-bound-guided best-first search, with warm
+// starts (the default exhaustive mode runs it cold and exact on every
+// layer; at the default -epsilon 0 the two modes agree except on layers
+// whose stride exceeds the filter extent, see DESIGN.md §12). -store names
+// a persistent result-store directory: a warm rerun replays byte-identical
+// schedules from disk instead of recomputing them. -progress streams per-stage
 // scheduling progress to stderr. -cachestats reports every memoisation
 // tier's hit ratio and counters (mapper search cache, tile-candidate
 // cache, warm-start store, AuthBlock memos, persistent store) after the

@@ -185,3 +185,28 @@ func BenchmarkCountBoxBlocksBrute(b *testing.B) {
 		countBoxBlocksBrute(16, 30, 28, box, AlongQ, 37)
 	}
 }
+
+// countBoxBlocksBrute is the enumeration oracle for CountBoxBlocks: it
+// marks every touched block directly.
+func countBoxBlocksBrute(tileC, tileP, tileQ int, b Box, o Orientation, u int) (blocks, covered int64) {
+	dims, lo, hi := permute(tileC, tileP, tileQ, b, o)
+	flatLen := int64(dims[0]) * int64(dims[1]) * int64(dims[2])
+	touched := map[int64]bool{}
+	for i0 := lo[0]; i0 < hi[0]; i0++ {
+		for i1 := lo[1]; i1 < hi[1]; i1++ {
+			for i2 := lo[2]; i2 < hi[2]; i2++ {
+				flat := (int64(i0)*int64(dims[1])+int64(i1))*int64(dims[2]) + int64(i2)
+				touched[flat/int64(u)] = true
+			}
+		}
+	}
+	for k := range touched {
+		blocks++
+		end := (k + 1) * int64(u)
+		if end > flatLen {
+			end = flatLen
+		}
+		covered += end - k*int64(u)
+	}
+	return blocks, covered
+}

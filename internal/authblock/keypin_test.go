@@ -16,7 +16,7 @@ func TestStoreKeyPinned(t *testing.T) {
 			CountC: 8, CountH: 10, CountW: 7, FetchesPerTile: 3},
 		par: Params{WordBits: 16, HashBits: 64},
 	}
-	const want = "9bd609912216e68a2c9535c8d42c5647a12fab668bab2f62b02a33b9bc0439c6"
+	const want = "e3777ec7ae822e32f553ce2f2e9a591cd79a60679d01fcddd9e6f1baddf01e0e"
 	if got := persistOptimalKey(k); hex.EncodeToString(got[:]) != want {
 		t.Fatalf("authblock.optimal key = %x, want %s", got, want)
 	}

@@ -32,14 +32,3 @@ func consumerGrid(l *workload.Layer, m *mapping.Mapping) authblock.ConsumerGrid 
 		FetchesPerTile: it.FetchesPerTile,
 	}
 }
-
-// sourceGrid builds the whole-tensor producer view for a segment-source
-// ifmap (network input or post-processing output): the writer provisions
-// AuthBlocks freely for the consumer, so the tensor is treated as one tile.
-func sourceGrid(l *workload.Layer) authblock.ProducerGrid {
-	ch := l.C
-	if l.Depthwise {
-		ch = l.M
-	}
-	return authblock.Whole(ch, l.InH(), l.InW())
-}

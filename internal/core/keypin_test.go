@@ -37,7 +37,7 @@ func TestStoreKeyPinned(t *testing.T) {
 		Objective: MinEDP,
 		Mapper:    mapper.Options{Mode: mapper.Guided, Epsilon: 0.25},
 	}
-	const want = "1a8b8aa719e247dfde2c67bf38e964f61a88d08e65d32c062eba5a612b1b13f2"
+	const want = "bcc5a433d06a29245591625dc3815baef7cff2cb84a628b799ab6c4c7d6efb6f"
 	if got := s.persistNetworkKey(net, CryptOptCross); hex.EncodeToString(got[:]) != want {
 		t.Fatalf("core.network key = %x, want %s", got, want)
 	}

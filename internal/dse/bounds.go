@@ -5,9 +5,8 @@
 // evaluateWithBaseline verbatim, so it is byte-identical to the evaluated
 // point's. The cycle bound combines the roofline compute roof with the
 // mapper's per-layer search floor (mapper.SearchLowerBound, built from the
-// guided search's per-dimension traffic/compute tables); DESIGN.md §14
-// gives the soundness argument and the layer shapes (stride > filter
-// extent) where the mapper floor does not yet hold.
+// best-first search's per-dimension traffic/compute tables); DESIGN.md §14
+// gives the soundness argument.
 
 package dse
 
@@ -41,8 +40,7 @@ func pointArea(spec arch.Spec, crypto cryptoengine.Config) float64 {
 // networkCycleLB returns a lower bound on Total.Cycles of any schedule of
 // net on the design (per-layer Stats.Cycles sum over layers; each layer's
 // Stats.Cycles is bounded below by its mapper search floor and by the
-// roofline compute roof — the floor overshoots on layers whose stride
-// exceeds the filter extent, DESIGN.md §14). It returns 0 — never prune —
+// roofline compute roof, DESIGN.md §14). It returns 0 — never prune —
 // when the bound arithmetic panics on a pathological layer shape (the
 // mapper's checked multiplies), mirroring how the full search surfaces
 // such layers as per-point errors rather than process deaths.

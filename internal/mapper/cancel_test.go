@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"secureloop/internal/obs"
 	"secureloop/internal/workload"
 )
 
@@ -79,12 +80,20 @@ func TestSearchCancelWaiterUnblocks(t *testing.T) {
 	<-leaderDone
 }
 
+// panicObserver panics when the search reports its work.
+type panicObserver struct{ obs.Nop }
+
+func (panicObserver) MapperSearch(obs.MapperSearchEvent) { panic("boom") }
+
+// TestSearchWorkerPanicBecomesError: a panic inside a search, here in the
+// observer it reports to, comes back from SearchCtx as an error carrying
+// the panic message instead of killing the process.
 func TestSearchWorkerPanicBecomesError(t *testing.T) {
-	l := workload.AlexNet().Layer(0)
-	out, err := search(context.Background(), baseRequest(l),
-		func(context.Context, Request, spatialChoice, *topK) { panic("boom") })
+	req := baseRequest(workload.AlexNet().Layer(0))
+	req.Observe = panicObserver{}
+	out, err := SearchCtx(context.Background(), req)
 	if err == nil {
-		t.Fatal("panicking worker did not surface as an error")
+		t.Fatal("panicking search did not surface as an error")
 	}
 	if !strings.Contains(err.Error(), "panic: boom") {
 		t.Errorf("error does not carry the panic message: %v", err)

@@ -46,7 +46,7 @@ func equivalenceLayers() []*workload.Layer {
 }
 
 // downsampleLayer returns ResNet-18's layer2.0.downsample (1×1, stride 2),
-// a layer whose traffic floor overshoots.
+// a layer whose stride exceeds its filter extent.
 func downsampleLayer() *workload.Layer {
 	rn := workload.ResNet18()
 	for i := range rn.Layers {
@@ -62,13 +62,11 @@ func downsampleLayer() *workload.Layer {
 // k values, SearchCtx must return a top-k byte-identical to searchReference
 // (clone per tiling, full model evaluation per permutation, skip-only
 // capacity checks): same length, and per rank the same tiling signature,
-// cycles, off-chip bits and rendered loopnest. SearchCtx runs the
-// best-first search on every layer whose traffic floor holds and the
-// optimised lattice walk (reusable mapping, per-tiling analysis, monotone
-// capacity breaks, tightened lower bound, lazy cloning) on the rest, so
-// ResNet-18's layer2.0.downsample is added here to cover the walk, also at
-// 30/7 B/cycle, where its floor overshoots. The guided-mode tests leave it
-// out: at Epsilon = 0 guided mode still prunes against that floor.
+// cycles, off-chip bits and rendered loopnest. ResNet-18's
+// layer2.0.downsample is added here, also at 30/7 B/cycle, to cover the
+// exact traffic floor where it sits below guided mode's. The guided-mode
+// tests leave it out: at Epsilon = 0 guided mode still prunes against its
+// own floor, which overshoots there.
 func TestSearchEquivalence(t *testing.T) {
 	down := downsampleLayer()
 	layers := append(equivalenceLayers(), down)

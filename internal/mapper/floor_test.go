@@ -8,9 +8,10 @@ import (
 )
 
 // TestSearchLowerBoundSound pins the floor's contract: on every AlexNet
-// layer, across PE-array shapes, buffer sizes and effective bandwidths,
-// SearchLowerBound never exceeds the cost of the best candidate either
-// search mode returns — the property the DSE coordinator's dominance
+// layer and ResNet-18's layer2.0.downsample, whose stride exceeds its
+// filter extent, across PE-array shapes, buffer sizes and effective
+// bandwidths, SearchLowerBound never exceeds the cost of the best candidate
+// either search mode returns — the property the DSE coordinator's dominance
 // pruning is sound against.
 func TestSearchLowerBoundSound(t *testing.T) {
 	base := arch.Base()
@@ -20,11 +21,14 @@ func TestSearchLowerBoundSound(t *testing.T) {
 		base.WithPEs(28, 24).WithGlobalBuffer(32 * 1024),
 	}
 	bws := []float64{0.5, 4, float64(base.DRAM.BytesPerCycle)}
+	layers := []*workload.Layer{downsampleLayer()}
 	net := workload.AlexNet()
+	for i := range net.Layers {
+		layers = append(layers, &net.Layers[i])
+	}
 	for _, spec := range specs {
 		for _, bw := range bws {
-			for i := range net.Layers {
-				l := &net.Layers[i]
+			for _, l := range layers {
 				req := Request{
 					Layer: l,
 					PEsX:  spec.PEsX, PEsY: spec.PEsY,

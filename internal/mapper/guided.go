@@ -1,30 +1,32 @@
-// Best-first search: a lower-bound-guided enumeration of the same tiling
-// lattice the lattice walk (searchTilings) visits. Guided mode always runs
-// it; exhaustive mode runs it at Epsilon = 0 without the warm-start store
-// on every layer whose traffic floor holds (floorHolds), which is every
-// built-in layer except ResNet-18's three 1×1 stride-2 downsamples.
+// Best-first search, the one production search: a lower-bound-guided
+// enumeration of the C/M/P/Q tiling lattice of every spatial choice. Both
+// modes run it. Exhaustive mode runs it at Epsilon = 0, without the
+// warm-start store and against the exact traffic floor (trafficFloor), so
+// it returns the exact top-k; guided mode takes Epsilon and warm starts
+// from the request.
 //
-// The lattice walk pays a full mapping.Analyze plus a six-way permutation
-// fold for every capacity-feasible tiling. The best-first search observes
-// that every term of scoreTiling's per-tiling lower bound — compute
-// cycles, the distinct-tile traffic floor MinOffchipElems, and the GLB
-// occupancy — factorizes per dimension once the spatial skeleton is fixed.
-// It therefore precomputes per-dimension candidate tables for each spatial
-// choice, derives the exact lower bound of every lattice point with a
-// handful of integer multiplies (pass A), sorts the survivors by bound,
-// and only scores tilings through the full permutation fold (pass B) until
-// the next-best bound proves no unexplored tiling can rank within the
-// top-k. At Epsilon = 0 the result is byte-identical to the lattice walk,
-// and at Epsilon > 0 every returned rank is within (1+Epsilon)× of the
-// exact rank's scheduling cycles, as long as every bound is a true lower
-// bound (see DESIGN.md §12 for the argument). One bound is not: the
-// tiling-independent traffic floor counts every input row, but when the
-// stride exceeds the filter extent the cost model fetches only the rows a
-// window touches, so the floor can sit above the achievable cost. On such
-// layers both searches stop at a visit-order-dependent candidate, so
-// exhaustive mode keeps the lattice walk there, while a guided answer can
-// differ from it and depends on the warm-start seeds, i.e. on which
-// searches ran before it. TestGuidedSearchEquivalence covers no such
+// Scoring a tiling costs a full mapping.Analyze plus a six-way permutation
+// fold (scoreTiling). The search observes that every term of scoreTiling's
+// per-tiling lower bound — compute cycles, the distinct-tile traffic floor
+// MinOffchipElems, and the GLB occupancy — factorizes per dimension once
+// the spatial skeleton is fixed. It therefore precomputes per-dimension
+// candidate tables for each spatial choice, walks the lattice with monotone
+// capacity breaks and derives the exact lower bound of every feasible point
+// with a handful of integer multiplies (pass A), sorts the survivors by
+// bound, and only scores tilings (pass B) until the next-best bound proves
+// no unexplored tiling can rank within the top-k. As long as every bound is
+// a true lower bound, the result at Epsilon = 0 is the exact top-k of the
+// lattice, byte-identical to the reference search (reference_test.go), and
+// at Epsilon > 0 every returned rank is within (1+Epsilon)× of the exact
+// rank's scheduling cycles (see DESIGN.md §12 for the argument).
+//
+// Guided mode still prunes against guidedFloor, which counts every input
+// row. When the stride exceeds the filter extent (among the built-in
+// networks, ResNet-18's three 1×1 stride-2 downsamples) the cost model
+// fetches only the rows a window touches, so that floor can sit above the
+// achievable cost. The search then stops at a visit-order-dependent
+// candidate, and a guided answer depends on the warm-start seeds, i.e. on
+// which searches ran before it. TestGuidedSearchEquivalence covers no such
 // layer.
 //
 // A warm-start store (warmstore.go) seeds guided searches with previous
@@ -50,24 +52,24 @@ type Mode int
 
 const (
 	// Exhaustive returns the exact top-k of the whole tiling lattice: the
-	// best-first search at Epsilon 0 without warm starts where the traffic
-	// floor holds, the lattice walk where it overshoots.
+	// best-first search at Epsilon 0, without warm starts, against the
+	// exact traffic floor.
 	Exhaustive Mode = iota
-	// Guided is the lower-bound-guided best-first search on every layer,
-	// with Epsilon and warm starts.
+	// Guided is the best-first search with Epsilon and warm starts, against
+	// guided mode's own traffic floor (guidedFloor).
 	Guided
 )
 
 // Options selects the search strategy and its accuracy knob. The zero value
-// (exhaustive) returns the historical exact answers.
+// (exhaustive) returns the exact top-k.
 type Options struct {
 	Mode Mode
 	// Epsilon is the admissible scheduling-cycle regression of a guided
 	// search relative to the exact top-k: rank-i cycles are at most
 	// (1+Epsilon) times the exact rank-i cycles. 0 (the default) makes the
 	// guided result byte-identical to the exhaustive one, except on layers
-	// whose stride exceeds the filter extent, where the traffic floor
-	// overshoots (see the file comment). Exhaustive mode ignores it.
+	// whose stride exceeds the filter extent, where guided mode's traffic
+	// floor overshoots (see the file comment). Exhaustive mode ignores it.
 	Epsilon float64
 	// DisableWarmStart skips the cross-request warm-start store in guided
 	// mode; exhaustive mode never uses the store. Seeds only tighten
@@ -78,12 +80,12 @@ type Options struct {
 	DisableWarmStart bool
 }
 
-// tiledDims are the dimensions the GLB tiling loop sweeps, in the nesting
-// order of searchTilings (outermost first).
+// tiledDims are the dimensions the GLB tiling lattice spans, in pass A's
+// nesting order (outermost first).
 var tiledDims = [4]mapping.Dim{mapping.DimC, mapping.DimM, mapping.DimP, mapping.DimQ}
 
 // evalChunk bounds how many pass-B evaluations run between cancellation
-// polls, matching the batch-boundary polling of the exhaustive path.
+// polls.
 const evalChunk = 64
 
 // stopLB reports whether a tiling whose lower bound is lb can be discarded
@@ -198,7 +200,8 @@ type guidedPart struct {
 }
 
 // newGuidedPart builds the search state for one spatial choice, or nil when
-// the choice is RF-infeasible (matching searchTilings' early return).
+// the choice is RF-infeasible: RF occupancy reads only RF-level factors,
+// which no GLB tiling touches, so no tiling of the choice fits.
 func newGuidedPart(req Request, sp spatialChoice, minTrafficCycles int64) *guidedPart {
 	l := req.Layer
 	m := baseMapping(l, sp)
@@ -225,10 +228,10 @@ func newGuidedPart(req Request, sp spatialChoice, minTrafficCycles int64) *guide
 	g.wRS = num.MulInt64(int64(mapping.Bound(l, mapping.DimR)), int64(mapping.Bound(l, mapping.DimS)))
 
 	// The optimistic bound combines per-axis minima that may not form a
-	// real lattice point, so its product is not covered by the exhaustive
-	// path's overflow behaviour: saturate instead of panicking, and on
-	// saturation never skip (minLB = 0) — any feasible point of such a part
-	// overflows identically on both paths when actually evaluated.
+	// real lattice point, so its product is not covered by the overflow
+	// behaviour of scoring a real point: saturate instead of panicking, and
+	// on saturation never skip (minLB = 0) — any feasible point of such a
+	// part overflows when it is actually evaluated.
 	minTemp, ok := mulSat64(g.ax[0].minTemp, g.ax[1].minTemp)
 	for _, f := range [...]int64{g.ax[2].minTemp, g.ax[3].minTemp, g.fixTemp} {
 		if !ok {
@@ -272,7 +275,7 @@ func dimTempContrib(m *mapping.Mapping, l *workload.Layer, d mapping.Dim) int64 
 // lattice point (ic, im, ip, iq) from the tables alone — no Mapping
 // mutation. The element counts replicate tileElems' checked multiplies and
 // the occupancy sum replicates GLBBitsUsed's unchecked arithmetic, so
-// capacity breaks agree with the exhaustive path bit-for-bit even under
+// capacity breaks agree with Mapping.GLBBitsUsed bit-for-bit even under
 // (pathological) overflow wraparound. The multiplication *order* differs
 // from tileElems' for hoisting, which is harmless: every factor is >= 1, so
 // a partial product overflows (panics) in one order exactly when the full
@@ -293,7 +296,7 @@ func (g *guidedPart) pointOcc(wb int64, ic, im, ip, iq int) (wE, iE, oE, occ int
 	iE = num.MulInt64(ch, num.MulInt64(g.ax[2].win[ip], g.ax[3].win[iq]))
 	oE = num.MulInt64(num.MulInt64(extM, extP), extQ)
 
-	//securelint:ignore overflowmul replicates GLBBitsUsed's unchecked occupancy sum so guided capacity breaks match the exhaustive path bit-for-bit
+	//securelint:ignore overflowmul replicates GLBBitsUsed's unchecked occupancy sum so capacity breaks match Mapping.GLBBitsUsed bit-for-bit
 	occ = 2*wE*wb + 2*iE*wb + 2*oE*wb
 	return wE, iE, oE, occ
 }
@@ -302,9 +305,9 @@ func (g *guidedPart) pointOcc(wb int64, ic, im, ip, iq int) (wE, iE, oE, occ int
 // lattice point: compute cycles (TemporalIterations replication) and the
 // distinct-tile traffic floor (Analyze.MinOffchipElems replication), pushed
 // through the same SchedulingCyclesFor and minTrafficCycles clamp. It must
-// only run on capacity-feasible points — the exhaustive path never analyses
-// infeasible tilings, so checked arithmetic here would panic where the
-// oracle does not.
+// only run on capacity-feasible points — no search analyses infeasible
+// tilings, so checked arithmetic here would panic where the reference
+// search does not.
 func (g *guidedPart) pointLB(wb int64, eff float64, minTraffic, wE, iE, oE int64, ic, im, ip, iq int) int64 {
 	idx := [4]int{ic, im, ip, iq}
 	elems := [3]int64{wE, iE, oE} // workload.Datatypes order
@@ -330,11 +333,15 @@ func (g *guidedPart) pointLB(wb int64, eff float64, minTraffic, wE, iE, oE int64
 	return lb
 }
 
-// scan is pass A: walk the lattice with the exhaustive path's monotone
-// capacity breaks, bound every feasible point, prefilter against the
-// snapshot threshold, and collect the survivors for sorted evaluation. The
-// bound itself is not monotone along an axis (ceiling padding), so only
-// capacity — which is monotone — drives the breaks.
+// scan is pass A: walk the lattice with monotone capacity breaks, bound
+// every feasible point, prefilter against the snapshot threshold, and
+// collect the survivors for sorted evaluation. The candidate lists ascend
+// and GLB occupancy is monotone nondecreasing in every tile size (tile
+// extents, and the ifmap halo they induce, only grow), so a capacity
+// violation ends the innermost axis — and when it happens at the smallest
+// setting of all inner axes it ends the enclosing axis too. The bound
+// itself is not monotone along an axis (ceiling padding), so only capacity
+// drives the breaks.
 func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraffic int64, best *topK, entries []lbEntry, work *obs.MapperSearchEvent) ([]lbEntry, error) {
 	wb := int64(req.Layer.WordBits)
 	kth, full := best.kthCycles()
@@ -383,11 +390,11 @@ func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraf
 	return entries, nil
 }
 
-// evaluate is pass B: score survivors in ascending-bound order through the
-// exact same scoreTiling the exhaustive path uses, stopping once the next
-// bound proves no unexplored tiling can enter the top-k. The threshold only
-// tightens as candidates land, so a tiling discarded against the current
-// k-th could never have displaced the final k-th.
+// evaluate is pass B: score survivors in ascending-bound order through
+// scoreTiling, stopping once the next bound proves no unexplored tiling can
+// enter the top-k. The threshold only tightens as candidates land, so a
+// tiling discarded against the current k-th could never have displaced the
+// final k-th.
 func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, minTraffic int64, best *topK, entries []lbEntry, work *obs.MapperSearchEvent) error {
 	slices.SortFunc(entries, func(a, b lbEntry) int {
 		if a.lb != b.lb {
@@ -431,9 +438,9 @@ func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, min
 
 // evalSeed scores one warm-start seed snapped onto the part's lattice.
 // Seeds are pure hints: a seed that no longer fits the GLB is dropped, and
-// because every snapped seed is a lattice point the exhaustive path also
-// visits, seeding cannot change the Epsilon = 0 result — only the order in
-// which the pruning threshold tightens.
+// because every snapped seed is a lattice point pass A also visits,
+// seeding cannot change the Epsilon = 0 result wherever every bound holds
+// — only the order in which the pruning threshold tightens.
 func (g *guidedPart) evalSeed(req Request, sd Seed, minTraffic int64, best *topK) bool {
 	l := req.Layer
 	for i, d := range tiledDims {
@@ -460,11 +467,10 @@ func snapTile(cands []int, tile int) int {
 	return cands[i-1]
 }
 
-// searchGuided is SearchCtx's best-first body, in guided mode and in
-// exhaustive mode where the floor holds. It shares spatial enumeration,
-// tile candidates, capacity arithmetic, scoring and top-k semantics with
-// the lattice walk; only the evaluation *order* and the bound-driven
-// stopping differ.
+// searchGuided is SearchCtx's body in both modes. It shares spatial
+// enumeration, tile candidates, capacity arithmetic, scoring and top-k
+// semantics with the reference search; only the evaluation *order* and the
+// bound-driven stopping differ.
 func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	if req.TopK < 1 {
 		req.TopK = 1
@@ -474,18 +480,17 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 		return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, cerr)
 	}
 	// Exhaustive mode asks for the exact top-k and must leave no trace in
-	// the warm-start store, so Epsilon and seeding apply to guided mode only.
-	eps, seeded := 0.0, false
+	// the warm-start store, so Epsilon, seeding and guided mode's own floor
+	// apply to guided mode only.
+	eps, seeded, minTraffic := 0.0, false, trafficFloor(req)
 	if req.Opt.Mode == Guided {
-		eps, seeded = req.Opt.Epsilon, !req.Opt.DisableWarmStart
+		eps, seeded, minTraffic = req.Opt.Epsilon, !req.Opt.DisableWarmStart, guidedFloor(req)
 	}
 	best := newTopK(req.TopK)
 	work := obs.MapperSearchEvent{Layer: l.Name}
 	if req.Observe != nil {
 		defer func() { req.Observe.MapperSearch(work) }()
 	}
-
-	minTraffic := trafficFloor(req)
 
 	var parts []*guidedPart
 	for _, sp := range spatialChoices(l, req.PEsX, req.PEsY) {

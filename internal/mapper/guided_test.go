@@ -134,7 +134,7 @@ func TestGuidedTablesMatchAnalyze(t *testing.T) {
 				EffectiveBytesPerCycle: float64(spec.DRAM.BytesPerCycle),
 				TopK:                   6,
 			}
-			minTraffic := int64(float64(l.TotalVolume()*int64(l.WordBits)) / 8 / req.EffectiveBytesPerCycle)
+			minTraffic := trafficFloor(req)
 			wb := int64(l.WordBits)
 			for _, sp := range spatialChoices(l, req.PEsX, req.PEsY) {
 				g := newGuidedPart(req, sp, minTraffic)

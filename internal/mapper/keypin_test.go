@@ -18,7 +18,7 @@ func TestStoreKeyPinned(t *testing.T) {
 		pesX: 14, pesY: 12, glb: 1 << 18, rf: 4096, effBW: 30.0 / 7, topK: 6,
 		opt: Options{Mode: Guided, Epsilon: 0.125, DisableWarmStart: true},
 	}
-	const want = "6c3634fbb47fe43ea3be7f174030c2a79f13fd53e3cf841f7acb8ad0e428aaa2"
+	const want = "477e0668b60cb39b4b4f102b56e7eab810659f08833d2f40462675a6aa3d0be3"
 	if got := persistSearchKey(k); hex.EncodeToString(got[:]) != want {
 		t.Fatalf("mapper.search key = %x, want %s", got, want)
 	}

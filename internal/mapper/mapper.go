@@ -7,22 +7,19 @@
 // step samples from (Section 4.3).
 //
 // The inner loop is the hottest path of the whole tool (it runs once per
-// layer per design point): it mutates one reusable Mapping per worker,
-// derives the permutation-independent cost terms once per tiling
-// (mapping.TilingAnalysis), breaks out of the sorted tile-candidate loops at
-// the first capacity violation (occupancy is monotone in each tile size),
-// and clones a Mapping only when a candidate actually enters the top-k. The
-// pre-optimisation implementation is retained in reference_test.go as the
-// oracle for the search-equivalence test. Exhaustive-mode searches walk
-// this lattice only on layers whose traffic floor overshoots; elsewhere
-// they run the best-first search of guided.go, which returns the same
-// bytes.
+// layer per design point). Every search runs best-first (guided.go): it
+// bounds each capacity-feasible tiling from per-dimension tables, then
+// scores tilings in ascending-bound order until no unscored one can enter
+// the top-k. Scoring (scoreTiling) mutates one reusable Mapping per spatial
+// choice, derives the permutation-independent cost terms once per tiling
+// (mapping.TilingAnalysis), and clones a Mapping only when a candidate
+// actually enters the top-k. The pre-optimisation search is retained in
+// reference_test.go as the oracle for the search-equivalence tests.
 package mapper
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -30,7 +27,6 @@ import (
 	"secureloop/internal/model"
 	"secureloop/internal/num"
 	"secureloop/internal/obs"
-	"secureloop/internal/par"
 	"secureloop/internal/store"
 	"secureloop/internal/workload"
 )
@@ -47,14 +43,6 @@ type Candidate struct {
 	OffchipBits int64
 }
 
-// better reports whether a should rank before b.
-func (a Candidate) better(b Candidate) bool {
-	if a.Cycles != b.Cycles {
-		return a.Cycles < b.Cycles
-	}
-	return a.OffchipBits < b.OffchipBits
-}
-
 // Request describes one mapping search.
 type Request struct {
 	Layer *workload.Layer
@@ -68,7 +56,7 @@ type Request struct {
 	// TopK is how many distinct schedules to return (>=1).
 	TopK int
 	// Opt selects the search strategy; the zero value (exhaustive, ε=0)
-	// returns the historical answers exactly.
+	// returns the exact top-k.
 	Opt Options
 	// Observe receives per-search instrumentation events (best-first search
 	// evaluated/pruned/skipped accounting); nil means none. It is not part
@@ -84,63 +72,22 @@ type Request struct {
 
 // SearchCtx returns the top-k schedules for the request, best first. The
 // result is never empty for a valid layer: a degenerate all-sequential
-// mapping always fits. The spatial-choice worker pool stops claiming work
-// on cancellation, in-flight tiling enumerations bail out at tiling-batch
-// boundaries, and the error is ctx.Err() wrapped with the layer name. A
-// panic anywhere in the search (an overflow guard tripping on a malformed
-// layer) is recovered here and surfaced as an error.
-// Guided mode always runs the best-first search (guided.go). Exhaustive
-// mode runs it too, at Epsilon 0 and without the warm-start store,
-// wherever the traffic floor is a true lower bound (floorHolds): there it
-// returns the lattice walk's exact top-k. Only on layers where the floor
-// overshoots does exhaustive mode walk the whole lattice (searchTilings).
+// mapping always fits. Both modes run the best-first search (guided.go);
+// exhaustive mode runs it at Epsilon 0, without the warm-start store and
+// against the exact traffic floor, so it returns the exact top-k of the
+// tiling lattice. On cancellation the search stops at its next polling
+// point and the error is ctx.Err() wrapped with the layer name. A panic
+// anywhere in the search (an overflow guard tripping on a malformed layer)
+// is recovered here and surfaced as an error.
 func SearchCtx(ctx context.Context, req Request) (out []Candidate, err error) {
 	defer obs.CapturePanic(&err)
-	if req.Opt.Mode == Guided || floorHolds(req.Layer) {
-		return searchGuided(ctx, req)
-	}
-	return search(ctx, req, searchTilings)
-}
-
-// search runs the spatial-choice fan-out with the given per-choice tiling
-// enumerator; SearchCtx and searchReference share it so the optimised and
-// reference paths resolve ranking ties identically.
-func search(ctx context.Context, req Request, tilings func(context.Context, Request, spatialChoice, *topK)) ([]Candidate, error) {
-	if req.TopK < 1 {
-		req.TopK = 1
-	}
-	l := req.Layer
-
-	// Spatial choices are independent; search them in parallel and merge.
-	spatials := spatialChoices(l, req.PEsX, req.PEsY)
-	parts := make([]*topK, len(spatials))
-	err := par.Each(ctx, 0, len(spatials), func(i int) error {
-		part := newTopK(req.TopK)
-		tilings(ctx, req, spatials[i], part)
-		parts[i] = part
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, err)
-	}
-	best := newTopK(req.TopK)
-	for _, part := range parts {
-		for _, c := range part.sorted() {
-			best.offer(c)
-		}
-	}
-
-	out := best.sorted()
-	if len(out) == 0 {
-		out = fallbackCandidates(req)
-	}
-	return out, nil
+	return searchGuided(ctx, req)
 }
 
 // fallbackCandidates returns the degenerate all-sequential schedule
 // (single-element tiles, full filter extents at the GLB) — always valid, so
-// no search ever comes back empty. The exhaustive and guided paths share it
-// so they stay byte-identical on layers with no capacity-feasible tiling.
+// no search ever comes back empty. The search and the reference search share
+// it so they stay byte-identical on layers with no capacity-feasible tiling.
 func fallbackCandidates(req Request) []Candidate {
 	l := req.Layer
 	m := baseMapping(l, spatialChoice{})
@@ -269,81 +216,6 @@ func baseMapping(l *workload.Layer, sp spatialChoice) *mapping.Mapping {
 	m.SetFactor(mapping.RF, mapping.DimR, r)
 	m.SetFactor(mapping.RF, mapping.DimS, s)
 	return m
-}
-
-// searchTilings enumerates GLB tile sizes for C, M, P, Q on top of the
-// spatial skeleton, prunes by capacity, and scores survivors under a set of
-// loop-permutation heuristics. One Mapping is reused for the whole
-// enumeration: setGLBTile writes are per-dimension independent, so mutating
-// the factors in place visits exactly the tilings the reference path builds
-// by cloning.
-func searchTilings(ctx context.Context, req Request, sp spatialChoice, best *topK) {
-	l := req.Layer
-	m := baseMapping(l, sp)
-
-	// RF occupancy reads only RF-level factors, which the GLB tiling loop
-	// never touches: one check covers the whole spatial choice.
-	if m.RFBitsUsed(l) > req.RFBits {
-		return
-	}
-
-	// GLB holds full filter extents (independent of the C/M/P/Q loop).
-	setGLBTile(m, l, mapping.DimR, mapping.Bound(l, mapping.DimR))
-	setGLBTile(m, l, mapping.DimS, mapping.Bound(l, mapping.DimS))
-
-	minTrafficCycles := trafficFloor(req)
-
-	cs := tileCandidates(mapping.Bound(l, mapping.DimC))
-	ms := tileCandidates(mapping.Bound(l, mapping.DimM))
-	ps := tileCandidates(mapping.Bound(l, mapping.DimP))
-	qs := tileCandidates(mapping.Bound(l, mapping.DimQ))
-
-	// The candidate lists ascend and GLBBitsUsed is monotone nondecreasing
-	// in every tile size (tile extents, and the ifmap halo they induce, only
-	// grow), so a capacity violation ends the innermost axis — and when it
-	// happens at the smallest setting of all inner axes it ends the
-	// enclosing axis too.
-	for _, ct := range cs {
-		// Cancellation is polled at the two outer tiling-batch boundaries
-		// only; the inner axes stay branch-lean so the hot loop's cost is
-		// unchanged. An early return leaves a partial topK, which the caller
-		// discards when it sees ctx.Err().
-		if ctx.Err() != nil {
-			return
-		}
-		setGLBTile(m, l, mapping.DimC, ct)
-		cOverflow := true
-		for _, mt := range ms {
-			if ctx.Err() != nil {
-				return
-			}
-			setGLBTile(m, l, mapping.DimM, mt)
-			mOverflow := true
-			for _, pt := range ps {
-				setGLBTile(m, l, mapping.DimP, pt)
-				pOverflow := true
-				for _, qt := range qs {
-					setGLBTile(m, l, mapping.DimQ, qt)
-					if m.GLBBitsUsed(l) > req.GLBBits {
-						break // larger qt only grows the tiles
-					}
-					pOverflow = false
-					scoreTiling(req, m, minTrafficCycles, best)
-				}
-				if pOverflow {
-					break // overflowed at the smallest qt
-				}
-				mOverflow = false
-			}
-			if mOverflow {
-				break // overflowed at the smallest (pt, qt)
-			}
-			cOverflow = false
-		}
-		if cOverflow {
-			break // overflowed at the smallest (mt, pt, qt)
-		}
-	}
 }
 
 // scoreTiling scores the capacity-feasible tiling currently held by m under
@@ -530,11 +402,11 @@ func (t *topK) rebuildLows() {
 
 // admit reports whether a candidate scoring (cycles, bits) under the given
 // signature needs storing; the caller builds the entry body only when it
-// returns true. Unlike offer, a tie against the stored candidate is
-// rejected: a signature determines its pre-permutation mapping and
-// therefore its deterministic fold winner, so an equal-scored re-offer of
-// the same signature is the identical candidate and replacing it is a
-// no-op.
+// returns true. Unlike the reference search's offer, a tie against the
+// stored candidate is rejected: a signature determines its pre-permutation
+// mapping and therefore its deterministic fold winner, so an equal-scored
+// re-offer of the same signature is the identical candidate and replacing
+// it is a no-op.
 func (t *topK) admit(sig sigKey, cycles, bits int64) bool {
 	if cur, ok := t.best[sig]; ok {
 		return cycles < cur.cycles || (cycles == cur.cycles && bits < cur.bits)
@@ -564,21 +436,6 @@ func (t *topK) insert(sig sigKey, cycles, bits int64, m *mapping.Mapping, perm [
 	if len(t.best) > 4*t.k {
 		t.prune()
 	}
-}
-
-// offer is the general admission path (reference search, part merging):
-// on a score tie with the stored candidate the later offer wins, matching
-// the historical sequential-offer semantics.
-func (t *topK) offer(c Candidate) {
-	sig := signature(c.Mapping)
-	if cur, ok := t.best[sig]; ok {
-		if cur.cycles < c.Cycles || (cur.cycles == c.Cycles && cur.bits < c.OffchipBits) {
-			return
-		}
-	} else if kth, full := t.kthCycles(); full && c.Cycles > kth {
-		return
-	}
-	t.insert(sig, c.Cycles, c.OffchipBits, c.Mapping, nil)
 }
 
 // prune shrinks the map to the k best signatures and compacts the pool.

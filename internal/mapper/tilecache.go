@@ -31,7 +31,8 @@ func tileCandidates(bound int) []int {
 
 // computeTileCandidates builds the candidate set for a dimension bound: its
 // divisors plus powers of two, capped to a small set, sorted ascending (the
-// capacity-pruning breaks in searchTilings rely on the ascending order).
+// capacity breaks of the best-first search's pass A rely on the ascending
+// order).
 func computeTileCandidates(bound int) []int {
 	if bound <= 1 {
 		return []int{1}

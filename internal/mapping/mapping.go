@@ -42,15 +42,6 @@ func (l Level) String() string {
 // Factors holds one tiling factor per dimension.
 type Factors [NumDims]int
 
-// Product multiplies all factors.
-func (f Factors) Product() int64 {
-	p := int64(1)
-	for _, v := range f {
-		p *= int64(v)
-	}
-	return p
-}
-
 // normalized returns the factors with zeros replaced by ones.
 func (f Factors) normalized() Factors {
 	for i, v := range f {

@@ -98,20 +98,6 @@ func (i IfmapTiling) TileRowRange(ti int) (lo, hi int) {
 	return lo, hi
 }
 
-// TileColRange returns the clipped tensor column interval [lo, hi) of the
-// spatial tile with column index tj.
-func (i IfmapTiling) TileColRange(tj int) (lo, hi int) {
-	lo = i.OffW + num.MulInt(tj, i.WStep)
-	hi = lo + i.WWin
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > i.W {
-		hi = i.W
-	}
-	return lo, hi
-}
-
 // IfmapDRAMTiling extracts the consumer-side view of its ifmap tensor from
 // a mapping.
 func (m *Mapping) IfmapDRAMTiling(layer *workload.Layer) IfmapTiling {

@@ -67,10 +67,8 @@ type AnnealEvent struct {
 	Best       float64 `json:"best"`
 }
 
-// MapperSearchEvent accounts for one best-first mapper search, in guided
-// mode or in exhaustive mode where the traffic floor holds (a full lattice
-// walk emits none): how many tilings were fully scored versus disposed of
-// cheaply. Evaluated counts tilings scored through the full permutation
+// MapperSearchEvent accounts for one best-first mapper search, in either
+// mode: how many tilings were fully scored versus disposed of cheaply. Evaluated counts tilings scored through the full permutation
 // fold (warm-start seeds included); Pruned counts capacity-feasible tilings
 // whose analytical lower bound exceeded the pruning threshold, so they
 // were never scored; Skipped counts tilings inside spatial choices

@@ -45,19 +45,19 @@ func TestStoreKeyPinned(t *testing.T) {
 		{"service.schedule", persistScheduleKey(&ScheduleRequest{
 			Network: net, Spec: spec(131072), Crypto: crypto(3), Algorithm: core.CryptOptCross,
 			Objective: core.MinEDP, TopK: 5, AnnealIterations: 400, Mapper: opt,
-		}), "134452f1f9782d7d6ad023d59e44e561dc71093841dfb0f0cdc97982663f22a3"},
+		}), "13fe2f1fbb0802f6b625616e6b38500dfc9dbf9a26bdef9a94d700939128eea7"},
 		{"service.sweep", persistSweepKey(&SweepRequest{
 			Network: net, Specs: []arch.Spec{spec(65536), spec(131072)},
 			Cryptos: []cryptoengine.Config{crypto(1), crypto(3)}, Algorithm: core.CryptOptSingle,
 			AnnealIterations: 400, Mapper: opt, Front: true,
-		}), "6e4588c1ffc92739656968e5976e9b4b76d09e5d87ddd628992f6e92515dea6d"},
+		}), "6ae345a663f3e7888ed79cd3689784088be4d6826e581017708444162b08fe34"},
 		{"service.authblock", persistAuthBlockKey(&AuthBlockRequest{
 			Producer: authblock.ProducerGrid{C: 64, H: 30, W: 28, TileC: 16, TileH: 6, TileW: 7, WritesPerTile: 2},
 			Consumer: authblock.ConsumerGrid{TileC: 8, WinH: 5, WinW: 9, StepH: 3, StepW: 4, OffH: -1, OffW: -2,
 				CountC: 8, CountH: 10, CountW: 7, FetchesPerTile: 3},
 			Params:      authblock.Params{WordBits: 16, HashBits: 64},
 			Orientation: authblock.AlongC, MaxU: 64,
-		}), "16387eb598563da1d88d69212b3e658e30ceff4a41d21d73bcedda3a8ab4ce5f"},
+		}), "b97c6fff922cea14c41e7d525b035dac7899ae2eb020d842010f6fcc8645d9c6"},
 	} {
 		if got := hex.EncodeToString(tc.key[:]); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.name, got, tc.want)

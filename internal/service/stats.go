@@ -51,8 +51,7 @@ type RatioStats struct {
 }
 
 // GuidedStatsBody is the best-first mapper search's counters on the wire.
-// They count every best-first search, in guided mode and in exhaustive mode
-// wherever the traffic floor holds.
+// They count every search, in either mode.
 type GuidedStatsBody struct {
 	Searches  int64 `json:"searches"`
 	Evaluated int64 `json:"evaluated"`

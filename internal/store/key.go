@@ -30,7 +30,11 @@ import (
 // encoding. Bump it whenever the meaning of any client's field sequence
 // changes: every previously persisted key then misses cleanly instead of
 // resolving to a stale result.
-const Version byte = 1
+//
+// Version 2 retires the mapper-tier and network-tier records written before
+// exhaustive-mode searches became exact on layers whose stride exceeds the
+// filter extent (DESIGN.md §13).
+const Version byte = 2
 
 // Key is a content address: the SHA-256 of a canonical encoding.
 type Key [sha256.Size]byte

@@ -82,14 +82,6 @@ func (l *Layer) InH() int { return num.MulInt(l.P-1, l.StrideH) + l.R - 2*l.PadH
 // InW returns the input feature-map width implied by the output shape.
 func (l *Layer) InW() int { return num.MulInt(l.Q-1, l.StrideW) + l.S - 2*l.PadW }
 
-// PaddedInH returns the input height including zero padding. Tiling
-// arithmetic operates on the padded extent because the accelerator addresses
-// the padded tensor.
-func (l *Layer) PaddedInH() int { return num.MulInt(l.P-1, l.StrideH) + l.R }
-
-// PaddedInW returns the input width including zero padding.
-func (l *Layer) PaddedInW() int { return num.MulInt(l.Q-1, l.StrideW) + l.S }
-
 // MACs returns the number of multiply-accumulate operations the layer
 // performs. Depthwise layers perform C*P*Q*R*S MACs; dense layers
 // N*M*C*P*Q*R*S.
