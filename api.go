@@ -161,8 +161,7 @@ type StoreOptions = store.Options
 type StoreStats = store.Stats
 
 // OpenResultStore opens (creating if needed) the persistent result store in
-// dir. Call Close to flush the write-behind queue and release the segment
-// files.
+// dir. Call Close to fsync the log and release the segment files.
 func OpenResultStore(dir string, opt StoreOptions) (*ResultStore, error) {
 	return store.Open(dir, opt)
 }

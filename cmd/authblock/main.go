@@ -63,10 +63,7 @@ func main() {
 		CountW:         countAlong(W, offW, stepW, winW),
 		FetchesPerTile: 1,
 	}
-	if err := p.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := c.Validate(); err != nil {
+	if err := authblock.ValidatePair(p, c); err != nil {
 		fatal(err)
 	}
 	par := authblock.Params{WordBits: *word, HashBits: *hash}

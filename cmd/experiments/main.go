@@ -203,8 +203,8 @@ func printCacheStats(st *store.Store, work obs.Counts) {
 	printMemo("authblock sizes:", as)
 	if st != nil {
 		ss := st.Stats()
-		fmt.Printf("persistent store:     %s hit ratio (%d hits, %d misses), %d puts, %d corrupt, %d evicted segments, %d entries, %d bytes\n",
-			ratio(ss.Hits, ss.Misses), ss.Hits, ss.Misses, ss.Puts, ss.Corrupt, ss.EvictedSegments, ss.Entries, ss.Bytes)
+		fmt.Printf("persistent store:     %s hit ratio (%d hits, %d misses), %d puts, %d corrupt, %d evicted segments, %d errors, %d entries, %d bytes\n",
+			ratio(ss.Hits, ss.Misses), ss.Hits, ss.Misses, ss.Puts, ss.Corrupt, ss.EvictedSegments, ss.Errors, ss.Entries, ss.Bytes)
 	}
 }
 

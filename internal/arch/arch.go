@@ -83,15 +83,27 @@ func (s *Spec) RegFileBits() int64 {
 // PeakMACsPerCycle is the compute roof: one MAC per PE per cycle.
 func (s *Spec) PeakMACsPerCycle() float64 { return float64(s.NumPEs()) }
 
+// The modelled domain's magnitudes (DESIGN §15): a PE axis is at most
+// maxPEAxis, so a divisor scan over one takes at most 2^10 steps, and a
+// buffer at most maxBufferBytes.
+const (
+	maxPEAxis      = 1 << 20
+	maxBufferBytes = 1 << 40
+)
+
 // Validate reports whether the specification is usable.
 func (s *Spec) Validate() error {
 	switch {
 	case s.PEsX <= 0 || s.PEsY <= 0:
 		return fmt.Errorf("arch: %s: PE array must be positive (%dx%d)", s.Name, s.PEsX, s.PEsY)
+	case s.PEsX > maxPEAxis || s.PEsY > maxPEAxis:
+		return fmt.Errorf("arch: %s: a PE axis exceeds 2^20 (%dx%d)", s.Name, s.PEsX, s.PEsY)
 	case s.GlobalBufferBytes <= 0:
 		return fmt.Errorf("arch: %s: global buffer must be positive", s.Name)
 	case s.RegFileBytesPerPE <= 0:
 		return fmt.Errorf("arch: %s: register file must be positive", s.Name)
+	case s.GlobalBufferBytes > maxBufferBytes || s.RegFileBytesPerPE > maxBufferBytes:
+		return fmt.Errorf("arch: %s: a buffer exceeds 2^40 bytes", s.Name)
 	case s.WordBits <= 0:
 		return fmt.Errorf("arch: %s: word width must be positive", s.Name)
 	case s.ClockHz <= 0:

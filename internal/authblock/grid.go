@@ -40,6 +40,15 @@ func (p ProducerGrid) NumTiles() int64 {
 	return int64(nc) * int64(nh) * int64(nw)
 }
 
+// The modelled domain's magnitudes (DESIGN §15): every grid extent,
+// window, step, offset and count is at most maxGridExtent in magnitude,
+// and a producer tile holds at most maxTileElems elements, so the
+// divisor scans over a tile take at most 2^16 steps.
+const (
+	maxGridExtent = 1 << 20
+	maxTileElems  = 1 << 32
+)
+
 // Validate reports whether the grid is well-formed.
 func (p ProducerGrid) Validate() error {
 	if p.C <= 0 || p.H <= 0 || p.W <= 0 {
@@ -47,6 +56,12 @@ func (p ProducerGrid) Validate() error {
 	}
 	if p.TileC <= 0 || p.TileH <= 0 || p.TileW <= 0 {
 		return fmt.Errorf("authblock: producer tile %dx%dx%d must be positive", p.TileC, p.TileH, p.TileW)
+	}
+	if max(p.C, p.H, p.W, p.TileC, p.TileH, p.TileW) > maxGridExtent {
+		return fmt.Errorf("authblock: a producer extent exceeds 2^20")
+	}
+	if int64(p.TileC)*int64(p.TileH)*int64(p.TileW) > maxTileElems {
+		return fmt.Errorf("authblock: producer tile %dx%dx%d exceeds 2^32 elements", p.TileC, p.TileH, p.TileW)
 	}
 	if p.WritesPerTile < 1 {
 		return fmt.Errorf("authblock: WritesPerTile must be >= 1")
@@ -102,8 +117,55 @@ func (c ConsumerGrid) Validate() error {
 	if c.CountC <= 0 || c.CountH <= 0 || c.CountW <= 0 {
 		return fmt.Errorf("authblock: consumer counts must be positive")
 	}
+	if max(c.TileC, c.WinH, c.WinW, c.StepH, c.StepW, c.CountC, c.CountH, c.CountW) > maxGridExtent ||
+		c.OffH < -maxGridExtent || c.OffH > maxGridExtent || c.OffW < -maxGridExtent || c.OffW > maxGridExtent {
+		return fmt.Errorf("authblock: a consumer window, step, offset or count exceeds 2^20")
+	}
 	if c.FetchesPerTile < 1 {
 		return fmt.Errorf("authblock: FetchesPerTile must be >= 1")
+	}
+	return nil
+}
+
+// maxAxisSegments caps the window-tile segments decomposing one axis walks,
+// and maxPairClasses the classes of a pair's decomposition, each of which
+// the search evaluates at every candidate size (DESIGN §15).
+const (
+	maxAxisSegments = 1 << 20
+	maxPairClasses  = 1 << 16
+)
+
+// ValidatePair validates both grids, then bounds the pair's consumer-class
+// decomposition before it is computed. On one axis a window meets at most
+// ceil(win/tile)+1 producer tiles, and no more than the axis has, so count
+// times that bounds the segments axisDecompose walks. The axis's distinct
+// classes are at most those segments, and at most 6*min(tile, extent):
+// every class is (0, hi, tdim), (lo, tdim, tdim) or (lo, lo+win, tdim), and
+// tdim takes at most two values, each at most min(tile, extent). The
+// decomposition is the cross product of the three axes' classes.
+func ValidatePair(p ProducerGrid, c ConsumerGrid) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	classes := int64(1)
+	for _, a := range [3][4]int{
+		{c.CountC, c.TileC, p.C, p.TileC},
+		{c.CountH, c.WinH, p.H, p.TileH},
+		{c.CountW, c.WinW, p.W, p.TileW},
+	} {
+		count, win, extent, tile := a[0], a[1], a[2], a[3]
+		segs := int64(count) * int64(min(num.CeilDiv(win, tile)+1, num.CeilDiv(extent, tile)))
+		if segs > maxAxisSegments {
+			return fmt.Errorf("authblock: the consumer windows meet more than 2^20 producer tile segments on one axis")
+		}
+		n := min(segs, 6*int64(min(tile, extent)))
+		if n > maxPairClasses/classes {
+			return fmt.Errorf("authblock: the pair may decompose into more than 2^16 classes")
+		}
+		classes *= n
 	}
 	return nil
 }

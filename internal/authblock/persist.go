@@ -107,7 +107,7 @@ func decodeResult(raw []byte) (Result, error) {
 // OptimalStoredCtx is OptimalCtx with process-wide memoisation and an
 // optional persistent tier: on an in-memory miss it consults st
 // (read-through) before running the search, and a fresh result is written
-// behind into both tiers. st may be nil. Concurrent identical misses share
+// into both tiers. st may be nil. Concurrent identical misses share
 // one search and one store lookup. A search interrupted by cancellation is
 // never stored, so a cancelled request cannot seed the memo with a partial
 // (non-optimal) assignment. Undecodable records are treated as misses,

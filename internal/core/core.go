@@ -122,7 +122,7 @@ type Scheduler struct {
 	Observe obs.Observer
 	// Store, when non-nil, is the persistent content-addressed result tier:
 	// whole-network schedules, per-layer mapper searches and AuthBlock
-	// optimal assignments read through to it and write behind into it, so
+	// optimal assignments read through to it and are written into it, so
 	// identical requests resolve across processes and restarts. A store hit
 	// returns results byte-identical to the search it replaces.
 	Store *store.Store
@@ -195,14 +195,19 @@ func (s *Scheduler) Validate() error {
 	if err := s.Spec.Validate(); err != nil {
 		return err
 	}
-	if s.Crypto.CountPerDatatype < 1 {
-		return fmt.Errorf("core: crypto engine count must be >= 1")
+	if err := s.Crypto.Validate(); err != nil {
+		return err
 	}
 	if s.Params.WordBits <= 0 || s.Params.HashBits <= 0 {
 		return fmt.Errorf("core: params must be positive")
 	}
-	if s.TopK < 1 {
-		return fmt.Errorf("core: TopK must be >= 1")
+	if s.TopK < 1 || s.TopK > maxTopK {
+		return fmt.Errorf("core: TopK must be in [1, %d]", maxTopK)
 	}
 	return nil
 }
+
+// maxTopK caps the per-layer candidate count (DESIGN §15). Figure 10
+// sweeps k <= 10; at 16 the k^2 pair matrices and the k^3 layer memos stay
+// inside the service's 8 MiB + 1 MiB-per-layer admission estimate.
+const maxTopK = 16

@@ -150,8 +150,8 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 		return nil, fmt.Errorf("core: %s: %w", obs.StageAssemble, cerr)
 	}
 	if s.Store != nil {
-		// Write-behind: only a fully assembled, uncancelled result is
-		// persisted, so the store can never serve a partial schedule.
+		// Only a fully assembled, uncancelled result is persisted, so
+		// the store can never serve a partial schedule.
 		s.Store.Put(store.KindNetwork, netKey, encodeNetworkResult(out))
 	}
 	return out, nil

@@ -129,12 +129,24 @@ type Config struct {
 	CountPerDatatype int
 }
 
+// maxCount caps the engines per datatype (DESIGN §15).
+const maxCount = 1 << 16
+
 // NewConfig builds a configuration, validating the count.
 func NewConfig(e EngineArch, countPerDatatype int) (Config, error) {
-	if countPerDatatype <= 0 {
-		return Config{}, fmt.Errorf("cryptoengine: engine count must be positive, got %d", countPerDatatype)
+	c := Config{Engine: e, CountPerDatatype: countPerDatatype}
+	if err := c.Validate(); err != nil {
+		return Config{}, err
 	}
-	return Config{Engine: e, CountPerDatatype: countPerDatatype}, nil
+	return c, nil
+}
+
+// Validate reports whether the engine count is positive and at most 2^16.
+func (c Config) Validate() error {
+	if c.CountPerDatatype <= 0 || c.CountPerDatatype > maxCount {
+		return fmt.Errorf("cryptoengine: engine count must be in [1, 2^16], got %d", c.CountPerDatatype)
+	}
+	return nil
 }
 
 // String labels the configuration the way the paper's Figure 13 does.

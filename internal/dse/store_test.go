@@ -139,7 +139,7 @@ func TestSweepStoreWarmFewerEvals(t *testing.T) {
 // BenchmarkSweepStoreCold is the cold baseline for BenchmarkSweepStoreWarm:
 // the identical sweep against a fresh, empty store each iteration with all
 // in-memory caches dropped, so every schedule is computed from scratch and
-// written behind. BENCH_PR7.json records the warm sweep's speedup over
+// written to the store. BENCH_PR7.json records the warm sweep's speedup over
 // this number.
 func BenchmarkSweepStoreCold(b *testing.B) {
 	net := workload.AlexNet()

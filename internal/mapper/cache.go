@@ -105,7 +105,7 @@ func SearchCachedCtx(ctx context.Context, req Request) ([]Candidate, error) {
 
 // searchOrLoad resolves a cache miss: consult the persistent store first
 // (read-through), fall back to the real search, and write the fresh result
-// behind. It runs only on the singleflight leader, so concurrent identical
+// into the store. It runs only on the singleflight leader, so concurrent identical
 // misses cost one disk lookup, not one per waiter. A record that fails to
 // decode (version skew, corruption that slipped past the CRC) is treated
 // as a miss — never an error.

@@ -63,8 +63,8 @@ type Request struct {
 	// of the cached-search identity.
 	Observe obs.Observer
 	// Store, when non-nil, is the persistent result tier consulted by
-	// SearchCachedCtx on an in-memory miss and populated (write-behind)
-	// after a successful search. Like Observe it is not part of the
+	// SearchCachedCtx on an in-memory miss and populated after a
+	// successful search. Like Observe it is not part of the
 	// cached-search identity: a store hit is byte-identical to the search
 	// it replaces.
 	Store *store.Store

@@ -8,7 +8,7 @@ import (
 )
 
 // The persistent tier: cached searches additionally read through to, and
-// write behind into, a content-addressed disk store (Request.Store). The
+// write into, a content-addressed disk store (Request.Store). The
 // key is the canonical encoding of exactly the fields that form the
 // in-memory cacheKey — layer shape (name excluded), array geometry, buffer
 // capacities, effective bandwidth, the stored k and the search options —

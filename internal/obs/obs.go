@@ -12,7 +12,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"runtime/debug"
 	"sync"
 )
 
@@ -212,9 +211,10 @@ func OrNop(o Observer) Observer {
 }
 
 // PanicError converts a recovered panic value into an error carrying the
-// panic message and stack.
+// panic value alone. It carries no stack trace: the error can reach a
+// client's response body, which must not list the daemon's source paths.
 func PanicError(r any) error {
-	return fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+	return fmt.Errorf("panic: %v", r)
 }
 
 // CapturePanic is a deferred stage-boundary guard: it converts an in-flight

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,7 +110,8 @@ func TestScheduleWarmRepeatByteIdentical(t *testing.T) {
 	}
 }
 
-// gateObserver blocks the first StageStart until released.
+// gateObserver blocks the first schedule stage or AuthBlock search until
+// released.
 type gateObserver struct {
 	obs.Nop
 	once    sync.Once
@@ -120,11 +123,61 @@ func newGateObserver() *gateObserver {
 	return &gateObserver{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gateObserver) StageStart(obs.StageEvent) {
+func (g *gateObserver) StageStart(obs.StageEvent)                { g.hold() }
+func (g *gateObserver) AuthBlockSearch(obs.AuthBlockSearchEvent) { g.hold() }
+
+func (g *gateObserver) hold() {
 	g.once.Do(func() {
 		close(g.entered)
 		<-g.release
 	})
+}
+
+// panicObserver panics in StageStart and AuthBlockSearch while armed: a
+// stand-in for a compute panic deep in a schedule or an AuthBlock search.
+type panicObserver struct {
+	obs.Nop
+	armed atomic.Bool
+}
+
+func newPanicObserver() *panicObserver {
+	p := &panicObserver{}
+	p.armed.Store(true)
+	return p
+}
+
+func (p *panicObserver) StageStart(obs.StageEvent)                { p.explode() }
+func (p *panicObserver) AuthBlockSearch(obs.AuthBlockSearchEvent) { p.explode() }
+
+func (p *panicObserver) explode() {
+	if p.armed.Load() {
+		panic("observer exploded")
+	}
+}
+
+// wantPanic500 checks that err is an HTTP 500 whose body names the panic
+// value and carries no stack trace: no goroutine header, no source path.
+func wantPanic500(t *testing.T, what string, err error) {
+	t.Helper()
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("%s: err = %v, want HTTP 500", what, err)
+	}
+	if !strings.Contains(apiErr.Message, "observer exploded") {
+		t.Errorf("%s: error body %q lacks the panic value", what, apiErr.Message)
+	}
+	if strings.Contains(apiErr.Message, "goroutine") || strings.Contains(apiErr.Message, ".go:") {
+		t.Errorf("%s: error body carries a stack trace: %q", what, apiErr.Message)
+	}
+}
+
+// TestPanicBodyCarriesNoStack: a panic inside a schedule's stages fails
+// the request with 500, and the body carries the panic value without the
+// stack trace, which would list the daemon's source paths.
+func TestPanicBodyCarriesNoStack(t *testing.T) {
+	_, c := newServer(t, service.Config{Observe: newPanicObserver()})
+	_, _, err := c.ScheduleBytes(context.Background(), tinyWire(40))
+	wantPanic500(t, "schedule", err)
 }
 
 // TestQueueFullReturns429: with one compute slot and a one-deep queue, a
@@ -403,33 +456,26 @@ func TestAuthBlockEndpoint(t *testing.T) {
 	}
 }
 
-// TestAuthBlockOverflowReturns500: grid sizes that overflow the AuthBlock
-// cost arithmetic panic deep in the search. The request must fail with 500
+// TestAuthBlockOverflowReturns500: a panic deep in an AuthBlock search
+// (here the observer's, once grid sizes that overflowed the cost
+// arithmetic became a 400 at validation) must fail the request with 500
 // and an error body free of goroutine stacks, not kill the daemon. An
 // identical retry fails the same way instead of waiting on a flight the
 // panicking search left behind in the optimal memo, and the server keeps
 // answering health checks and normal requests.
 func TestAuthBlockOverflowReturns500(t *testing.T) {
-	_, c := newServer(t, service.Config{})
-	const huge = 1 << 40
-	overflow := &service.AuthBlockWire{
-		Producer: service.ProducerWire{C: huge, H: huge, W: huge, TileC: huge, TileH: huge, TileW: huge, WritesPerTile: huge},
-		Consumer: service.ConsumerWire{
-			TileC: huge, WinH: huge, WinW: huge, StepH: huge, StepW: huge, OffH: huge, OffW: huge,
-			CountC: huge, CountH: huge, CountW: huge, FetchesPerTile: huge,
-		},
+	authblock.ResetCaches()
+	ob := newPanicObserver()
+	_, c := newServer(t, service.Config{Observe: ob})
+	wire := &service.AuthBlockWire{
+		Producer: service.ProducerWire{C: 8, H: 16, W: 16, TileC: 8, TileH: 4, TileW: 4, WritesPerTile: 1},
+		Consumer: service.ConsumerWire{TileC: 8, WinH: 6, WinW: 6, StepH: 4, StepW: 4, CountC: 1, CountH: 3, CountW: 3, FetchesPerTile: 1},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for attempt := 0; attempt < 2; attempt++ {
-		_, _, err := c.AuthBlock(ctx, overflow)
-		var apiErr *client.APIError
-		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("attempt %d: err = %v, want HTTP 500", attempt, err)
-		}
-		if strings.Contains(apiErr.Message, "goroutine") || strings.Contains(apiErr.Message, ".go:") {
-			t.Errorf("attempt %d: error body carries a stack trace: %q", attempt, apiErr.Message)
-		}
+		_, _, err := c.AuthBlock(ctx, wire)
+		wantPanic500(t, fmt.Sprintf("attempt %d", attempt), err)
 	}
 	resp, err := http.Get(c.BaseURL + "/v1/health")
 	if err != nil {
@@ -439,10 +485,8 @@ func TestAuthBlockOverflowReturns500(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("health after the failed request = HTTP %d", resp.StatusCode)
 	}
-	if _, _, err := c.AuthBlock(ctx, &service.AuthBlockWire{
-		Producer: service.ProducerWire{C: 8, H: 16, W: 16, TileC: 8, TileH: 4, TileW: 4, WritesPerTile: 1},
-		Consumer: service.ConsumerWire{TileC: 8, WinH: 6, WinW: 6, StepH: 4, StepW: 4, CountC: 1, CountH: 3, CountW: 3, FetchesPerTile: 1},
-	}); err != nil {
+	ob.armed.Store(false)
+	if _, _, err := c.AuthBlock(ctx, wire); err != nil {
 		t.Fatalf("normal request after the failed one: %v", err)
 	}
 }

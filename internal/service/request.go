@@ -14,6 +14,7 @@ package service
 import (
 	"errors"
 
+	"secureloop/internal/anneal"
 	"secureloop/internal/arch"
 	"secureloop/internal/authblock"
 	"secureloop/internal/core"
@@ -116,18 +117,23 @@ func (req *SweepRequest) Validate() error {
 		}
 	}
 	for i := range req.Cryptos {
-		if req.Cryptos[i].CountPerDatatype < 1 {
-			return errors.New("service: sweep crypto config has no engines")
+		if err := req.Cryptos[i].Validate(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Defaulted returns the request with an empty design space replaced by the
-// paper's Figure 16 space over arch.Base().
+// Defaulted returns the request with its defaults spelled out: an empty
+// design space becomes the paper's Figure 16 space over arch.Base(), and a
+// non-positive annealing budget the scheduler's default, so requests that
+// differ only in spelling a default share one identity.
 func (req SweepRequest) Defaulted() SweepRequest {
 	if len(req.Specs) == 0 && len(req.Cryptos) == 0 {
 		req.Specs, req.Cryptos = dse.Figure16Space(arch.Base())
+	}
+	if req.AnnealIterations <= 0 {
+		req.AnnealIterations = anneal.DefaultOptions().Iterations
 	}
 	return req
 }
@@ -147,10 +153,7 @@ type AuthBlockRequest struct {
 
 // Validate reports whether the request is well-formed enough to admit.
 func (req *AuthBlockRequest) Validate() error {
-	if err := req.Producer.Validate(); err != nil {
-		return err
-	}
-	if err := req.Consumer.Validate(); err != nil {
+	if err := authblock.ValidatePair(req.Producer, req.Consumer); err != nil {
 		return err
 	}
 	if req.Params.WordBits <= 0 || req.Params.HashBits <= 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -33,18 +32,13 @@ type Config struct {
 	// the daemon's -progress log); per-request subscribers attach through
 	// the flight fanout regardless.
 	Observe obs.Observer
-	// EventBuffer is the per-subscriber progress buffer (default 256).
-	// When a subscriber falls behind, events are dropped for it alone —
-	// see obs.Fanout's drop policy.
-	EventBuffer int
 }
 
-func (c Config) eventBuffer() int {
-	if c.EventBuffer > 0 {
-		return c.EventBuffer
-	}
-	return 256
-}
+// eventBuffer is the per-subscriber progress buffer. When a subscriber
+// falls behind, events are dropped for it alone (see obs.Fanout's drop
+// policy), so the size only sets how far a subscriber may lag before it
+// loses events; no producer ever blocks on it.
+const eventBuffer = 256
 
 // Counters are the service's monotonic request counters (JSON-ready for
 // the stats endpoint).
@@ -229,7 +223,7 @@ func (s *Service) submit(ctx context.Context, key store.Key, opts SubmitOptions,
 		cancel: cancel,
 	}
 	if opts.Events {
-		p.events = make(chan obs.Event, s.cfg.eventBuffer())
+		p.events = make(chan obs.Event, eventBuffer)
 	}
 	go func() {
 		defer close(p.done)
@@ -257,7 +251,7 @@ func (s *Service) drive(ctx context.Context, key store.Key, opts SubmitOptions, 
 		}
 		var sub *obs.Subscription
 		if out != nil {
-			sub = fl.fan.Subscribe(s.cfg.eventBuffer())
+			sub = fl.fan.Subscribe(eventBuffer)
 		}
 		if leader {
 			go s.lead(ctx, key, fl, opts, run)
@@ -342,12 +336,12 @@ func (s *Service) lead(ctx context.Context, key store.Key, fl *flight, opts Subm
 
 // runRecovered calls run, failing the request instead of the process when
 // the compute panics (lead runs on its own goroutine, so nothing above it
-// would recover). The error carries the panic value but no stack trace,
-// which would otherwise reach the client in the error body.
+// would recover). The error is obs.PanicError's: the panic value without a
+// stack trace.
 func runRecovered(ctx context.Context, ob obs.Observer, run runFunc) (res result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = result{err: fmt.Errorf("panic: %v", r)}
+			res = result{err: obs.PanicError(r)}
 		}
 	}()
 	res.value, res.body, res.storeHit, res.acct.Sweep, res.err = run(ctx, ob)

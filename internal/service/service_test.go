@@ -132,10 +132,10 @@ func TestSweepKeyNeutralKnobs(t *testing.T) {
 }
 
 // TestHugeArrayAxisMeetsDeadline: a one-layer network whose output rows
-// (a prime, 1000000007) are spread over a 1000000006-wide PE axis resolves
-// well inside two seconds. Finding the bound's largest divisor that fits
-// the axis has no cancellation point, so it must cost √bound steps, not
-// one per PE.
+// (a prime, 1000000007) are spread over a 1000000006-wide PE axis is
+// refused well inside its 200 ms deadline. Both magnitudes exceed the 2^20
+// cap that keeps every divisor scan, which has no cancellation point, at
+// 2^10 steps, so validation rejects the request before any search runs.
 func TestHugeArrayAxisMeetsDeadline(t *testing.T) {
 	const body = `{
 		"network": {"name": "huge", "layers": [{"name": "l0", "c": 1, "m": 1, "r": 1, "s": 1, "p": 1000000007, "q": 1}]},
@@ -146,28 +146,18 @@ func TestHugeArrayAxisMeetsDeadline(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &w); err != nil {
 		t.Fatal(err)
 	}
-	req, err := w.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc := New(Config{})
+	deadline := time.Duration(w.DeadlineMS) * time.Millisecond
 	start := time.Now()
-	p, err := svc.BeginSchedule(context.Background(), req, SubmitOptions{Deadline: time.Duration(w.DeadlineMS) * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	req, err := w.Resolve()
+	if err == nil {
+		_, err = svc.BeginSchedule(context.Background(), req, SubmitOptions{Deadline: deadline})
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, _, _, err := p.Result()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("schedule failed after %v: %v", time.Since(start), err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("schedule still unresolved after 2 s")
+	if err == nil {
+		t.Fatal("a 10^9 layer extent over a 10^9-wide PE axis was admitted")
+	}
+	if elapsed := time.Since(start); elapsed > deadline {
+		t.Errorf("refused after %v, past the %v deadline", elapsed, deadline)
 	}
 }
 

@@ -77,6 +77,7 @@ type StoreStatsBody struct {
 	Puts            int64 `json:"puts"`
 	Corrupt         int64 `json:"corrupt"`
 	EvictedSegments int64 `json:"evicted_segments"`
+	Errors          int64 `json:"errors"`
 	Entries         int   `json:"entries"`
 	Bytes           int64 `json:"bytes"`
 }
@@ -115,6 +116,7 @@ func storeStatsBody(ss store.Stats) *StoreStatsBody {
 		Puts:            ss.Puts,
 		Corrupt:         ss.Corrupt,
 		EvictedSegments: ss.EvictedSegments,
+		Errors:          ss.Errors,
 		Entries:         ss.Entries,
 		Bytes:           ss.Bytes,
 	}

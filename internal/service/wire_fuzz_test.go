@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"secureloop/internal/arch"
 	"secureloop/internal/cryptoengine"
@@ -33,6 +35,8 @@ const (
 // whole path a request takes before admission. It asserts that nothing
 // panics, that the same bytes resolve to the same store key twice, and that
 // a sweep's estimate is positive and never drops when points are added.
+// Each admitted body is then submitted under a 200 ms deadline and must
+// resolve, answered or failed, within 2 s: validation bounds the work.
 func FuzzWireRequest(f *testing.F) {
 	// The request bodies of the README's curl examples, then extreme
 	// values for every numeric knob.
@@ -66,6 +70,8 @@ func FuzzWireRequest(f *testing.F) {
 	}
 	svc := New(Config{MaxParallel: 2})
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
+		// begin submits the admitted request; the key closures set it.
+		var begin func(context.Context, SubmitOptions) (*Pending, error)
 		switch kind % wireKinds {
 		case wireSchedule:
 			checkSameKey(t, body, func() (store.Key, bool) {
@@ -80,6 +86,7 @@ func FuzzWireRequest(f *testing.F) {
 				if est := scheduleMemEstimate(req); est <= 0 {
 					t.Fatalf("schedule estimate %d for %q", est, body)
 				}
+				begin = func(ctx context.Context, o SubmitOptions) (*Pending, error) { return svc.BeginSchedule(ctx, req, o) }
 				return persistScheduleKey(req), true
 			})
 		case wireSweep:
@@ -97,6 +104,7 @@ func FuzzWireRequest(f *testing.F) {
 					return store.Key{}, false
 				}
 				checkSweepEstimate(t, svc, &req)
+				begin = func(ctx context.Context, o SubmitOptions) (*Pending, error) { return svc.BeginSweep(ctx, &req, o) }
 				return persistSweepKey(&req), true
 			})
 		case wireAuthBlock:
@@ -110,10 +118,31 @@ func FuzzWireRequest(f *testing.F) {
 					return store.Key{}, false
 				}
 				checkAuthBlockEstimate(t, req)
+				begin = func(ctx context.Context, o SubmitOptions) (*Pending, error) { return svc.BeginAuthBlock(ctx, req, o) }
 				return persistAuthBlockKey(req), true
 			})
 		}
+		if begin != nil {
+			checkResolvesPromptly(t, body, begin)
+		}
 	})
+}
+
+// checkResolvesPromptly submits an admitted request under a 200 ms
+// deadline and fails unless its result, an answer or an error, is ready
+// within 2 s.
+func checkResolvesPromptly(t *testing.T, body []byte, begin func(context.Context, SubmitOptions) (*Pending, error)) {
+	t.Helper()
+	p, err := begin(context.Background(), SubmitOptions{Deadline: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("validated request refused by Begin: %v for %q", err, body)
+	}
+	select {
+	case <-p.Done():
+	case <-time.After(2 * time.Second):
+		p.Cancel()
+		t.Fatalf("admitted request unresolved 2 s after submission under a 200 ms deadline: %q", body)
+	}
 }
 
 // checkSameKey runs one decode → key pipeline twice over the same bytes:

@@ -107,6 +107,23 @@ func TestReopenPersists(t *testing.T) {
 	}
 }
 
+// TestPutWritesThrough: once Put returns, the active segment file already
+// holds the encoded record, with no Flush, so a crash of the process after
+// Put returns cannot lose it.
+func TestPutWritesThrough(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	defer s.Close()
+	s.Put(KindAuthBlock, testKey(3), testVal(3))
+	raw, err := os.ReadFile(lastSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := encodeRecord(KindAuthBlock, testKey(3), testVal(3)); !bytes.Equal(raw, want) {
+		t.Fatalf("segment holds %d bytes, want the %d-byte encoded record", len(raw), len(want))
+	}
+}
+
 // lastSegment returns the path of the newest segment file in dir.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
@@ -238,7 +255,7 @@ func TestReadTimeCorruptionDetected(t *testing.T) {
 	s := openT(t, dir, Options{})
 	defer s.Close()
 	s.Put(KindMapper, testKey(7), testVal(7))
-	s.Flush() // drain pending so Get goes to disk
+	s.Flush() // make the record durable before editing the file under it
 	// Flip a byte behind the store's back while it is open.
 	path := lastSegment(t, dir)
 	raw, err := os.ReadFile(path)

@@ -120,8 +120,21 @@ func (l *Layer) TotalVolume() int64 {
 	return l.Volume(Weight) + l.Volume(Ifmap) + l.Volume(Ofmap)
 }
 
-// Validate reports whether the layer dimensions are internally consistent.
+// The modelled domain's magnitudes (DESIGN §15): every layer field is at
+// most maxDim, so a divisor scan over one takes at most 2^10 steps, and
+// every tensor holds at most maxTensorElems elements.
+const (
+	maxDim         = 1 << 20
+	maxTensorElems = 1 << 32
+)
+
+// Validate reports whether the layer dimensions are internally consistent
+// and within the modelled domain's magnitudes.
 func (l *Layer) Validate() error {
+	weightC := l.C
+	if l.Depthwise {
+		weightC = 1
+	}
 	switch {
 	case l.C <= 0 || l.M <= 0 || l.R <= 0 || l.S <= 0 || l.P <= 0 || l.Q <= 0:
 		return &ShapeError{Layer: l.Name, Reason: "all of C,M,R,S,P,Q must be positive"}
@@ -133,12 +146,29 @@ func (l *Layer) Validate() error {
 		return &ShapeError{Layer: l.Name, Reason: "batch size must be positive"}
 	case l.WordBits <= 0:
 		return &ShapeError{Layer: l.Name, Reason: "word width must be positive"}
+	case max(l.C, l.M, l.R, l.S, l.P, l.Q, l.StrideH, l.StrideW, l.PadH, l.PadW, l.N, l.WordBits) > maxDim:
+		return &ShapeError{Layer: l.Name, Reason: "a dimension exceeds 2^20"}
 	case l.Depthwise && l.C != l.M:
 		return &ShapeError{Layer: l.Name, Reason: "depthwise layer requires C == M"}
 	case l.InH() <= 0 || l.InW() <= 0:
 		return &ShapeError{Layer: l.Name, Reason: "implied input extent is non-positive"}
+	case !withinElems(l.M, weightC, l.R, l.S) || !withinElems(l.N, l.C, l.InH(), l.InW()) || !withinElems(l.N, l.M, l.P, l.Q):
+		return &ShapeError{Layer: l.Name, Reason: "a tensor exceeds 2^32 elements"}
 	}
 	return nil
+}
+
+// withinElems reports whether the product of the positive dims is at most
+// maxTensorElems, dividing instead of multiplying so it cannot overflow.
+func withinElems(dims ...int) bool {
+	v := int64(1)
+	for _, d := range dims {
+		if int64(d) > maxTensorElems/v {
+			return false
+		}
+		v *= int64(d)
+	}
+	return true
 }
 
 // ShapeError reports an inconsistent layer specification.
