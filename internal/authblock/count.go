@@ -207,3 +207,41 @@ func slabBlockCount(base, u64, d2, runLen, j1, step int64, dedup bool) int64 {
 	}
 	return blocks
 }
+
+// boxBound returns lower bounds on CountBoxBlocks' blocks and covered
+// elements in O(1). In flattened order the box is equal-length runs,
+// consecutive runs of a slab a row gap apart and consecutive slabs a
+// (larger) slab gap apart. A gap shorter than u holds at most one block
+// boundary, and no whole block fits in it (the tile's clipped final block
+// lies past every gap), so it is covered whole and its two runs fall into
+// one group. Runs a gap of u or more apart are more than u-1 elements
+// apart, so they share no block. A group spanning g contiguous elements
+// therefore touches at least ceil(g/u) blocks no other group touches, and
+// the box covers at least every group's span and at least blocks*u
+// elements less the clipped part of the tile's final block when the box
+// reaches it.
+func boxBound(tileC, tileP, tileQ int, b Box, o Orientation, u int) (blocks, covered int64) {
+	dims, lo, hi := permute(tileC, tileP, tileQ, b, o)
+	d1, d2 := int64(dims[1]), int64(dims[2])
+	u64 := int64(u)
+	runLen := int64(hi[2] - lo[2])
+	runs := int64(hi[1] - lo[1]) // per slab
+	slabs := int64(hi[0] - lo[0])
+	rowGap := d2 - runLen
+	slabGap := (d1-runs)*d2 + rowGap
+	groups, span := slabs*runs, runLen // every run its own group
+	switch {
+	case slabGap < u64: // the whole box is one group
+		groups, span = 1, ((slabs-1)*d1+runs-1)*d2+runLen
+	case rowGap < u64: // each slab is one group
+		groups, span = slabs, (runs-1)*d2+runLen
+	}
+	blocks = groups * num.CeilDiv64(span, u64)
+	covered = blocks * u64
+	flatLen := int64(dims[0]) * d1 * d2
+	maxFlat := (int64(hi[0]-1)*d1+int64(hi[1]-1))*d2 + int64(hi[2]) - 1
+	if rem := flatLen % u64; rem != 0 && maxFlat >= flatLen-rem {
+		covered -= u64 - rem
+	}
+	return blocks, max(covered, groups*span)
+}

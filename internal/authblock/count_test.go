@@ -172,6 +172,34 @@ func TestCountBoxBlocksWholeTile(t *testing.T) {
 	}
 }
 
+// TestOrientBoundSound: boxBound never exceeds the exact block count or
+// covered elements, over random boxes x every orientation x every block
+// size up to past the tile's flat length.
+func TestOrientBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cases := 0
+	for i := 0; i < 2500; i++ {
+		tc := 1 + rng.Intn(4)
+		tp := 1 + rng.Intn(10)
+		tq := 1 + rng.Intn(10)
+		b := randomBox(rng, tc, tp, tq)
+		for _, o := range Orientations {
+			for u := 1; u <= tc*tp*tq+3; u++ {
+				lb, lc := boxBound(tc, tp, tq, b, o, u)
+				blocks, covered := CountBoxBlocks(tc, tp, tq, b, o, u)
+				if lb > blocks || lc > covered {
+					t.Fatalf("tile %dx%dx%d box %+v %v u=%d: bound (%d,%d) exceeds exact (%d,%d)",
+						tc, tp, tq, b, o, u, lb, lc, blocks, covered)
+				}
+				cases++
+			}
+		}
+	}
+	if cases < 500000 {
+		t.Fatalf("only %d cases", cases)
+	}
+}
+
 func BenchmarkCountBoxBlocksAnalytic(b *testing.B) {
 	box := Box{C0: 2, C1: 14, P0: 3, P1: 27, Q0: 5, Q1: 25}
 	for i := 0; i < b.N; i++ {

@@ -24,7 +24,7 @@ import (
 type pairClass struct {
 	box        Box
 	tc, tp, tq int
-	// vol is box.Volume(), precomputed for the per-size lower bound.
+	// vol is box.Volume(), precomputed for evaluate and orientBound.
 	vol int64
 	// mult is how many consumer tiles produce this exact class.
 	mult int64
@@ -104,21 +104,24 @@ func (d *pairDecomposition) evaluate(o Orientation, u int, hashWrite, fetches in
 	}
 }
 
-// lowerBound returns a bound no candidate of size u can beat, valid for
-// every orientation: each consumer box of volume v touches at least
-// ceil(v/u) blocks (blocks*u >= covered >= v), and redundant reads are
-// non-negative, so total >= hashWrite(u) + sum(mult*ceil(vol/u))*tag bits.
-// The search skips a size outright when this bound exceeds the best total
-// found so far; since every actual total at that size then strictly exceeds
-// the best, skipping cannot change the selected assignment.
-func (d *pairDecomposition) lowerBound(u int, hashWrite, fetches int64, par Params) int64 {
-	u64 := int64(u)
-	var minBlocks int64
+// orientBound returns a lower bound on evaluate(o, u, ...).Total(): the
+// hash writes plus, per class, boxBound's blocks as hash reads and its
+// covered elements beyond the box as redundant reads. Every term is
+// non-negative, so it stops summing once the partial sum exceeds limit and
+// returns that partial sum, which still exceeds limit; pass math.MaxInt64
+// for the full bound. O(classes), and no per-orientation state is stored.
+func (d *pairDecomposition) orientBound(o Orientation, u int, hashWrite, fetches int64, par Params, limit int64) int64 {
+	hashBits, wordBits := fetches*int64(par.HashBits), fetches*int64(par.WordBits)
+	total := hashWrite
 	for i := range d.classes {
+		if total > limit {
+			break
+		}
 		cl := &d.classes[i]
-		minBlocks += cl.mult * num.CeilDiv64(cl.vol, u64)
+		blocks, covered := boxBound(cl.tc, cl.tp, cl.tq, cl.box, o, u)
+		total += cl.mult * (blocks*hashBits + (covered-cl.vol)*wordBits)
 	}
-	return hashWrite + minBlocks*fetches*int64(par.HashBits)
+	return total
 }
 
 // tileDirect evaluates the tile-as-an-AuthBlock direct baseline on the

@@ -2,6 +2,7 @@ package authblock
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -19,7 +20,8 @@ func optimal(t testing.TB, p ProducerGrid, c ConsumerGrid, par Params) Result {
 
 // equivGrids returns a deterministic matrix of producer/consumer pair
 // geometries: hand-picked shapes covering aligned, halo, strided, clipped
-// and degenerate axes, plus randomised pairs.
+// and degenerate axes, real schedule pairs with many channels, plus
+// randomised pairs.
 func equivGrids(t testing.TB) []struct {
 	p ProducerGrid
 	c ConsumerGrid
@@ -57,6 +59,40 @@ func equivGrids(t testing.TB) []struct {
 				FetchesPerTile: 1,
 			},
 		},
+		// Pairs a Crypt-Opt-Cross schedule at arch.Base() searches. AlexNet
+		// conv3 -> conv4: 384 channels, a one-row halo on each side.
+		{
+			p: ProducerGrid{C: 384, H: 13, W: 13, TileC: 56, TileH: 13, TileW: 13, WritesPerTile: 1},
+			c: ConsumerGrid{
+				TileC: 48, WinH: 15, WinW: 15, StepH: 13, StepW: 13,
+				OffH: -1, OffW: -1, CountC: 8, CountH: 1, CountW: 1,
+				FetchesPerTile: 1,
+			},
+		},
+		{ // AlexNet conv4 -> conv5: partial-sum spills and repeated fetches
+			p: ProducerGrid{C: 256, H: 13, W: 13, TileC: 14, TileH: 13, TileW: 13, WritesPerTile: 8},
+			c: ConsumerGrid{
+				TileC: 14, WinH: 15, WinW: 15, StepH: 13, StepW: 13,
+				OffH: -1, OffW: -1, CountC: 19, CountH: 1, CountW: 1,
+				FetchesPerTile: 11,
+			},
+		},
+		{ // MobileNetV2 expansion -> depthwise: one channel per consumer tile
+			p: ProducerGrid{C: 144, H: 56, W: 56, TileC: 144, TileH: 8, TileW: 14, WritesPerTile: 1},
+			c: ConsumerGrid{
+				TileC: 1, WinH: 58, WinW: 58, StepH: 56, StepW: 56,
+				OffH: -1, OffW: -1, CountC: 144, CountH: 1, CountW: 1,
+				FetchesPerTile: 1,
+			},
+		},
+		{ // MobileNetV2 depthwise -> projection: one channel per producer tile
+			p: ProducerGrid{C: 96, H: 56, W: 56, TileC: 1, TileH: 56, TileW: 56, WritesPerTile: 1},
+			c: ConsumerGrid{
+				TileC: 96, WinH: 8, WinW: 14, StepH: 8, StepW: 14,
+				CountC: 1, CountH: 7, CountW: 4,
+				FetchesPerTile: 1,
+			},
+		},
 	}
 	rng := rand.New(rand.NewSource(404))
 	for i := 0; i < 20; i++ {
@@ -89,10 +125,11 @@ func equivGrids(t testing.TB) []struct {
 // TestEvaluateCrossEquivalence is the decomposition-reuse proof obligation:
 // the shared-decomposition EvaluateCross must return byte-identical Costs to
 // the retained per-candidate reference across a grid x orientation x size
-// matrix.
+// matrix, and the per-orientation bound must never exceed them.
 func TestEvaluateCrossEquivalence(t *testing.T) {
 	par := DefaultParams()
 	for gi, g := range equivGrids(t) {
+		d := decompositionFor(g.p, g.c)
 		flat := g.p.TileC * g.p.TileH * g.p.TileW
 		sizes := append([]int{}, CandidateSizes(g.p, g.c)...)
 		for u := 1; u <= flat+3; u += 1 + flat/17 {
@@ -104,6 +141,9 @@ func TestEvaluateCrossEquivalence(t *testing.T) {
 				want := evaluateCrossReference(g.p, g.c, o, u, par)
 				if got != want {
 					t.Fatalf("grid %d %v u=%d: fast %+v != reference %+v", gi, o, u, got, want)
+				}
+				if lb := d.orientBound(o, u, got.HashWriteBits, g.c.FetchesPerTile, par, math.MaxInt64); lb > got.Total() {
+					t.Fatalf("grid %d %v u=%d: bound %d exceeds cost %d", gi, o, u, lb, got.Total())
 				}
 			}
 		}

@@ -128,11 +128,13 @@ func (c ConsumerGrid) Validate() error {
 }
 
 // maxAxisSegments caps the window-tile segments decomposing one axis walks,
-// and maxPairClasses the classes of a pair's decomposition, each of which
-// the search evaluates at every candidate size (DESIGN §15).
+// maxPairClasses the classes of a pair's decomposition, each of which the
+// search evaluates at every candidate size, and maxSlabWork the slabs one
+// evaluation walks over all classes (DESIGN §15).
 const (
 	maxAxisSegments = 1 << 20
 	maxPairClasses  = 1 << 16
+	maxSlabWork     = 1 << 22
 )
 
 // ValidatePair validates both grids, then bounds the pair's consumer-class
@@ -142,7 +144,12 @@ const (
 // classes are at most those segments, and at most 6*min(tile, extent):
 // every class is (0, hi, tdim), (lo, tdim, tdim) or (lo, lo+win, tdim), and
 // tdim takes at most two values, each at most min(tile, extent). The
-// decomposition is the cross product of the three axes' classes.
+// decomposition is the cross product of the three axes' classes. One
+// evaluation walks at most one slab per element of a box's slowest axis
+// in every class (CountBoxBlocks), and that axis is the channel axis or,
+// flattened along channels, the row axis, so the class bound times the
+// longer of the two tile extents bounds the work between two polls of the
+// search's context.
 func ValidatePair(p ProducerGrid, c ConsumerGrid) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -166,6 +173,9 @@ func ValidatePair(p ProducerGrid, c ConsumerGrid) error {
 			return fmt.Errorf("authblock: the pair may decompose into more than 2^16 classes")
 		}
 		classes *= n
+	}
+	if classes*int64(max(min(p.TileC, p.C), min(p.TileH, p.H))) > maxSlabWork {
+		return fmt.Errorf("authblock: one candidate evaluation may walk more than 2^22 slabs")
 	}
 	return nil
 }

@@ -97,11 +97,6 @@ func candidateSizes(p ProducerGrid, c ConsumerGrid) []int {
 	return out
 }
 
-// sizeChunk is the cancellation granularity of the candidate-size scan: the
-// context is polled once per chunk of sizes, never per size, so the pruned
-// scan stays branch-lean.
-const sizeChunk = 32
-
 // OptimalCtx searches orientations x candidate sizes for the assignment
 // that minimises the total extra off-chip traffic (hash writes + hash reads
 // + redundant reads), the paper's Section 4.2 objective. Ties break toward
@@ -110,34 +105,50 @@ const sizeChunk = 32
 // The search runs on the shared pair decomposition: the class structure is
 // built once, the producer-side hash-write traffic is computed once per
 // size (not once per orientation), and alignment-seeded candidates are
-// evaluated first so the per-size lower bound (pairDecomposition.lowerBound)
-// can skip most of the remaining sizes without evaluating any orientation.
+// evaluated first so the per-orientation lower bound
+// (pairDecomposition.orientBound) can skip most of the remaining
+// candidates before CountBoxBlocks runs on them. The bound charges each
+// class the blocks and covered elements boxBound proves it must touch:
+// runs closer than u merge into groups whose spans are covered whole, and
+// a group of span g touches at least ceil(g/u) blocks of its own, so it
+// adds a redundant-read term to the hash reads. A candidate is skipped
+// only when its bound is strictly greater than the incumbent total; its
+// actual total is then too, so exact ties are still evaluated.
 //
 // The update rule — strictly smaller total, or equal total with strictly
 // larger block — selects the minimum of (total, -U, orientation order)
 // whatever order candidates are visited in, because orientations are always
 // visited in Orientations order within one size; re-evaluating a seed or
-// skipping a size whose lower bound exceeds the incumbent total therefore
-// cannot change the result. TestOptimalMatchesReference holds the proof
-// obligation against the retained OptimalReference.
+// skipping a candidate whose lower bound exceeds the incumbent total
+// therefore cannot change the result. TestOptimalMatchesReference holds
+// the proof obligation against the retained OptimalReference.
 //
-// The context is polled once per chunk of candidate sizes. On cancellation
-// OptimalCtx returns the best assignment found so far together with
-// ctx.Err(); callers must not treat the partial result as optimal.
+// The context is polled once per candidate size and before every
+// evaluated candidate. On cancellation OptimalCtx returns the best
+// assignment found so far together with ctx.Err(); callers must not treat
+// the partial result as optimal.
 func OptimalCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
 	sizes := CandidateSizes(p, c)
 	d := decompositionFor(p, c)
 	best := Result{Assignment: Assignment{Orientation: AlongQ, U: 1}}
 	first := true
 	fetches := c.FetchesPerTile
-	consider := func(u int) {
-		hw := p.HashWriteBits(u, par)
-		if !first && d.lowerBound(u, hw, fetches, par) > best.Costs.Total() {
-			return
+	consider := func(u int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		hw := p.HashWriteBits(u, par)
 		for _, o := range Orientations {
 			if skipOrientation(p, o) {
 				continue
+			}
+			if !first {
+				if bestTotal := best.Costs.Total(); d.orientBound(o, u, hw, fetches, par, bestTotal) > bestTotal {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
 			costs := d.evaluate(o, u, hw, fetches, par)
 			if first || costs.Total() < best.Costs.Total() ||
@@ -146,6 +157,7 @@ func OptimalCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params)
 				first = false
 			}
 		}
+		return nil
 	}
 	// Seeds: the Figure 9 local minima live where block boundaries align
 	// with row, plane or tile boundaries. Evaluating those first gives the
@@ -157,18 +169,17 @@ func OptimalCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, par Params)
 	} {
 		for _, u := range sizes {
 			if u == seed {
-				consider(u)
+				if err := consider(u); err != nil {
+					return best, err
+				}
 				break
 			}
 		}
 	}
-	for i, u := range sizes {
-		if i%sizeChunk == 0 {
-			if err := ctx.Err(); err != nil {
-				return best, err
-			}
+	for _, u := range sizes {
+		if err := consider(u); err != nil {
+			return best, err
 		}
-		consider(u)
 	}
 	return best, nil
 }
@@ -187,16 +198,14 @@ func skipOrientation(p ProducerGrid, o Orientation) bool {
 
 // SweepCtx evaluates every block size in [1, maxU] for one orientation,
 // returning per-size costs — the Figure 9 visualisation. The context is
-// polled once per chunk of block sizes; on cancellation the sizes evaluated
-// so far are returned with ctx.Err().
+// polled before every block size; on cancellation the sizes evaluated so
+// far are returned with ctx.Err().
 func SweepCtx(ctx context.Context, p ProducerGrid, c ConsumerGrid, o Orientation, maxU int, par Params) ([]Result, error) {
 	d := decompositionFor(p, c)
 	out := make([]Result, 0, maxU)
 	for u := 1; u <= maxU; u++ {
-		if u%sizeChunk == 0 {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
+		if err := ctx.Err(); err != nil {
+			return out, err
 		}
 		out = append(out, Result{
 			Assignment: Assignment{Orientation: o, U: u},

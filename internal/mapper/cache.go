@@ -27,9 +27,10 @@ type cacheKey struct {
 	rf    int64
 	effBW float64
 	topK  int
-	// opt is part of the identity: guided results at Epsilon > 0 are
-	// admissible approximations, never interchangeable with exhaustive
-	// entries (and whether warm seeding ran can matter at Epsilon > 0 too).
+	// opt (canonical) is part of the identity: guided results at
+	// Epsilon > 0 are admissible approximations, never interchangeable with
+	// exhaustive entries (and whether warm seeding ran can matter at
+	// Epsilon > 0 too).
 	opt Options
 }
 
@@ -89,7 +90,7 @@ func SearchCachedCtx(ctx context.Context, req Request) ([]Candidate, error) {
 		layer: *req.Layer, pesX: req.PEsX, pesY: req.PEsY,
 		glb: req.GLBBits, rf: req.RFBits,
 		effBW: req.EffectiveBytesPerCycle, topK: storeK,
-		opt: req.Opt,
+		opt: req.Opt.canonical(),
 	}
 	key.layer.Name = "" // shape-keyed: identical shapes share results
 	val, err := searchMemo.Do(ctx, key, func() ([]Candidate, error) {

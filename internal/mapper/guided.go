@@ -80,6 +80,16 @@ type Options struct {
 	DisableWarmStart bool
 }
 
+// canonical returns the options with the fields the mode ignores zeroed:
+// outside guided mode the search runs at Epsilon 0 without warm starts
+// whatever they hold, so they must not split the memo or store keys.
+func (o Options) canonical() Options {
+	if o.Mode != Guided {
+		return Options{Mode: o.Mode}
+	}
+	return o
+}
+
 // tiledDims are the dimensions the GLB tiling lattice spans, in pass A's
 // nesting order (outermost first).
 var tiledDims = [4]mapping.Dim{mapping.DimC, mapping.DimM, mapping.DimP, mapping.DimQ}

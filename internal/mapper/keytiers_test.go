@@ -57,4 +57,12 @@ func TestOptionsReachBothKeyTiers(t *testing.T) {
 	if persistSearchKey(keys[2]) != persistSearchKey(dup) {
 		t.Error("persistSearchKey is not stable for identical requests")
 	}
+
+	// Exhaustive mode ignores Epsilon and warm starts, so they must not
+	// split its key.
+	loose := base
+	loose.opt = Options{Mode: Exhaustive, Epsilon: 0.5, DisableWarmStart: true}
+	if persistSearchKey(loose) != persistSearchKey(keys[0]) {
+		t.Error("an exhaustive search's ignored Epsilon and DisableWarmStart split its store key")
+	}
 }

@@ -32,8 +32,10 @@ func persistSearchKey(k cacheKey) store.Key {
 
 // Encode appends the search options to a store key. Every key whose result
 // depends on a mapper search calls it, so the tiers agree on which options
-// are "the same search".
+// are "the same search". It encodes the canonical options, so fields the
+// mode ignores do not split a key.
 func (o Options) Encode(e *store.Enc) {
+	o = o.canonical()
 	e.Int(int64(o.Mode)).Float(o.Epsilon).Bool(o.DisableWarmStart)
 }
 

@@ -48,6 +48,19 @@ func TestAdmissionBoundsMagnitudes(t *testing.T) {
 			  "consumer":{"tile_c":255,"win_h":4095,"win_w":4095,"step_h":1,"step_w":1,
 			              "count_c":256,"count_h":4096,"count_w":4096,"fetches_per_tile":1}}`,
 			"more than 2^16 classes"},
+		// Inside every cap above, but one candidate evaluation would walk
+		// 961 classes times 65534 channel slabs (about 6.3*10^7 slabs) and,
+		// in the second body, 3969 classes times 255254 (about 10^9).
+		{"slab work", "/v1/authblock",
+			`{"producer":{"c":65535,"h":33,"w":33,"tile_c":65535,"tile_h":33,"tile_w":33,"writes_per_tile":1},
+			  "consumer":{"tile_c":65534,"win_h":3,"win_w":3,"step_h":1,"step_w":1,
+			              "count_c":1,"count_h":31,"count_w":31,"fetches_per_tile":1},"deadline_ms":200}`,
+			"more than 2^22 slabs"},
+		{"slab work, larger", "/v1/authblock",
+			`{"producer":{"c":255255,"h":129,"w":129,"tile_c":255255,"tile_h":129,"tile_w":129,"writes_per_tile":1},
+			  "consumer":{"tile_c":255254,"win_h":5,"win_w":5,"step_h":2,"step_w":2,
+			              "count_c":1,"count_h":63,"count_w":63,"fetches_per_tile":1},"deadline_ms":200}`,
+			"more than 2^22 slabs"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -73,4 +86,31 @@ func TestAdmissionBoundsMagnitudes(t *testing.T) {
 	if st := svc.Stats().Service; st.Admitted != 0 {
 		t.Errorf("admitted = %d, want 0", st.Admitted)
 	}
+}
+
+// TestSlabWorkUnderCapMeetsDeadline: a body just under the slab-work cap
+// (961 classes times 4096 channel slabs, 3,936,256 of 4,194,304) is
+// admitted, and with a 200 ms deadline it is answered within 2 s: the
+// search polls its context before every candidate it evaluates, so it
+// overruns the deadline by at most one evaluation.
+func TestSlabWorkUnderCapMeetsDeadline(t *testing.T) {
+	_, c := newServer(t, service.Config{})
+	const body = `{"producer":{"c":4096,"h":33,"w":33,"tile_c":4096,"tile_h":33,"tile_w":33,"writes_per_tile":1},
+		"consumer":{"tile_c":4095,"win_h":3,"win_w":3,"step_h":1,"step_w":1,
+		            "count_c":1,"count_h":31,"count_w":31,"fetches_per_tile":1},"deadline_ms":200}`
+	start := time.Now()
+	resp, err := http.Post(c.BaseURL+"/v1/authblock", "application/json", strings.NewReader(body))
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("HTTP %d %s, want 200 or 504", resp.StatusCode, msg)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("answered after %v, want within 2s", elapsed)
+	}
+	t.Logf("HTTP %d after %v", resp.StatusCode, elapsed)
 }

@@ -115,6 +115,53 @@ func TestServingPathsAgree(t *testing.T) {
 	}
 }
 
+// TestIgnoredFieldsShareKeys: a field the computation ignores — epsilon in
+// an exhaustive search, an orientation without a sweep curve — splits no
+// key. The body with it joins the plain body's flight and replays the
+// plain body's store record, and a schedule that differs from the plain
+// one in its annealing budget as well runs no mapper search over that
+// store: every layer replays the plain request's mapper records.
+func TestIgnoredFieldsShareKeys(t *testing.T) {
+	const authBlock = `{"producer": {"c": 64, "h": 56, "w": 56, "tile_c": 32, "tile_h": 14, "tile_w": 8, "writes_per_tile": 1},
+		"consumer": {"tile_c": 64, "win_h": 10, "win_w": 10, "step_h": 8, "step_w": 8, "off_h": -1, "off_w": -1,
+		             "count_c": 1, "count_h": 7, "count_w": 7, "fetches_per_tile": 1}`
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, tc := range []diffCase{
+		{"exhaustive epsilon", "/v1/schedule", `{"network": "alexnet"}`,
+			[]string{`{"network": "alexnet", "mapper": {"epsilon": 0.5}}`}},
+		{"orientation without max_u", "/v1/authblock", authBlock + `}`,
+			[]string{authBlock + `, "orientation": "vertical"}`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resetMemos()
+			want := computeBody(t, service.New(service.Config{}), tc)
+			resetMemos()
+			checkCoalesced(t, tc, want)
+
+			resetMemos()
+			awaitBody(t, begin(t, service.New(service.Config{Store: st}), tc.path, tc.body, service.SubmitOptions{}))
+			resetMemos()
+			p := begin(t, service.New(service.Config{Store: st}), tc.path, tc.variants[0], service.SubmitOptions{})
+			checkBody(t, "store replay", want, awaitBody(t, p))
+			if _, _, storeHit, _, _ := p.Result(); !storeHit {
+				t.Errorf("%s missed the plain body's store record", tc.variants[0])
+			}
+		})
+	}
+	resetMemos()
+	p := begin(t, service.New(service.Config{Store: st}), "/v1/schedule",
+		`{"network": "alexnet", "mapper": {"epsilon": 0.5}, "anneal_iterations": 999}`, service.SubmitOptions{})
+	awaitBody(t, p)
+	if n := p.Accounting().MapperSearches; n != 0 {
+		t.Errorf("the epsilon schedule ran %d mapper searches over the plain schedule's store, want 0", n)
+	}
+}
+
 func resetMemos() {
 	mapper.ResetCaches()
 	authblock.ResetCaches()

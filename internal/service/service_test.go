@@ -65,7 +65,8 @@ func tinyScheduleRequest() *ScheduleRequest {
 
 // TestScheduleKeyTiers: every request knob the response depends on changes
 // the canonical key — the labels the body carries included, so requests
-// that differ only in a name never share a flight.
+// that differ only in a name never share a flight — and the mapper fields
+// exhaustive mode ignores do not.
 func TestScheduleKeyTiers(t *testing.T) {
 	base := persistScheduleKey(tinyScheduleRequest())
 	mutate := func(name string, f func(*ScheduleRequest), want bool) {
@@ -81,8 +82,20 @@ func TestScheduleKeyTiers(t *testing.T) {
 	mutate("topk", func(r *ScheduleRequest) { r.TopK = 3 }, true)
 	mutate("anneal", func(r *ScheduleRequest) { r.AnnealIterations = 41 }, true)
 	mutate("mapper mode", func(r *ScheduleRequest) { r.Mapper.Mode = mapper.Guided }, true)
-	mutate("mapper epsilon", func(r *ScheduleRequest) { r.Mapper.Epsilon = 0.25 }, true)
-	mutate("mapper warmstart", func(r *ScheduleRequest) { r.Mapper.DisableWarmStart = true }, true)
+	mutate("exhaustive epsilon", func(r *ScheduleRequest) { r.Mapper.Epsilon = 0.25 }, false)
+	mutate("exhaustive warmstart", func(r *ScheduleRequest) { r.Mapper.DisableWarmStart = true }, false)
+	guided := func(f func(*mapper.Options)) store.Key {
+		req := tinyScheduleRequest()
+		req.Mapper.Mode = mapper.Guided
+		f(&req.Mapper)
+		return persistScheduleKey(req)
+	}
+	if guided(func(*mapper.Options) {}) == guided(func(o *mapper.Options) { o.Epsilon = 0.25 }) {
+		t.Error("guided epsilon did not change the key")
+	}
+	if guided(func(*mapper.Options) {}) == guided(func(o *mapper.Options) { o.DisableWarmStart = true }) {
+		t.Error("guided warmstart did not change the key")
+	}
 	mutate("pes", func(r *ScheduleRequest) { r.Spec.PEsX = 16 }, true)
 	mutate("glb", func(r *ScheduleRequest) { r.Spec.GlobalBufferBytes *= 2 }, true)
 	mutate("dram", func(r *ScheduleRequest) { r.Spec.DRAM = arch.HBM2x64 }, true)

@@ -243,6 +243,9 @@ func (w *AuthBlockWire) Resolve() (*AuthBlockRequest, error) {
 		CountC: w.Consumer.CountC, CountH: w.Consumer.CountH, CountW: w.Consumer.CountW,
 		FetchesPerTile: w.Consumer.FetchesPerTile,
 	}
+	if w.MaxU == 0 {
+		o = authblock.AlongQ // no sweep curve: the orientation shapes nothing
+	}
 	return &AuthBlockRequest{
 		Producer:    p,
 		Consumer:    c,
