@@ -121,13 +121,16 @@ type CryptoConfig = cryptoengine.Config
 // CryptoEngine is one AES-GCM engine microarchitecture (Table 2).
 type CryptoEngine = cryptoengine.EngineArch
 
-// Observer receives events from a running search: progress (stage
-// start/end, per-layer completion, annealing progress) and the work-count
-// events MapperSearch and AuthBlockSearch, one per mapper or AuthBlock
-// search that actually ran for this request (a search a cache answered
-// reports nothing). Implementations must be safe for concurrent use;
-// events carry no wall-clock state, so an observed run stays
-// byte-identical to an unobserved one.
+// Observer receives events from a running search through its one method,
+// Observe(obs.Event). An event's Kind names its payload: progress (stage
+// start and end, per-layer completion, annealing progress, sweep points)
+// and the work-count kinds mapper_search and authblock_search, one event
+// per mapper or AuthBlock search that actually ran for this request (a
+// search a cache answered reports nothing). An observer switches on Kind
+// and ignores the kinds it does not want. Implementations must be safe for
+// concurrent use and must not modify an event's payload; events carry no
+// wall-clock state, so an observed run stays byte-identical to an
+// unobserved one.
 type Observer = obs.Observer
 
 // NewProgressLogger returns an Observer that renders progress events as

@@ -49,7 +49,7 @@ func main() {
 	var (
 		workloadName = flag.String("workload", "alexnet", "workload: alexnet, resnet18, mobilenetv2, vgg16")
 		iters        = flag.Int("iters", 200, "annealing iterations per design point")
-		guided       = flag.Bool("guided", false, "use the guided loopnest search (byte-identical results at epsilon 0)")
+		guided       = flag.Bool("guided", false, "use the guided loopnest search (at epsilon 0 byte-identical to exhaustive except on layers whose stride exceeds the filter extent)")
 		epsilon      = flag.Float64("epsilon", 0, "guided-search relaxation: allowed per-rank cycle regression (e.g. 0.01)")
 		paretoOnly   = flag.Bool("pareto-only", false, "print only the Pareto front")
 		csvPath      = flag.String("csv", "", "write the sweep as CSV")

@@ -49,7 +49,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "experiment to run (all, 3, t2, 9, 10, 11, 12, 13, 14, 15, 16, dram, hashsize)")
 	quick := flag.Bool("quick", false, "reduced-fidelity fast run")
-	guided := flag.Bool("guided", false, "use the guided loopnest search (byte-identical results at epsilon 0)")
+	guided := flag.Bool("guided", false, "use the guided loopnest search (at epsilon 0 byte-identical to exhaustive except on layers whose stride exceeds the filter extent)")
 	epsilon := flag.Float64("epsilon", 0, "guided-search relaxation: allowed per-rank cycle regression (e.g. 0.01)")
 	out := flag.String("out", "results", "directory for CSV output (empty to skip)")
 	storeDir := flag.String("store", "", "persistent result-store directory: warm reruns replay byte-identical schedules from disk")

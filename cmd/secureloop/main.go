@@ -43,7 +43,7 @@ func main() {
 		topK         = flag.Int("topk", 6, "top-k schedules per layer for annealing")
 		iters        = flag.Int("iters", 1000, "annealing iterations")
 		seed         = flag.Int64("seed", 1, "annealing seed")
-		guided       = flag.Bool("guided", false, "use the guided loopnest search (byte-identical results at epsilon 0)")
+		guided       = flag.Bool("guided", false, "use the guided loopnest search (at epsilon 0 byte-identical to exhaustive except on layers whose stride exceeds the filter extent)")
 		epsilon      = flag.Float64("epsilon", 0, "guided-search relaxation: allowed per-rank cycle regression (e.g. 0.01)")
 		layers       = flag.Bool("layers", false, "print per-layer table")
 		csvPath      = flag.String("csv", "", "write per-layer CSV to this path")

@@ -51,13 +51,6 @@ type Options struct {
 	TInit, TFinal float64
 	// Seed drives the random source; equal seeds reproduce runs exactly.
 	Seed int64
-	// Observer receives AnnealProgress events (nil means none). Emission
-	// happens at move-chunk boundaries, outside the random trajectory, so
-	// observed and unobserved runs are bitwise identical.
-	Observer obs.Observer
-	// Tag identifies this problem in emitted events (the scheduler passes
-	// the segment's first layer index).
-	Tag int
 }
 
 // DefaultOptions returns the paper's defaults: 1000 iterations.
@@ -89,9 +82,14 @@ const moveChunk = 64
 // move-chunk boundaries; on cancellation the best state found so far is
 // returned together with ctx.Err(), so callers can either abort or keep the
 // partial result.
-func MinimizeCtx(ctx context.Context, p Problem, opts Options) (Result, error) {
+//
+// ob (nil: none) receives EventAnneal progress labelled with tag (the
+// scheduler passes the segment's first layer index). Emission happens at
+// move-chunk boundaries, outside the random trajectory, so observed and
+// unobserved runs are bitwise identical.
+func MinimizeCtx(ctx context.Context, p Problem, opts Options, ob obs.Observer, tag int) (Result, error) {
 	n := p.NumLayers()
-	ob := obs.OrNop(opts.Observer)
+	ob = obs.OrNop(ob)
 	if err := ctx.Err(); err != nil {
 		// Pre-cancelled: do no work, not even the initial evaluation.
 		return Result{}, err
@@ -137,13 +135,13 @@ func MinimizeCtx(ctx context.Context, p Problem, opts Options) (Result, error) {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			ob.AnnealProgress(obs.AnnealEvent{
-				Tag:        opts.Tag,
+			ob.Observe(obs.Event{Kind: obs.EventAnneal, Anneal: &obs.AnnealEvent{
+				Tag:        tag,
 				Iteration:  it,
 				Iterations: opts.Iterations,
 				Accepted:   res.Accepted,
 				Best:       res.Cost,
-			})
+			}})
 		}
 
 		// Linear temperature decay (Algorithm 1 line 13).
@@ -186,12 +184,12 @@ func MinimizeCtx(ctx context.Context, p Problem, opts Options) (Result, error) {
 			}
 		}
 	}
-	ob.AnnealProgress(obs.AnnealEvent{
-		Tag:        opts.Tag,
+	ob.Observe(obs.Event{Kind: obs.EventAnneal, Anneal: &obs.AnnealEvent{
+		Tag:        tag,
 		Iteration:  opts.Iterations,
 		Iterations: opts.Iterations,
 		Accepted:   res.Accepted,
 		Best:       res.Cost,
-	})
+	}})
 	return res, nil
 }

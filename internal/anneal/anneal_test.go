@@ -10,7 +10,7 @@ import (
 // error.
 func minimize(t testing.TB, p Problem, opts Options) Result {
 	t.Helper()
-	res, err := MinimizeCtx(context.Background(), p, opts)
+	res, err := MinimizeCtx(context.Background(), p, opts, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,24 +8,25 @@ import (
 	"secureloop/internal/obs"
 )
 
-// cancelOnProgress cancels the run's context at the first AnnealProgress
+// cancelOnProgress cancels the run's context at the first EventAnneal
 // event, exercising the chunk-boundary poll.
 type cancelOnProgress struct {
-	obs.Nop
 	cancel context.CancelFunc
 	events int
 }
 
-func (c *cancelOnProgress) AnnealProgress(obs.AnnealEvent) {
-	c.events++
-	c.cancel()
+func (c *cancelOnProgress) Observe(e obs.Event) {
+	if e.Kind == obs.EventAnneal {
+		c.events++
+		c.cancel()
+	}
 }
 
 func TestMinimizeCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := &quadProblem{target: []int{3, 1, 4}, k: 5}
-	_, err := MinimizeCtx(ctx, p, Options{Iterations: 1000, TInit: 0.5, TFinal: 1e-4, Seed: 1})
+	_, err := MinimizeCtx(ctx, p, Options{Iterations: 1000, TInit: 0.5, TFinal: 1e-4, Seed: 1}, nil, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -39,9 +40,7 @@ func TestMinimizeCancelMidRunKeepsPartialBest(t *testing.T) {
 	defer cancel()
 	ob := &cancelOnProgress{cancel: cancel}
 	p := &quadProblem{target: []int{3, 1, 4, 1, 5, 2}, k: 6}
-	res, err := MinimizeCtx(ctx, p, Options{
-		Iterations: 1 << 20, TInit: 0.5, TFinal: 1e-4, Seed: 1, Observer: ob,
-	})
+	res, err := MinimizeCtx(ctx, p, Options{Iterations: 1 << 20, TInit: 0.5, TFinal: 1e-4, Seed: 1}, ob, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -112,8 +112,8 @@ func decodeResult(raw []byte) (Result, error) {
 // never stored, so a cancelled request cannot seed the memo with a partial
 // (non-optimal) assignment. Undecodable records are treated as misses,
 // never errors. When the search actually runs, ob (nil: none) receives one
-// AuthBlockSearch event; a memo hit, a wait on another caller's search and
-// a store hit report nothing.
+// EventAuthBlockSearch event; a memo hit, a wait on another caller's search
+// and a store hit report nothing.
 func OptimalStoredCtx(ctx context.Context, ob obs.Observer, st *store.Store, p ProducerGrid, c ConsumerGrid, par Params) (Result, error) {
 	key := cacheKey{p: p, c: c, par: par}
 	return optMemo.Do(ctx, key, func() (Result, error) {
@@ -127,7 +127,7 @@ func OptimalStoredCtx(ctx context.Context, ob obs.Observer, st *store.Store, p P
 			}
 		}
 		if ob != nil {
-			ob.AuthBlockSearch(obs.AuthBlockSearchEvent{})
+			ob.Observe(obs.Event{Kind: obs.EventAuthBlockSearch})
 		}
 		r, err := OptimalCtx(ctx, p, c, par)
 		if err == nil && st != nil {

@@ -87,7 +87,7 @@ func BenchmarkAnnealSegment(b *testing.B) {
 			b.StartTimer()
 			r.precomputePairMatrices(segs, 1)
 			r.prepareLayerMemos(segs)
-			res, err := anneal.MinimizeCtx(context.Background(), &segmentProblem{run: r, segment: segs[0]}, opts)
+			res, err := anneal.MinimizeCtx(context.Background(), &segmentProblem{run: r, segment: segs[0]}, opts, nil, 0)
 			if err != nil || res.Cost <= 0 {
 				b.Fatalf("segment cost %v, err %v", res.Cost, err)
 			}
@@ -108,7 +108,7 @@ func BenchmarkAnnealMove(b *testing.B) {
 	r.prepareLayerMemos(segs)
 	prob := &segmentProblem{run: r, segment: segs[0]}
 	// Warm every memo slot the move loop can touch.
-	res, err := anneal.MinimizeCtx(context.Background(), prob, anneal.Options{Iterations: 2000, TInit: 0.05, TFinal: 1e-4, Seed: 1})
+	res, err := anneal.MinimizeCtx(context.Background(), prob, anneal.Options{Iterations: 2000, TInit: 0.05, TFinal: 1e-4, Seed: 1}, nil, 0)
 	if err != nil || res.Cost <= 0 {
 		b.Fatalf("segment cost %v, err %v", res.Cost, err)
 	}

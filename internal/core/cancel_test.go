@@ -14,32 +14,30 @@ import (
 	"secureloop/internal/workload"
 )
 
-// hookObserver counts LayerScheduled events and exposes cancellation hooks;
-// every method may be called from concurrent workers.
+// hookObserver counts EventLayer events and exposes cancellation hooks;
+// Observe may be called from concurrent workers.
 type hookObserver struct {
-	obs.Nop
 	layers       atomic.Int64
 	onStageStart func(obs.StageEvent)
 	onLayer      func(obs.LayerEvent)
 	onAnneal     func(obs.AnnealEvent)
 }
 
-func (h *hookObserver) StageStart(e obs.StageEvent) {
-	if h.onStageStart != nil {
-		h.onStageStart(e)
-	}
-}
-
-func (h *hookObserver) LayerScheduled(e obs.LayerEvent) {
-	h.layers.Add(1)
-	if h.onLayer != nil {
-		h.onLayer(e)
-	}
-}
-
-func (h *hookObserver) AnnealProgress(e obs.AnnealEvent) {
-	if h.onAnneal != nil {
-		h.onAnneal(e)
+func (h *hookObserver) Observe(e obs.Event) {
+	switch e.Kind {
+	case obs.EventStageStart:
+		if h.onStageStart != nil {
+			h.onStageStart(*e.Stage)
+		}
+	case obs.EventLayer:
+		h.layers.Add(1)
+		if h.onLayer != nil {
+			h.onLayer(*e.Layer)
+		}
+	case obs.EventAnneal:
+		if h.onAnneal != nil {
+			h.onAnneal(*e.Anneal)
+		}
 	}
 }
 

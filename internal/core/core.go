@@ -113,7 +113,9 @@ type Scheduler struct {
 	MaxParallel int
 	// Mapper selects the per-layer loopnest search strategy (zero value:
 	// exhaustive). Guided mode at the default Epsilon = 0 returns results
-	// byte-identical to exhaustive at a fraction of the latency.
+	// byte-identical to exhaustive except on layers whose stride exceeds
+	// the filter extent, where its answers can depend on which searches ran
+	// before (DESIGN.md §12).
 	Mapper mapper.Options
 	// Observe receives progress events from every stage of the run (nil
 	// means none). Event emission is wall-clock-free and happens outside

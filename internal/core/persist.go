@@ -30,8 +30,6 @@ import (
 // storekey:exclude arch.Spec.Name architecture names are labels over the encoded numerics
 // storekey:exclude arch.DRAMTech.Name DRAM technology names are labels over the encoded numerics
 // storekey:exclude cryptoengine.EngineArch.Name engine names are labels over the encoded unit specs
-// storekey:exclude anneal.Options.Observer observability only; values flow in, never back into results
-// storekey:exclude anneal.Options.Tag progress-event label, not part of the search identity
 // storekey:exclude core.Scheduler.MaxParallel parallel == serial is a proven invariant; worker count cannot change results
 // storekey:exclude core.Scheduler.Observe observability only; values flow in, never back into results
 // storekey:exclude core.Scheduler.Store the store is the cache itself, not part of the request identity

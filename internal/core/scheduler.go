@@ -83,11 +83,11 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 	if alg != CryptOptCross {
 		topK = 1
 	}
-	ob.StageStart(obs.StageEvent{Stage: obs.StageMapping, Units: net.NumLayers()})
+	ob.Observe(obs.Event{Kind: obs.EventStageStart, Stage: &obs.StageEvent{Stage: obs.StageMapping, Units: net.NumLayers()}})
 	if err := run.scheduleLayers(s.MaxParallel, effBW, topK); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", obs.StageMapping, err)
 	}
-	ob.StageEnd(obs.StageEvent{Stage: obs.StageMapping, Units: net.NumLayers()})
+	ob.Observe(obs.Event{Kind: obs.EventStageEnd, Stage: &obs.StageEvent{Stage: obs.StageMapping, Units: net.NumLayers()}})
 
 	// Choice vector: index into each layer's candidate list.
 	choices := make([]int, net.NumLayers())
@@ -111,7 +111,7 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 			// k x k AuthBlock pair-cost matrices of adjacent layers, so all
 			// matrices are computed up front, fanned out across the worker
 			// pool (entries are independent searches on disjoint slots).
-			ob.StageStart(obs.StageEvent{Stage: obs.StageAuthBlock, Units: len(segs)})
+			ob.Observe(obs.Event{Kind: obs.EventStageStart, Stage: &obs.StageEvent{Stage: obs.StageAuthBlock, Units: len(segs)}})
 			if err := run.precomputePairMatrices(segs, s.MaxParallel); err != nil {
 				return nil, fmt.Errorf("core: %s: %w", obs.StageAuthBlock, err)
 			}
@@ -119,17 +119,17 @@ func (s *Scheduler) ScheduleNetworkCtx(ctx context.Context, net *workload.Networ
 			// arithmetic; allocated before annealing so concurrent segments
 			// only touch disjoint, pre-sized slices.
 			run.prepareLayerMemos(segs)
-			ob.StageEnd(obs.StageEvent{Stage: obs.StageAuthBlock, Units: len(segs)})
+			ob.Observe(obs.Event{Kind: obs.EventStageEnd, Stage: &obs.StageEvent{Stage: obs.StageAuthBlock, Units: len(segs)}})
 
 			// Step 3: independent segments anneal concurrently — their layer
 			// sets are disjoint, each problem carries its own scratch, and
 			// per-segment results land in disjoint slots of the choice
 			// vector, so the outcome is identical at any parallelism.
-			ob.StageStart(obs.StageEvent{Stage: obs.StageAnneal, Units: len(segs)})
+			ob.Observe(obs.Event{Kind: obs.EventStageStart, Stage: &obs.StageEvent{Stage: obs.StageAnneal, Units: len(segs)}})
 			if err := run.annealSegments(segs, tunable, s.MaxParallel, choices); err != nil {
 				return nil, fmt.Errorf("core: %s: %w", obs.StageAnneal, err)
 			}
-			ob.StageEnd(obs.StageEvent{Stage: obs.StageAnneal, Units: len(segs)})
+			ob.Observe(obs.Event{Kind: obs.EventStageEnd, Stage: &obs.StageEvent{Stage: obs.StageAnneal, Units: len(segs)}})
 		}
 	}
 
@@ -178,11 +178,11 @@ func (r *run) scheduleLayers(workers int, effBW float64, topK int) error {
 			return err
 		}
 		r.candidates[i] = cands
-		r.ob.LayerScheduled(obs.LayerEvent{
+		r.ob.Observe(obs.Event{Kind: obs.EventLayer, Layer: &obs.LayerEvent{
 			Stage: obs.StageMapping,
 			Index: i, Name: net.Layers[i].Name,
 			Done: int(done.Add(1)), Total: n,
-		})
+		}})
 		return nil
 	})
 	if err != nil {
@@ -207,9 +207,7 @@ func (r *run) annealSegments(segs [][]int, tunable, workers int, choices []int) 
 		if opts.Iterations < 30 {
 			opts.Iterations = 30
 		}
-		opts.Observer = r.ob
-		opts.Tag = seg[0]
-		res, err := anneal.MinimizeCtx(r.ctx, &segmentProblem{run: r, segment: seg}, opts)
+		res, err := anneal.MinimizeCtx(r.ctx, &segmentProblem{run: r, segment: seg}, opts, r.ob, seg[0])
 		if err != nil {
 			return err
 		}
@@ -267,7 +265,7 @@ func newRun(s *Scheduler, net *workload.Network, alg Algorithm) *run {
 		net:        net,
 		alg:        alg,
 		ctx:        context.Background(),
-		ob:         obs.Nop{},
+		ob:         obs.OrNop(nil),
 		candidates: make([][]mapper.Candidate, n),
 		prevOf:     make([]int, n),
 		nextOf:     make([]int, n),

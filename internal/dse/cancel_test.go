@@ -15,20 +15,22 @@ import (
 )
 
 // sweepObserver counts completed design points and can cancel at sweep
-// start; methods are called from concurrent workers.
+// start; Observe is called from concurrent workers.
 type sweepObserver struct {
-	obs.Nop
 	points       atomic.Int64
 	onStageStart func(obs.StageEvent)
 }
 
-func (s *sweepObserver) StageStart(e obs.StageEvent) {
-	if s.onStageStart != nil {
-		s.onStageStart(e)
+func (s *sweepObserver) Observe(e obs.Event) {
+	switch e.Kind {
+	case obs.EventStageStart:
+		if s.onStageStart != nil {
+			s.onStageStart(*e.Stage)
+		}
+	case obs.EventLayer:
+		s.points.Add(1)
 	}
 }
-
-func (s *sweepObserver) LayerScheduled(obs.LayerEvent) { s.points.Add(1) }
 
 func cancelSweepSpace() ([]arch.Spec, []cryptoengine.Config) {
 	base := arch.Base()
@@ -92,7 +94,7 @@ func TestSweepCancelDuringPrepass(t *testing.T) {
 	defer cancel()
 	specs, cryptos := cancelSweepSpace()
 	ob := &sweepObserver{}
-	// StageStart fires immediately before the pre-pass.
+	// The sweep's stage_start event fires immediately before the pre-pass.
 	ob.onStageStart = func(e obs.StageEvent) {
 		if e.Stage == obs.StageSweep {
 			cancel()

@@ -5,14 +5,13 @@
 // maintaining a streaming Pareto front (pareto.go) under a mutex. Before a
 // worker pays for the full mapper+authblock+anneal pipeline, it re-checks
 // the point's (area, cycle-LB) against the live front and skips points
-// whose bound is already strictly dominated — sound whenever the bound is
-// below the true cycles, because then it can only under-prune, never drop
-// a front member (DESIGN.md §14 records where the mapper floor breaks
-// this). Points whose bound is dominated only by a tie are deferred and
-// resolved in a final exact pass against the finished front, so the
-// returned front is byte-identical to the unpruned sweep's
-// (TestCoordinatorFrontMatchesUnpruned pins this, the same way
-// parallel-vs-serial is pinned).
+// whose bound is already strictly dominated — sound because the bound is
+// below the true cycles on every layer (DESIGN.md §14), so it can only
+// under-prune, never drop a front member. Points whose bound is dominated
+// only by a tie are deferred and resolved in a final exact pass against
+// the finished front, so the returned front is byte-identical to the
+// unpruned sweep's (TestCoordinatorFrontMatchesUnpruned pins this, the
+// same way parallel-vs-serial is pinned).
 
 package dse
 
@@ -132,7 +131,7 @@ func Sweep(ctx context.Context, net *workload.Network, specs []arch.Spec, crypto
 		results: make([]DesignPoint, jobs),
 		bases:   make([]specBaseline, len(specs)),
 	}
-	c.ob.StageStart(obs.StageEvent{Stage: obs.StageSweep, Units: jobs})
+	c.ob.Observe(obs.Event{Kind: obs.EventStageStart, Stage: &obs.StageEvent{Stage: obs.StageSweep, Units: jobs}})
 	if err := c.computeBounds(ctx); err != nil {
 		return SweepResult{Stats: c.frontStats()}, err
 	}
@@ -142,7 +141,7 @@ func Sweep(ctx context.Context, net *workload.Network, specs []arch.Spec, crypto
 	points := c.evaluatedPoints()
 	MarkPareto(points)
 	front := ParetoFront(points)
-	c.ob.StageEnd(obs.StageEvent{Stage: obs.StageSweep, Units: jobs})
+	c.ob.Observe(obs.Event{Kind: obs.EventStageEnd, Stage: &obs.StageEvent{Stage: obs.StageSweep, Units: jobs}})
 	return SweepResult{Points: points, Front: front, Stats: c.frontStats()}, nil
 }
 
@@ -309,17 +308,17 @@ func (c *coordinator) evaluateJob(ctx context.Context, job pointJob) error {
 	c.fullEvals.Add(1)
 	if storeHit {
 		c.storeHits.Add(1)
-		c.ob.SweepPoint(obs.SweepPointEvent{
+		c.ob.Observe(obs.Event{Kind: obs.EventSweepPoint, Sweep: &obs.SweepPointEvent{
 			Index: job.Index, Label: dp.Label(), Outcome: obs.SweepStoreHit,
 			Done: int(c.done.Add(1)), Total: len(c.jobs),
-		})
+		}})
 		return nil
 	}
-	c.ob.LayerScheduled(obs.LayerEvent{
+	c.ob.Observe(obs.Event{Kind: obs.EventLayer, Layer: &obs.LayerEvent{
 		Stage: obs.StageSweep,
 		Index: job.Index, Name: dp.Label(),
 		Done: int(c.done.Add(1)), Total: len(c.jobs),
-	})
+	}})
 	return nil
 }
 
@@ -388,10 +387,10 @@ func (c *coordinator) emitSkip(job pointJob, outcome obs.SweepOutcome, terminal 
 	if terminal {
 		done = int(c.done.Add(1))
 	}
-	c.ob.SweepPoint(obs.SweepPointEvent{
+	c.ob.Observe(obs.Event{Kind: obs.EventSweepPoint, Sweep: &obs.SweepPointEvent{
 		Index: job.Index, Label: c.label(job), Outcome: outcome,
 		Done: done, Total: len(c.jobs),
-	})
+	}})
 }
 
 // label names a point without evaluating it (prune/defer events).

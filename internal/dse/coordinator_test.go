@@ -220,7 +220,6 @@ func TestPruneBoundSound(t *testing.T) {
 // sweepPointRecorder counts coordinator progress events and checks Done
 // monotonicity across both event kinds.
 type sweepPointRecorder struct {
-	obs.Nop
 	mu      sync.Mutex
 	maxDone int // guarded by mu
 	broke   bool
@@ -242,18 +241,21 @@ func (r *sweepPointRecorder) observe(done int) {
 	r.final = r.maxDone
 }
 
-func (r *sweepPointRecorder) LayerScheduled(e obs.LayerEvent) { r.observe(e.Done) }
-
-func (r *sweepPointRecorder) SweepPoint(e obs.SweepPointEvent) {
-	r.observe(e.Done)
-	r.mu.Lock()
-	r.skips[e.Outcome]++
-	r.mu.Unlock()
+func (r *sweepPointRecorder) Observe(e obs.Event) {
+	switch e.Kind {
+	case obs.EventLayer:
+		r.observe(e.Layer.Done)
+	case obs.EventSweepPoint:
+		r.observe(e.Sweep.Done)
+		r.mu.Lock()
+		r.skips[e.Sweep.Outcome]++
+		r.mu.Unlock()
+	}
 }
 
 // TestCoordinatorProgressEvents: every point ends in exactly one terminal
-// event, skipped points surface as SweepPoint events, and the Done counter
-// reaches Total.
+// event, skipped points surface as EventSweepPoint events, and the Done
+// counter reaches Total.
 func TestCoordinatorProgressEvents(t *testing.T) {
 	specs, cryptos := pruneSweepSpace()
 	net := workload.AlexNet()

@@ -57,14 +57,14 @@ type Options struct {
 	// AnnealIterations overrides the cross-layer annealing iteration count
 	// when positive.
 	AnnealIterations int
-	// Observe receives sweep-level progress events: one LayerScheduled per
-	// evaluated design point and one SweepPoint per point disposed of
-	// without a fresh evaluation, under obs.StageSweep (nil means none). Of
-	// the per-point and baseline schedulers' events it receives only the
-	// work-count events (MapperSearch, AuthBlockSearch), so a Tally sees the
-	// sweep's whole search work. Their progress events are dropped: dozens of
-	// concurrent runs interleaving their stage events would drown the
-	// sweep-level signal.
+	// Observe receives sweep-level progress events: one obs.EventLayer per
+	// evaluated design point and one obs.EventSweepPoint per point disposed
+	// of without a fresh evaluation, under obs.StageSweep (nil means none).
+	// Of the per-point and baseline schedulers' events it receives only the
+	// work-count kinds (obs.EventMapperSearch, obs.EventAuthBlockSearch), so
+	// a Tally sees the sweep's whole search work. Their progress events are
+	// dropped: dozens of concurrent runs interleaving their stage events
+	// would drown the sweep-level signal.
 	Observe obs.Observer
 	// Mapper selects the per-layer loopnest search strategy for every design
 	// point (zero value: exhaustive). Guided mode pays off most here: a sweep
@@ -109,13 +109,13 @@ func newScheduler(spec arch.Spec, crypto cryptoengine.Config, opt Options) *core
 
 // workCounts forwards a per-point scheduler's work-count events to the
 // sweep's observer and drops its progress events (see Options.Observe).
-type workCounts struct {
-	obs.Nop
-	o obs.Observer
-}
+type workCounts struct{ o obs.Observer }
 
-func (w workCounts) MapperSearch(e obs.MapperSearchEvent)       { w.o.MapperSearch(e) }
-func (w workCounts) AuthBlockSearch(e obs.AuthBlockSearchEvent) { w.o.AuthBlockSearch(e) }
+func (w workCounts) Observe(e obs.Event) {
+	if e.Kind == obs.EventMapperSearch || e.Kind == obs.EventAuthBlockSearch {
+		w.o.Observe(e)
+	}
+}
 
 // unsecureCycles schedules the network on one architecture without crypto
 // engines. The result does not depend on the crypto config (the Unsecure

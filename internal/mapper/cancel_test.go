@@ -81,9 +81,13 @@ func TestSearchCancelWaiterUnblocks(t *testing.T) {
 }
 
 // panicObserver panics when the search reports its work.
-type panicObserver struct{ obs.Nop }
+type panicObserver struct{}
 
-func (panicObserver) MapperSearch(obs.MapperSearchEvent) { panic("boom") }
+func (panicObserver) Observe(e obs.Event) {
+	if e.Kind == obs.EventMapperSearch {
+		panic("boom")
+	}
+}
 
 // TestSearchWorkerPanicBecomesError: a panic inside a search, here in the
 // observer it reports to, comes back from SearchCtx as an error carrying

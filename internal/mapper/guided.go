@@ -499,7 +499,7 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 	best := newTopK(req.TopK)
 	work := obs.MapperSearchEvent{Layer: l.Name}
 	if req.Observe != nil {
-		defer func() { req.Observe.MapperSearch(work) }()
+		defer func() { req.Observe.Observe(obs.Event{Kind: obs.EventMapperSearch, Mapper: &work}) }()
 	}
 
 	var parts []*guidedPart

@@ -240,17 +240,19 @@ func TestGuidedCancelMidRunBounded(t *testing.T) {
 	}
 }
 
-// eventRecorder collects MapperSearch events (single-goroutine tests).
+// eventRecorder collects EventMapperSearch payloads (single-goroutine
+// tests).
 type eventRecorder struct {
-	obs.Nop
 	events []obs.MapperSearchEvent
 }
 
-func (r *eventRecorder) MapperSearch(e obs.MapperSearchEvent) {
-	r.events = append(r.events, e)
+func (r *eventRecorder) Observe(e obs.Event) {
+	if e.Kind == obs.EventMapperSearch {
+		r.events = append(r.events, *e.Mapper)
+	}
 }
 
-// TestGuidedObserverEvent: one search emits one MapperSearch event naming
+// TestGuidedObserverEvent: one search emits one EventMapperSearch naming
 // its layer, and a Tally folds exactly that event's accounting.
 func TestGuidedObserverEvent(t *testing.T) {
 	l := workload.AlexNet().Layer(1)
@@ -262,7 +264,7 @@ func TestGuidedObserverEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rec.events) != 1 {
-		t.Fatalf("observer saw %d MapperSearch events, want 1", len(rec.events))
+		t.Fatalf("observer saw %d mapper_search events, want 1", len(rec.events))
 	}
 	e := rec.events[0]
 	s := work.Counts()

@@ -1,14 +1,12 @@
 package obs
 
-// The serialized event stream: every Observer callback but AuthBlockSearch
-// has an Event envelope carrying a sequence number and exactly one payload,
-// so progress can cross a process boundary (the cmd/secured SSE stream) as
-// one ordered, self-describing JSON stream instead of parallel callback
-// channels.
+// The event stream: every event the pipeline emits is one Event envelope,
+// and every event but EventAuthBlockSearch can cross a process boundary
+// (the cmd/secured SSE stream) as one ordered, self-describing JSON stream.
 //
 // Sequence numbers are assigned by the Fanout observer (fanout.go) at emit
 // time, strictly increasing per fanout, so a consumer can both order events
-// and detect gaps left by its own drop policy.
+// and detect gaps left by its own drop policy. Emitters leave Seq zero.
 
 // EventKind names the payload an Event carries.
 type EventKind string
@@ -25,13 +23,18 @@ const (
 	EventMapperSearch EventKind = "mapper_search"
 	// EventSweepPoint wraps SweepPointEvent.
 	EventSweepPoint EventKind = "sweep_point"
+	// EventAuthBlockSearch carries no payload: the event itself counts one
+	// AuthBlock optimal-assignment search that actually ran, one the memo
+	// and the persistent store could not answer. Fanout drops it, so it
+	// never reaches the serialized progress stream.
+	EventAuthBlockSearch EventKind = "authblock_search"
 )
 
-// Event is the serialized envelope of one Observer callback: Seq orders it,
-// Kind names the payload, and exactly one of the payload pointers is set
-// (the others marshal away under omitempty). Payloads are wall-clock-free
-// by the Observer contract, so a serialized stream is as deterministic as
-// the run that emitted it.
+// Event is the envelope of one pipeline event: Seq orders it, Kind names
+// the payload, and exactly the payload pointer Kind names is set (none for
+// EventAuthBlockSearch; the others marshal away under omitempty). Payloads
+// are wall-clock-free by the Observer contract, so a serialized stream is
+// as deterministic as the run that emitted it.
 type Event struct {
 	Seq    uint64             `json:"seq"`
 	Kind   EventKind          `json:"kind"`
@@ -43,7 +46,8 @@ type Event struct {
 }
 
 // Multi returns an Observer that forwards every event to each of obs in
-// order. Nil entries are skipped; with no non-nil entries it is Nop.
+// order. Nil entries are skipped; with no non-nil entries it is the no-op
+// observer.
 func Multi(observers ...Observer) Observer {
 	var live []Observer
 	for _, o := range observers {
@@ -53,7 +57,7 @@ func Multi(observers ...Observer) Observer {
 	}
 	switch len(live) {
 	case 0:
-		return Nop{}
+		return nop{}
 	case 1:
 		return live[0]
 	}
@@ -62,44 +66,8 @@ func Multi(observers ...Observer) Observer {
 
 type multi []Observer
 
-func (m multi) StageStart(e StageEvent) {
+func (m multi) Observe(e Event) {
 	for _, o := range m {
-		o.StageStart(e)
-	}
-}
-
-func (m multi) StageEnd(e StageEvent) {
-	for _, o := range m {
-		o.StageEnd(e)
-	}
-}
-
-func (m multi) LayerScheduled(e LayerEvent) {
-	for _, o := range m {
-		o.LayerScheduled(e)
-	}
-}
-
-func (m multi) AnnealProgress(e AnnealEvent) {
-	for _, o := range m {
-		o.AnnealProgress(e)
-	}
-}
-
-func (m multi) MapperSearch(e MapperSearchEvent) {
-	for _, o := range m {
-		o.MapperSearch(e)
-	}
-}
-
-func (m multi) AuthBlockSearch(e AuthBlockSearchEvent) {
-	for _, o := range m {
-		o.AuthBlockSearch(e)
-	}
-}
-
-func (m multi) SweepPoint(e SweepPointEvent) {
-	for _, o := range m {
-		o.SweepPoint(e)
+		o.Observe(e)
 	}
 }

@@ -70,7 +70,7 @@ func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
 // Unsubscribe detaches the subscriber and closes its channel. Safe to call
 // more than once; pending buffered events remain readable until the channel
-// drains. The close happens under f.mu — the same lock emit sends under —
+// drains. The close happens under f.mu — the same lock Observe sends under —
 // so no send can race the close.
 func (s *Subscription) Unsubscribe() {
 	s.f.mu.Lock()
@@ -100,11 +100,15 @@ func (f *Fanout) Close() {
 	}
 }
 
-// emit assigns the next sequence number and offers the event to every
+// Observe assigns the next sequence number and offers the event to every
 // subscriber. The single lock both orders sequence numbers and serialises
 // sends, so per-subscriber ordering matches Seq order; the non-blocking
-// send is the drop policy.
-func (f *Fanout) emit(ev Event) {
+// send is the drop policy. EventAuthBlockSearch is a work count with no
+// payload, not progress, so it is dropped before it takes a number.
+func (f *Fanout) Observe(ev Event) {
+	if ev.Kind == EventAuthBlockSearch {
+		return
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
@@ -116,32 +120,4 @@ func (f *Fanout) emit(ev Event) {
 			s.dropped.Add(1)
 		}
 	}
-}
-
-func (f *Fanout) StageStart(e StageEvent) {
-	f.emit(Event{Kind: EventStageStart, Stage: &e})
-}
-
-func (f *Fanout) StageEnd(e StageEvent) {
-	f.emit(Event{Kind: EventStageEnd, Stage: &e})
-}
-
-func (f *Fanout) LayerScheduled(e LayerEvent) {
-	f.emit(Event{Kind: EventLayer, Layer: &e})
-}
-
-func (f *Fanout) AnnealProgress(e AnnealEvent) {
-	f.emit(Event{Kind: EventAnneal, Anneal: &e})
-}
-
-func (f *Fanout) MapperSearch(e MapperSearchEvent) {
-	f.emit(Event{Kind: EventMapperSearch, Mapper: &e})
-}
-
-// AuthBlockSearch is dropped: the event has no Event kind, so it never
-// reaches a subscriber.
-func (f *Fanout) AuthBlockSearch(AuthBlockSearchEvent) {}
-
-func (f *Fanout) SweepPoint(e SweepPointEvent) {
-	f.emit(Event{Kind: EventSweepPoint, Sweep: &e})
 }

@@ -1,8 +1,8 @@
-// Package obs is the observability seam of the search pipeline: a small
-// Observer interface the scheduler, DSE sweep and annealer emit progress
-// events through, plus the panic-recovery helpers that keep invariant
-// panics (num.MulInt overflow guards and the like) from escaping a stage
-// boundary as anything but an error.
+// Package obs is the observability seam of the search pipeline: the
+// one-method Observer interface the scheduler, DSE sweep, annealer, mapper
+// and AuthBlock search emit their events through, plus the panic-recovery
+// helpers that keep invariant panics (num.MulInt overflow guards and the
+// like) from escaping a stage boundary as anything but an error.
 //
 // Event payloads are deliberately wall-clock-free — counts and indices
 // only — so emitting them never perturbs determinism and observers can be
@@ -81,12 +81,6 @@ type MapperSearchEvent struct {
 	WarmSeeds int    `json:"warm_seeds"`
 }
 
-// AuthBlockSearchEvent accounts for one AuthBlock optimal-assignment search
-// that actually ran: one the memo and the persistent store could not
-// answer. The event itself is the count. It has no Event kind, so it never
-// reaches the serialized progress stream.
-type AuthBlockSearchEvent struct{}
-
 // SweepOutcome names how a sweep disposed of one design point without a
 // fresh full evaluation.
 type SweepOutcome string
@@ -95,8 +89,8 @@ const (
 	// SweepPruned: the point's bound was strictly dominated by an evaluated
 	// point, so it was skipped for good.
 	SweepPruned SweepOutcome = "pruned"
-	// SweepDeferred: the bound tied the front (or fell within the slack
-	// band); the point is resolved later in the exact pass.
+	// SweepDeferred: the bound tied the front without being strictly
+	// dominated; the point is resolved later in the exact pass.
 	SweepDeferred SweepOutcome = "deferred"
 	// SweepStoreHit: the persistent store's network tier answered the
 	// evaluation, so the point cost a replay, not a search.
@@ -105,7 +99,7 @@ const (
 
 // SweepPointEvent reports a design point a sweep disposed of without a
 // fresh full evaluation — pruned, deferred, or replayed from the store.
-// Together with LayerScheduled events for fully evaluated points, Done
+// Together with EventLayer events for fully evaluated points, Done
 // advances monotonically to Total (deferred points report the current Done
 // unchanged and advance it when the exact pass resolves them).
 type SweepPointEvent struct {
@@ -116,43 +110,34 @@ type SweepPointEvent struct {
 	Total   int          `json:"total"`
 }
 
-// Observer receives events from the search pipeline. Methods may be called
+// Observer receives events from the search pipeline, each as one Event
+// envelope whose Kind names its payload. Observe may be called
 // concurrently from worker goroutines; implementations must be safe for
-// concurrent use. Implementations must not mutate shared search state — the
+// concurrent use. Implementations must not mutate shared search state or
+// the event's payload, which other observers of the same event share: the
 // pipeline treats them as pure sinks.
 //
-// MapperSearch and AuthBlockSearch are the work-count events: each reports
-// one search that actually ran, to the observer of the request that ran it.
-// A search a memo or the persistent store answered reports nothing, so a
-// request that coalesced onto another's search is not charged for it. The
-// other four methods report progress.
+// EventMapperSearch and EventAuthBlockSearch are the work-count events:
+// each reports one search that actually ran, to the observer of the request
+// that ran it. A search a memo or the persistent store answered reports
+// nothing, so a request that coalesced onto another's search is not charged
+// for it. The other kinds report progress.
 type Observer interface {
-	StageStart(e StageEvent)
-	StageEnd(e StageEvent)
-	LayerScheduled(e LayerEvent)
-	AnnealProgress(e AnnealEvent)
-	MapperSearch(e MapperSearchEvent)
-	AuthBlockSearch(e AuthBlockSearchEvent)
-	SweepPoint(e SweepPointEvent)
+	Observe(e Event)
 }
 
-// Nop is the no-op Observer; the zero value is ready to use.
-type Nop struct{}
+// nop is the observer OrNop and Multi return when there is nothing to
+// observe.
+type nop struct{}
 
-func (Nop) StageStart(StageEvent)                {}
-func (Nop) StageEnd(StageEvent)                  {}
-func (Nop) LayerScheduled(LayerEvent)            {}
-func (Nop) AnnealProgress(AnnealEvent)           {}
-func (Nop) MapperSearch(MapperSearchEvent)       {}
-func (Nop) AuthBlockSearch(AuthBlockSearchEvent) {}
-func (Nop) SweepPoint(SweepPointEvent)           {}
+func (nop) Observe(Event) {}
 
 // Counts is the search work a Tally was told about.
 type Counts struct {
-	// MapperSearches counts MapperSearch events; Evaluated, Pruned, Skipped
-	// and WarmSeeds sum their fields.
+	// MapperSearches counts EventMapperSearch events; Evaluated, Pruned,
+	// Skipped and WarmSeeds sum their payloads' fields.
 	MapperSearches, Evaluated, Pruned, Skipped, WarmSeeds int64
-	// AuthBlockSearches counts AuthBlockSearch events.
+	// AuthBlockSearches counts EventAuthBlockSearch events.
 	AuthBlockSearches int64
 }
 
@@ -173,25 +158,24 @@ func (c Counts) Add(d Counts) Counts {
 // Multi) to learn what that request's searches cost. The zero value is
 // ready to use; it is safe for concurrent use.
 type Tally struct {
-	Nop
 	mu sync.Mutex
 	c  Counts // guarded by mu
 }
 
-func (t *Tally) MapperSearch(e MapperSearchEvent) {
+func (t *Tally) Observe(e Event) {
+	var d Counts
+	switch e.Kind {
+	case EventMapperSearch:
+		m := e.Mapper
+		d = Counts{MapperSearches: 1, Evaluated: m.Evaluated, Pruned: m.Pruned, Skipped: m.Skipped, WarmSeeds: int64(m.WarmSeeds)}
+	case EventAuthBlockSearch:
+		d = Counts{AuthBlockSearches: 1}
+	default:
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.c.MapperSearches++
-	t.c.Evaluated += e.Evaluated
-	t.c.Pruned += e.Pruned
-	t.c.Skipped += e.Skipped
-	t.c.WarmSeeds += int64(e.WarmSeeds)
-}
-
-func (t *Tally) AuthBlockSearch(AuthBlockSearchEvent) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.c.AuthBlockSearches++
+	t.c = t.c.Add(d)
 }
 
 // Counts snapshots the tally.
@@ -205,17 +189,21 @@ func (t *Tally) Counts() Counts {
 // never branches on nil.
 func OrNop(o Observer) Observer {
 	if o == nil {
-		return Nop{}
+		return nop{}
 	}
 	return o
 }
 
-// PanicError converts a recovered panic value into an error carrying the
-// panic value alone. It carries no stack trace: the error can reach a
+// PanicError is a recovered panic as an error. Its message is the panic
+// value alone: it carries no stack trace, because the error can reach a
 // client's response body, which must not list the daemon's source paths.
-func PanicError(r any) error {
-	return fmt.Errorf("panic: %v", r)
+// It is a type, not a message prefix, so a server finds it with errors.As
+// however many stage contexts wrap it, and answers it as its own fault.
+type PanicError struct {
+	Value any
 }
+
+func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
 
 // CapturePanic is a deferred stage-boundary guard: it converts an in-flight
 // panic into an error stored at *errp (unless an error is already set).
@@ -224,7 +212,7 @@ func PanicError(r any) error {
 // of the process.
 func CapturePanic(errp *error) {
 	if r := recover(); r != nil && *errp == nil {
-		*errp = PanicError(r)
+		*errp = &PanicError{Value: r}
 	}
 }
 
@@ -238,15 +226,14 @@ func Guard(fn func() error) (err error) {
 
 // Logger is an Observer that renders progress events as plain text lines,
 // one per event (annealing progress is thinned to quartile steps per
-// segment). It prints no work-count event: those are counts for a Tally,
-// and a sweep reports one per search. It serialises concurrent emitters with
-// a mutex, so output lines never interleave. Suitable for the cmd binaries'
-// -progress flag.
+// segment run). It prints no work-count event: those are counts for a
+// Tally, and a sweep reports one per search. It serialises concurrent
+// emitters with a mutex, so output lines never interleave. Suitable for the
+// cmd binaries' -progress flag.
 type Logger struct {
-	Nop
 	mu      sync.Mutex
 	w       io.Writer
-	annealQ map[int]int // per-segment-tag last reported quartile
+	annealQ map[int]int // per-segment-tag last reported quartile of its current run
 }
 
 // NewLogger returns a Logger writing to w.
@@ -254,41 +241,32 @@ func NewLogger(w io.Writer) *Logger {
 	return &Logger{w: w, annealQ: make(map[int]int)}
 }
 
-func (l *Logger) StageStart(e StageEvent) {
+func (l *Logger) Observe(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, "[%s] start: %d unit(s)\n", e.Stage, e.Units)
-}
-
-func (l *Logger) StageEnd(e StageEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, "[%s] done\n", e.Stage)
-}
-
-func (l *Logger) LayerScheduled(e LayerEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, "[%s] %d/%d %s\n", e.Stage, e.Done, e.Total, e.Name)
-}
-
-func (l *Logger) SweepPoint(e SweepPointEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, "[%s] %d/%d %s (%s)\n", StageSweep, e.Done, e.Total, e.Label, e.Outcome)
-}
-
-func (l *Logger) AnnealProgress(e AnnealEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e.Iterations <= 0 {
-		return
+	switch e.Kind {
+	case EventStageStart:
+		fmt.Fprintf(l.w, "[%s] start: %d unit(s)\n", e.Stage.Stage, e.Stage.Units)
+	case EventStageEnd:
+		fmt.Fprintf(l.w, "[%s] done\n", e.Stage.Stage)
+	case EventLayer:
+		fmt.Fprintf(l.w, "[%s] %d/%d %s\n", e.Layer.Stage, e.Layer.Done, e.Layer.Total, e.Layer.Name)
+	case EventSweepPoint:
+		p := e.Sweep
+		fmt.Fprintf(l.w, "[%s] %d/%d %s (%s)\n", StageSweep, p.Done, p.Total, p.Label, p.Outcome)
+	case EventAnneal:
+		a := e.Anneal
+		if a.Iterations <= 0 {
+			return
+		}
+		// Tags repeat across runs (every schedule's first segment is tag
+		// 0), so iteration 0 starts its tag's quartiles afresh.
+		q := 4 * a.Iteration / a.Iterations
+		if last, seen := l.annealQ[a.Tag]; a.Iteration > 0 && seen && q <= last {
+			return
+		}
+		l.annealQ[a.Tag] = q
+		fmt.Fprintf(l.w, "[%s] segment@%d %d/%d accepted=%d best=%g\n",
+			StageAnneal, a.Tag, a.Iteration, a.Iterations, a.Accepted, a.Best)
 	}
-	q := 4 * e.Iteration / e.Iterations
-	if last, seen := l.annealQ[e.Tag]; seen && q <= last {
-		return
-	}
-	l.annealQ[e.Tag] = q
-	fmt.Fprintf(l.w, "[%s] segment@%d %d/%d accepted=%d best=%g\n",
-		StageAnneal, e.Tag, e.Iteration, e.Iterations, e.Accepted, e.Best)
 }

@@ -63,15 +63,14 @@ func finisher(t *testing.T) func(*Pending, error) Accounting {
 // mappingBarrier holds every request at the start of step 1 until two have
 // arrived, so their searches provably overlap.
 type mappingBarrier struct {
-	obs.Nop
 	mu      sync.Mutex
 	arrived int
 	all     chan struct{}
 	late    bool // guarded by mu
 }
 
-func (b *mappingBarrier) StageStart(e obs.StageEvent) {
-	if e.Stage != obs.StageMapping {
+func (b *mappingBarrier) Observe(e obs.Event) {
+	if e.Kind != obs.EventStageStart || e.Stage.Stage != obs.StageMapping {
 		return
 	}
 	b.mu.Lock()

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"secureloop/internal/obs"
 	"secureloop/internal/service"
 )
 
@@ -69,7 +70,11 @@ type errorBody struct {
 
 func (h *handler) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusInternalServerError
+	var panicked *obs.PanicError
 	switch {
+	case errors.As(err, &panicked):
+		// A compute panic is the server's fault however the stage contexts
+		// wrapped it, even under a client-error prefix such as "core:".
 	case errors.Is(err, service.ErrQueueFull):
 		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(h.svc.RetryAfterSeconds()))

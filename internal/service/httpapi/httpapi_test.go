@@ -113,7 +113,6 @@ func TestScheduleWarmRepeatByteIdentical(t *testing.T) {
 // gateObserver blocks the first schedule stage or AuthBlock search until
 // released.
 type gateObserver struct {
-	obs.Nop
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
@@ -123,34 +122,31 @@ func newGateObserver() *gateObserver {
 	return &gateObserver{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gateObserver) StageStart(obs.StageEvent)                { g.hold() }
-func (g *gateObserver) AuthBlockSearch(obs.AuthBlockSearchEvent) { g.hold() }
-
-func (g *gateObserver) hold() {
+func (g *gateObserver) Observe(e obs.Event) {
+	if e.Kind != obs.EventStageStart && e.Kind != obs.EventAuthBlockSearch {
+		return
+	}
 	g.once.Do(func() {
 		close(g.entered)
 		<-g.release
 	})
 }
 
-// panicObserver panics in StageStart and AuthBlockSearch while armed: a
-// stand-in for a compute panic deep in a schedule or an AuthBlock search.
+// panicObserver panics on events of one kind while armed: a stand-in for a
+// compute panic deep in a schedule or an AuthBlock search.
 type panicObserver struct {
-	obs.Nop
+	kind  obs.EventKind
 	armed atomic.Bool
 }
 
-func newPanicObserver() *panicObserver {
-	p := &panicObserver{}
+func newPanicObserver(kind obs.EventKind) *panicObserver {
+	p := &panicObserver{kind: kind}
 	p.armed.Store(true)
 	return p
 }
 
-func (p *panicObserver) StageStart(obs.StageEvent)                { p.explode() }
-func (p *panicObserver) AuthBlockSearch(obs.AuthBlockSearchEvent) { p.explode() }
-
-func (p *panicObserver) explode() {
-	if p.armed.Load() {
+func (p *panicObserver) Observe(e obs.Event) {
+	if e.Kind == p.kind && p.armed.Load() {
 		panic("observer exploded")
 	}
 }
@@ -173,11 +169,18 @@ func wantPanic500(t *testing.T, what string, err error) {
 
 // TestPanicBodyCarriesNoStack: a panic inside a schedule's stages fails
 // the request with 500, and the body carries the panic value without the
-// stack trace, which would list the daemon's source paths.
+// stack trace, which would list the daemon's source paths. A layer event
+// panics inside a step-1 worker-pool job, whose error reaches the handler
+// wrapped in the scheduler's "core:" stage context; it is still the
+// server's fault.
 func TestPanicBodyCarriesNoStack(t *testing.T) {
-	_, c := newServer(t, service.Config{Observe: newPanicObserver()})
-	_, _, err := c.ScheduleBytes(context.Background(), tinyWire(40))
-	wantPanic500(t, "schedule", err)
+	for _, kind := range []obs.EventKind{obs.EventStageStart, obs.EventLayer} {
+		t.Run(string(kind), func(t *testing.T) {
+			_, c := newServer(t, service.Config{Observe: newPanicObserver(kind)})
+			_, _, err := c.ScheduleBytes(context.Background(), tinyWire(40))
+			wantPanic500(t, "schedule", err)
+		})
+	}
 }
 
 // TestQueueFullReturns429: with one compute slot and a one-deep queue, a
@@ -465,7 +468,7 @@ func TestAuthBlockEndpoint(t *testing.T) {
 // answering health checks and normal requests.
 func TestAuthBlockOverflowReturns500(t *testing.T) {
 	authblock.ResetCaches()
-	ob := newPanicObserver()
+	ob := newPanicObserver(obs.EventAuthBlockSearch)
 	_, c := newServer(t, service.Config{Observe: ob})
 	wire := &service.AuthBlockWire{
 		Producer: service.ProducerWire{C: 8, H: 16, W: 16, TileC: 8, TileH: 4, TileW: 4, WritesPerTile: 1},

@@ -341,7 +341,7 @@ func (s *Service) lead(ctx context.Context, key store.Key, fl *flight, opts Subm
 func runRecovered(ctx context.Context, ob obs.Observer, run runFunc) (res result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = result{err: obs.PanicError(r)}
+			res = result{err: &obs.PanicError{Value: r}}
 		}
 	}()
 	res.value, res.body, res.storeHit, res.acct.Sweep, res.err = run(ctx, ob)

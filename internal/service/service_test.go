@@ -174,13 +174,16 @@ func TestHugeArrayAxisMeetsDeadline(t *testing.T) {
 	}
 }
 
-// countingObserver counts StageStart calls.
+// countingObserver counts EventStageStart events.
 type countingObserver struct {
-	obs.Nop
 	stages atomic.Int64
 }
 
-func (c *countingObserver) StageStart(obs.StageEvent) { c.stages.Add(1) }
+func (c *countingObserver) Observe(e obs.Event) {
+	if e.Kind == obs.EventStageStart {
+		c.stages.Add(1)
+	}
+}
 
 // TestScheduleWarmByteIdentical: with a persistent store mounted, the warm
 // repeat of an identical request returns byte-identical canonical bytes and
@@ -232,10 +235,9 @@ func TestScheduleWarmByteIdentical(t *testing.T) {
 	}
 }
 
-// gateObserver blocks the first StageStart until released, signalling when
-// the leader reaches it.
+// gateObserver blocks the first EventStageStart until released, signalling
+// when the leader reaches it.
 type gateObserver struct {
-	obs.Nop
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
@@ -245,7 +247,10 @@ func newGateObserver() *gateObserver {
 	return &gateObserver{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gateObserver) StageStart(obs.StageEvent) {
+func (g *gateObserver) Observe(e obs.Event) {
+	if e.Kind != obs.EventStageStart {
+		return
+	}
 	g.once.Do(func() {
 		close(g.entered)
 		<-g.release
