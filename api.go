@@ -41,9 +41,8 @@
 package secureloop
 
 import (
-	"io"
-
 	"context"
+	"io"
 
 	"secureloop/internal/arch"
 	"secureloop/internal/core"
@@ -122,16 +121,44 @@ type CryptoConfig = cryptoengine.Config
 type CryptoEngine = cryptoengine.EngineArch
 
 // Observer receives events from a running search through its one method,
-// Observe(obs.Event). An event's Kind names its payload: progress (stage
+// Observe(Event). An event's Kind names its payload: progress (stage
 // start and end, per-layer completion, annealing progress, sweep points)
-// and the work-count kinds mapper_search and authblock_search, one event
-// per mapper or AuthBlock search that actually ran for this request (a
-// search a cache answered reports nothing). An observer switches on Kind
-// and ignores the kinds it does not want. Implementations must be safe for
-// concurrent use and must not modify an event's payload; events carry no
-// wall-clock state, so an observed run stays byte-identical to an
-// unobserved one.
+// and the work-count kinds EventMapperSearch and EventAuthBlockSearch, one
+// event per mapper or AuthBlock search that actually ran for this request
+// (a search a cache answered reports nothing). An observer switches on
+// Kind and ignores the kinds it does not want:
+//
+//	type searchCounter struct{ n atomic.Int64 }
+//
+//	func (c *searchCounter) Observe(e secureloop.Event) {
+//		if e.Kind == secureloop.EventMapperSearch {
+//			c.n.Add(1)
+//		}
+//	}
+//
+// Implementations must be safe for concurrent use and must not modify an
+// event's payload; events carry no wall-clock state, so an observed run
+// stays byte-identical to an unobserved one.
 type Observer = obs.Observer
+
+// Event is one observed event: Kind names the payload, and exactly the
+// payload field Kind names (Stage, Layer, Anneal, Mapper or Sweep) is set;
+// EventAuthBlockSearch carries none.
+type Event = obs.Event
+
+// EventKind names the payload an Event carries.
+type EventKind = obs.EventKind
+
+// The event kinds.
+const (
+	EventStageStart      = obs.EventStageStart
+	EventStageEnd        = obs.EventStageEnd
+	EventLayer           = obs.EventLayer
+	EventAnneal          = obs.EventAnneal
+	EventMapperSearch    = obs.EventMapperSearch
+	EventSweepPoint      = obs.EventSweepPoint
+	EventAuthBlockSearch = obs.EventAuthBlockSearch
+)
 
 // NewProgressLogger returns an Observer that renders progress events as
 // human-readable lines on w (the cmd binaries' -progress output).
@@ -200,6 +227,11 @@ type SweepStats = dse.FrontStats
 func Sweep(ctx context.Context, net *Network, specs []ArchSpec, cryptos []CryptoConfig, alg Algorithm, opt SweepOptions) (SweepResult, error) {
 	return dse.Sweep(ctx, net, specs, cryptos, alg, opt)
 }
+
+// Figure16Space returns the design space of the paper's final trade-off
+// study over base: PE arrays {14x12, 14x24, 28x24} x GLB {16, 32, 131 kB},
+// and crypto engines {pipelined x1, parallel x1, serial x30}.
+func Figure16Space(base ArchSpec) ([]ArchSpec, []CryptoConfig) { return dse.Figure16Space(base) }
 
 // MarkParetoFront sets each point's Pareto field: true iff no other point
 // has both smaller-or-equal area and smaller-or-equal latency with at

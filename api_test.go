@@ -1,6 +1,7 @@
 package secureloop_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	secureloop "secureloop"
@@ -28,6 +29,35 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if len(res.Layers) != net.NumLayers() {
 		t.Error("missing layer results")
+	}
+}
+
+// searchCounter is an Observer written against the public API alone: it
+// counts the mapper searches a run reports.
+type searchCounter struct{ n atomic.Int64 }
+
+func (c *searchCounter) Observe(e secureloop.Event) {
+	if e.Kind == secureloop.EventMapperSearch && e.Mapper.Layer != "" {
+		c.n.Add(1)
+	}
+}
+
+// TestPublicObserver: a program outside the module can implement Observer
+// and read the work-count events of a schedule.
+func TestPublicObserver(t *testing.T) {
+	spec := secureloop.BaseArch()
+	// A buffer size no other test schedules, so no cache answers the
+	// searches and each one reports.
+	spec.GlobalBufferBytes = 48 * 1024
+	s := secureloop.NewScheduler(spec, secureloop.CryptoConfig{Engine: secureloop.ParallelEngine(), CountPerDatatype: 1})
+	s.Anneal.Iterations = 20
+	var c searchCounter
+	s.Observe = &c
+	if _, err := s.ScheduleNetwork(secureloop.AlexNet(), secureloop.CryptOptCross); err != nil {
+		t.Fatal(err)
+	}
+	if c.n.Load() == 0 {
+		t.Error("the observer saw no mapper_search event")
 	}
 }
 

@@ -3,7 +3,9 @@
 // orientation, prints the cost curve (hash reads, redundant reads), reports
 // the optimum, and compares it against the tile-as-an-AuthBlock baseline —
 // an interactive version of the paper's Figure 9 analysis for arbitrary
-// geometries.
+// geometries. The flags fill a service.AuthBlockWire, the body of the
+// daemon's /v1/authblock, which is resolved, validated and computed in
+// process exactly as cmd/secured serves it.
 //
 // Usage (defaults reproduce the paper's Figure 8/9 example):
 //
@@ -17,103 +19,110 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
-	"secureloop/internal/authblock"
 	"secureloop/internal/num"
+	"secureloop/internal/service"
 )
 
 func main() {
-	var (
-		tensor = flag.String("tensor", "1x30x30", "tensor dims CxHxW")
-		ptile  = flag.String("ptile", "1x30x30", "producer tile dims CxHxW")
-		cwin   = flag.String("cwin", "30x20", "consumer window HxW")
-		cstep  = flag.String("cstep", "30x20", "consumer step HxW")
-		coff   = flag.String("coff", "0x10", "consumer offset HxW (may be negative)")
-		cch    = flag.Int("cch", 1, "consumer channels per tile")
-		word   = flag.Int("word", 16, "element bits")
-		hash   = flag.Int("hash", 64, "hash (tag) bits")
-		maxU   = flag.Int("max", 64, "sweep upper bound for block size")
-		sweepO = flag.String("sweep", "horizontal", "orientation to print the sweep for: horizontal, vertical, channel")
-	)
-	flag.Parse()
-
 	// Ctrl-C cancels the sweep between block-size batches.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	var C, H, W int
-	mustScan(*tensor, "%dx%dx%d", &C, &H, &W)
-	var tc, th, tw int
-	mustScan(*ptile, "%dx%dx%d", &tc, &th, &tw)
-	var winH, winW, stepH, stepW, offH, offW int
-	mustScan(*cwin, "%dx%d", &winH, &winW)
-	mustScan(*cstep, "%dx%d", &stepH, &stepW)
-	mustScan(*coff, "%dx%d", &offH, &offW)
-
-	p := authblock.ProducerGrid{C: C, H: H, W: W, TileC: tc, TileH: th, TileW: tw, WritesPerTile: 1}
-	c := authblock.ConsumerGrid{
-		TileC: *cch,
-		WinH:  winH, WinW: winW,
-		StepH: stepH, StepW: stepW,
-		OffH: offH, OffW: offW,
-		CountC:         num.CeilDiv(C, *cch),
-		CountH:         countAlong(H, offH, stepH, winH),
-		CountW:         countAlong(W, offW, stepW, winW),
-		FetchesPerTile: 1,
-	}
-	if err := authblock.ValidatePair(p, c); err != nil {
-		fatal(err)
-	}
-	par := authblock.Params{WordBits: *word, HashBits: *hash}
-
-	var orient authblock.Orientation
-	switch *sweepO {
-	case "horizontal":
-		orient = authblock.AlongQ
-	case "vertical":
-		orient = authblock.AlongP
-	case "channel":
-		orient = authblock.AlongC
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintln(os.Stderr, "authblock: interrupted:", err)
+		os.Exit(130)
 	default:
-		fatal(fmt.Errorf("bad -sweep %q", *sweepO))
+		fmt.Fprintln(os.Stderr, "authblock:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command body, factored out of main so tests can drive it with
+// their own context, flags and stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("authblock", flag.ContinueOnError)
+	tensor := fs.String("tensor", "1x30x30", "tensor dims CxHxW")
+	ptile := fs.String("ptile", "1x30x30", "producer tile dims CxHxW")
+	cwin := fs.String("cwin", "30x20", "consumer window HxW")
+	cstep := fs.String("cstep", "30x20", "consumer step HxW")
+	coff := fs.String("coff", "0x10", "consumer offset HxW (may be negative)")
+	cch := fs.Int("cch", 1, "consumer channels per tile")
+	word := fs.Int("word", 16, "element bits")
+	hash := fs.Int("hash", 64, "hash (tag) bits")
+	maxU := fs.Int("max", 64, "sweep upper bound for block size")
+	sweepO := fs.String("sweep", "horizontal", "orientation to print the sweep for: horizontal, vertical, channel")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	fmt.Printf("producer: %dx%dx%d tensor, %dx%dx%d tiles (%d tiles)\n",
-		C, H, W, tc, th, tw, p.NumTiles())
-	fmt.Printf("consumer: %d tiles (ch=%d win=%dx%d step=%dx%d off=%dx%d)\n\n",
-		c.NumTiles(), *cch, winH, winW, stepH, stepW, offH, offW)
+	w := service.AuthBlockWire{WordBits: *word, HashBits: *hash, Orientation: *sweepO, MaxU: *maxU}
+	p, c := &w.Producer, &w.Consumer
+	for _, f := range []struct {
+		flag, format string
+		dst          []any
+	}{
+		{*tensor, "%dx%dx%d", []any{&p.C, &p.H, &p.W}},
+		{*ptile, "%dx%dx%d", []any{&p.TileC, &p.TileH, &p.TileW}},
+		{*cwin, "%dx%d", []any{&c.WinH, &c.WinW}},
+		{*cstep, "%dx%d", []any{&c.StepH, &c.StepW}},
+		{*coff, "%dx%d", []any{&c.OffH, &c.OffW}},
+	} {
+		if _, err := fmt.Sscanf(f.flag, f.format, f.dst...); err != nil {
+			return fmt.Errorf("cannot parse %q: %w", f.flag, err)
+		}
+	}
+	p.WritesPerTile, c.FetchesPerTile = 1, 1
+	c.TileC = *cch
+	c.CountC = num.CeilDiv(p.C, *cch)
+	c.CountH = countAlong(p.H, c.OffH, c.StepH, c.WinH)
+	c.CountW = countAlong(p.W, c.OffW, c.StepW, c.WinW)
 
-	fmt.Printf("%s sweep (u = 1..%d):\n", orient, *maxU)
-	fmt.Printf("%6s %14s %14s %14s\n", "u", "redundant_bits", "tag_bits", "total_bits")
-	sweep, err := authblock.SweepCtx(ctx, p, c, orient, *maxU, par)
+	req, err := w.Resolve()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	for _, r := range sweep {
-		total := r.Costs.RedundantBits + r.Costs.HashReadBits
-		fmt.Printf("%6d %14d %14d %14d\n", r.Assignment.U, r.Costs.RedundantBits, r.Costs.HashReadBits, total)
+	if err := req.Validate(); err != nil {
+		return err
 	}
-
-	opt, err := authblock.OptimalCtx(ctx, p, c, par)
+	res, _, _, err := service.New(service.Config{}).AuthBlockBody(ctx, req, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\noptimal assignment: %s, u=%d (hash %d bits, redundant %d bits, total %d bits)\n",
-		opt.Assignment.Orientation, opt.Assignment.U,
-		opt.Costs.HashBitsTotal(), opt.Costs.RedundantBits, opt.Costs.Total())
 
-	base, rehashed := authblock.TileAsAuthBlock(p, c, par)
+	pg, cg := req.Producer, req.Consumer
+	fmt.Fprintf(stdout, "producer: %dx%dx%d tensor, %dx%dx%d tiles (%d tiles)\n",
+		pg.C, pg.H, pg.W, pg.TileC, pg.TileH, pg.TileW, pg.NumTiles())
+	fmt.Fprintf(stdout, "consumer: %d tiles (ch=%d win=%dx%d step=%dx%d off=%dx%d)\n\n",
+		cg.NumTiles(), cg.TileC, cg.WinH, cg.WinW, cg.StepH, cg.StepW, cg.OffH, cg.OffW)
+	if req.MaxU > 0 {
+		fmt.Fprintf(stdout, "%s sweep (u = 1..%d):\n", res.SweepOrientation, req.MaxU)
+		fmt.Fprintf(stdout, "%6s %14s %14s %14s\n", "u", "redundant_bits", "tag_bits", "total_bits")
+		for _, e := range res.Sweep {
+			fmt.Fprintf(stdout, "%6d %14d %14d %14d\n",
+				e.U, e.Costs.RedundantBits, e.Costs.HashReadBits, e.Costs.RedundantBits+e.Costs.HashReadBits)
+		}
+		fmt.Fprintln(stdout)
+	}
+
+	fmt.Fprintf(stdout, "optimal assignment: %s, u=%d (hash %d bits, redundant %d bits, total %d bits)\n",
+		res.Optimal.Orientation, res.Optimal.U,
+		res.Costs.HashWriteBits+res.Costs.HashReadBits, res.Costs.RedundantBits, res.Costs.TotalBits)
 	strategy := "direct (whole-tile fetches)"
-	if rehashed {
+	if res.BaselineRehash {
 		strategy = "rehash"
 	}
-	fmt.Printf("tile-as-an-AuthBlock baseline: %s, total %d bits\n", strategy, base.Total())
-	if base.Total() > 0 {
-		fmt.Printf("optimal saves %.1f%% of the baseline's extra traffic\n",
-			100*(1-float64(opt.Costs.Total())/float64(base.Total())))
+	fmt.Fprintf(stdout, "tile-as-an-AuthBlock baseline: %s, total %d bits\n", strategy, res.Baseline.TotalBits)
+	if res.Baseline.TotalBits > 0 {
+		fmt.Fprintf(stdout, "optimal saves %.1f%% of the baseline's extra traffic\n",
+			100*(1-float64(res.Costs.TotalBits)/float64(res.Baseline.TotalBits)))
 	}
+	return nil
 }
 
 // countAlong counts the consumer windows along one axis: the positions off,
@@ -137,19 +146,4 @@ func countAlong(extent, off, step, win int) int {
 		n = 1
 	}
 	return n
-}
-
-func mustScan(s, format string, args ...interface{}) {
-	if _, err := fmt.Sscanf(s, format, args...); err != nil {
-		fatal(fmt.Errorf("cannot parse %q: %w", s, err))
-	}
-}
-
-func fatal(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "authblock: interrupted:", err)
-		os.Exit(130)
-	}
-	fmt.Fprintln(os.Stderr, "authblock:", err)
-	os.Exit(1)
 }

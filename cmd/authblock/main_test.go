@@ -1,9 +1,31 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"os"
 	"testing"
 	"time"
 )
+
+// TestVerticalSweepGolden runs the README example `authblock -sweep
+// vertical -max 310` in process, through the service's wire request, and
+// compares its stdout with testdata/sweep_vertical_max310.golden, the
+// output of the command before it was routed through the service.
+func TestVerticalSweepGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-sweep", "vertical", "-max", "310"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/sweep_vertical_max310.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("stdout differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
 
 // TestCountAlongNonPositiveStep: a consumer step that never advances must
 // not hang the command before ConsumerGrid.Validate can reject it, so

@@ -16,7 +16,9 @@
 // whose stride exceeds the filter extent, see DESIGN.md §12). -store names
 // a persistent result-store directory: a warm rerun replays byte-identical
 // schedules from disk instead of recomputing them. -progress streams per-stage
-// scheduling progress to stderr. -cachestats reports every memoisation
+// scheduling progress to stderr; Figures 13–16 are design-space sweeps, so
+// for them it prints one sweep-level line per design point, as cmd/dse
+// -progress does. -cachestats reports every memoisation
 // tier's hit ratio and counters (mapper search cache, tile-candidate
 // cache, warm-start store, AuthBlock memos, persistent store) after the
 // run, with the best-first mapper and AuthBlock searches the run's

@@ -6,47 +6,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
 
-	"secureloop/internal/accelergy"
-	"secureloop/internal/arch"
-	"secureloop/internal/core"
-	"secureloop/internal/dse"
-	"secureloop/internal/workload"
+	"secureloop"
 )
 
 func main() {
-	net := workload.AlexNet()
-	specs, cryptos := dse.Figure16Space(arch.Base())
-
-	var points []dse.DesignPoint
-	for _, spec := range specs {
-		for _, cfg := range cryptos {
-			s := core.New(spec, cfg)
-			s.Anneal.Iterations = 100
-			res, err := s.ScheduleNetwork(net, core.CryptOptCross)
-			if err != nil {
-				fatal(err)
-			}
-			base, err := s.ScheduleNetwork(net, core.Unsecure)
-			if err != nil {
-				fatal(err)
-			}
-			points = append(points, dse.DesignPoint{
-				Spec: spec, Crypto: cfg,
-				AreaMM2: accelergy.TotalAreaMM2(
-					spec.NumPEs(), spec.GlobalBufferBytes, cfg.TotalAreaKGates()),
-				Cycles:         res.Total.Cycles,
-				EnergyPJ:       res.Total.EnergyPJ,
-				UnsecureCycles: base.Total.Cycles,
-			})
-			fmt.Fprint(os.Stderr, ".")
-		}
+	specs, cryptos := secureloop.Figure16Space(secureloop.BaseArch())
+	res, err := secureloop.Sweep(context.Background(), secureloop.AlexNet(), specs, cryptos,
+		secureloop.CryptOptCross, secureloop.SweepOptions{AnnealIterations: 100})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr)
-	dse.MarkPareto(points)
+	points := res.Points
 	sort.Slice(points, func(i, j int) bool { return points[i].AreaMM2 < points[j].AreaMM2 })
 
 	fmt.Printf("%-40s %9s %12s %9s %7s\n", "design", "area_mm2", "cycles", "slowdown", "pareto")
@@ -58,10 +34,9 @@ func main() {
 		fmt.Printf("%-40s %9.3f %12d %9.2f %7s\n", p.Label(), p.AreaMM2, p.Cycles, p.Slowdown(), mark)
 	}
 
-	front := dse.ParetoFront(points)
-	fmt.Printf("\nPareto front (%d of %d designs):\n", len(front), len(points))
+	fmt.Printf("\nPareto front (%d of %d designs):\n", len(res.Front), len(points))
 	pipelinedSmallBuffer := 0
-	for _, p := range front {
+	for _, p := range res.Front {
 		fmt.Printf("  %s\n", p.Label())
 		if p.Crypto.Engine.Name == "pipelined" && p.Spec.GlobalBufferBytes < 131*1024 {
 			pipelinedSmallBuffer++
@@ -72,9 +47,4 @@ func main() {
 		fmt.Println("high-throughput crypto engine appear on the Pareto front — spending")
 		fmt.Println("area on the engine instead of SRAM is a good deal for secure designs.")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -132,15 +132,6 @@ type Config struct {
 // maxCount caps the engines per datatype (DESIGN §15).
 const maxCount = 1 << 16
 
-// NewConfig builds a configuration, validating the count.
-func NewConfig(e EngineArch, countPerDatatype int) (Config, error) {
-	c := Config{Engine: e, CountPerDatatype: countPerDatatype}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
-}
-
 // Validate reports whether the engine count is positive and at most 2^16.
 func (c Config) Validate() error {
 	if c.CountPerDatatype <= 0 || c.CountPerDatatype > maxCount {

@@ -111,13 +111,13 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestNewConfigValidation(t *testing.T) {
-	if _, err := NewConfig(Parallel(), 0); err == nil {
+func TestConfigValidate(t *testing.T) {
+	if err := (Config{Engine: Parallel(), CountPerDatatype: 0}).Validate(); err == nil {
 		t.Error("accepted zero count")
 	}
-	c, err := NewConfig(Serial(), 30)
-	if err != nil || c.CountPerDatatype != 30 {
-		t.Errorf("NewConfig: %v", err)
+	c := Config{Engine: Serial(), CountPerDatatype: 30}
+	if err := c.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 	if c.String() != "serial x 30" {
 		t.Errorf("String = %q", c.String())

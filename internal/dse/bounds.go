@@ -30,9 +30,9 @@ type PointBound struct {
 	CycleLB int64
 }
 
-// pointArea is the exact die area of a design point — the same accelergy
-// expression evaluateWithBaseline stores, so a bound-only point and an
-// evaluated point report bit-identical areas.
+// pointArea is the exact die area of a design point. evaluateWithBaseline
+// stores it too, so a bound-only point and an evaluated point report
+// bit-identical areas.
 func pointArea(spec arch.Spec, crypto cryptoengine.Config) float64 {
 	return accelergy.TotalAreaMM2(spec.NumPEs(), spec.GlobalBufferBytes, crypto.TotalAreaKGates())
 }

@@ -74,12 +74,14 @@ type Options struct {
 	// exceeds the filter extent they can depend on which searches ran first
 	// (DESIGN.md §12).
 	Mapper mapper.Options
-	// MaxParallel bounds the sweep's design-point worker pool (<= 0 means one
-	// worker per available CPU). Set to 1 for a deterministic serial visit
-	// order. With the exhaustive mapper the points are identical at any
-	// width; with the guided mapper the visit order feeds the warm-start
-	// store, so a parallel sweep can return different points than a serial
-	// one (DESIGN.md §12).
+	// MaxParallel bounds the sweep's design-point worker pool and, within
+	// each point, the scheduler's step-1, pair-matrix and annealing
+	// fan-outs (<= 0 means one worker per available CPU at both levels), so
+	// a sweep runs at most MaxParallel² search goroutines. Set to 1 for a
+	// deterministic serial sweep. With the exhaustive mapper the points are
+	// identical at any width; with the guided mapper the visit order feeds
+	// the warm-start store, so a parallel sweep can return different points
+	// than a serial one (DESIGN.md §12).
 	MaxParallel int
 	// Store, when non-nil, persists every design point's schedules into the
 	// content-addressed result store, so re-running the same sweep — in this
@@ -100,6 +102,7 @@ func newScheduler(spec arch.Spec, crypto cryptoengine.Config, opt Options) *core
 		s.Anneal.Iterations = opt.AnnealIterations
 	}
 	s.Mapper = opt.Mapper
+	s.MaxParallel = opt.MaxParallel
 	s.Store = opt.Store
 	if opt.Observe != nil {
 		s.Observe = workCounts{o: opt.Observe}
@@ -139,10 +142,9 @@ func evaluateWithBaseline(ctx context.Context, net *workload.Network, spec arch.
 		return DesignPoint{}, err
 	}
 	return DesignPoint{
-		Spec:   spec,
-		Crypto: crypto,
-		AreaMM2: accelergy.TotalAreaMM2(
-			spec.NumPEs(), spec.GlobalBufferBytes, crypto.TotalAreaKGates()),
+		Spec:    spec,
+		Crypto:  crypto,
+		AreaMM2: pointArea(spec, crypto),
 		CryptoAreaOverheadPct: accelergy.CryptoAreaOverheadPercent(
 			crypto.TotalAreaKGates(), spec.NumPEs()),
 		Cycles:         res.Total.Cycles,

@@ -4,11 +4,16 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"secureloop/internal/arch"
+	"secureloop/internal/authblock"
 	"secureloop/internal/core"
 	"secureloop/internal/cryptoengine"
+	"secureloop/internal/mapper"
+	"secureloop/internal/obs"
 	"secureloop/internal/workload"
 )
 
@@ -164,6 +169,55 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(parallel.Points, serial) {
 			t.Errorf("%v: parallel sweep diverged from serial:\nparallel: %+v\nserial:   %+v",
 				alg, parallel.Points, serial)
+		}
+	}
+}
+
+// goroutinePeak is an observer that samples runtime.NumGoroutine at every
+// event. Work-count events are emitted from inside the scheduler's
+// fan-out workers, so the samples see the sweep at its widest.
+type goroutinePeak struct{ peak atomic.Int64 }
+
+func (g *goroutinePeak) Observe(obs.Event) {
+	n := int64(runtime.NumGoroutine())
+	for {
+		old := g.peak.Load()
+		if n <= old || g.peak.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+// TestSweepWidthBoundsGoroutines: Options.MaxParallel bounds every level of
+// a sweep, not only its design-point pool. At width w the sweep runs w
+// point workers, each fanning its scheduler's stages out over at most w
+// workers, however many CPUs the process may use. A finished fan-out's
+// workers can still be exiting when the next stage starts its own, so the
+// test allows each point worker 2w inner goroutines: w + 2w² in all.
+func TestSweepWidthBoundsGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scheduling runs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	net := workload.AlexNet()
+	specs := []arch.Spec{arch.Base(), arch.Base().WithGlobalBuffer(32 * 1024)}
+	cryptos := []cryptoengine.Config{{Engine: cryptoengine.Parallel(), CountPerDatatype: 1}}
+	for _, width := range []int{1, 2} {
+		// Cold memos, so every search runs and reports from its worker.
+		mapper.ResetCaches()
+		authblock.ResetCaches()
+		base := int64(runtime.NumGoroutine())
+		var g goroutinePeak
+		_, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptCross,
+			Options{AnnealIterations: 20, MaxParallel: width, Observe: &g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.peak.Load() == 0 {
+			t.Fatalf("width %d: the observer saw no event", width)
+		}
+		if extra, limit := g.peak.Load()-base, int64(width+2*width*width); extra > limit {
+			t.Errorf("width %d: the sweep ran %d goroutines beyond the test's own, want at most %d", width, extra, limit)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"secureloop/internal/accelergy"
 	"secureloop/internal/arch"
 	"secureloop/internal/core"
 	"secureloop/internal/cryptoengine"
@@ -12,15 +11,17 @@ import (
 	"secureloop/internal/workload"
 )
 
-// sweepScheduler builds a scheduler tuned for design-space sweeps: the
-// Crypt-Opt-Cross algorithm with a reduced annealing budget (the
-// cross-layer gain is a few percent and stable, so sweeps spend their time
-// on the space, not the tail of each point). Like newScheduler it carries
-// the experiment's observer.
-func sweepScheduler(spec arch.Spec, crypto cryptoengine.Config, opts Options) *core.Scheduler {
-	s := opts.newScheduler(spec, crypto)
-	s.Anneal.Iterations = opts.annealIters(200)
-	return s
+// sweepOptions are the dse.Sweep options of Figures 13–16: the
+// experiment's observer, mapper and store, and a reduced annealing budget
+// (the cross-layer gain is a few percent and stable, so sweeps spend their
+// time on the space, not the tail of each point).
+func (o Options) sweepOptions() dse.Options {
+	return dse.Options{
+		AnnealIterations: o.annealIters(200),
+		Observe:          o.Observe,
+		Mapper:           o.Mapper,
+		Store:            o.Store,
+	}
 }
 
 // Fig13 reproduces Figure 13: slowdown over the unsecure baseline and
@@ -31,23 +32,14 @@ func Fig13(ctx context.Context, opts Options) (Table, error) {
 		Title:  "slowdown and area overhead vs crypto engine configuration",
 		Header: []string{"workload", "config", "slowdown", "area_overhead_pct", "crypto_kgates"},
 	}
-	spec := arch.Base()
+	specs := []arch.Spec{arch.Base()}
 	for _, net := range workload.Networks() {
-		base, err := opts.newScheduler(spec, baseCrypto()).ScheduleNetworkCtx(ctx, net, core.Unsecure)
+		res, err := dse.Sweep(ctx, net, specs, cryptoengine.Figure13Configs(), core.CryptOptCross, opts.sweepOptions())
 		if err != nil {
 			return Table{}, fmt.Errorf("fig13 %s: %w", net.Name, err)
 		}
-		for _, cfg := range cryptoengine.Figure13Configs() {
-			s := sweepScheduler(spec, cfg, opts)
-			res, err := s.ScheduleNetworkCtx(ctx, net, core.CryptOptCross)
-			if err != nil {
-				return Table{}, fmt.Errorf("fig13 %s %s: %w", net.Name, cfg, err)
-			}
-			dp := dse.DesignPoint{Spec: spec, Crypto: cfg,
-				Cycles: res.Total.Cycles, UnsecureCycles: base.Total.Cycles}
-			t.AddRow(net.Name, cfg.String(), dp.Slowdown(),
-				accelergy.CryptoAreaOverheadPercent(cfg.TotalAreaKGates(), spec.NumPEs()),
-				cfg.TotalAreaKGates())
+		for _, p := range res.Points {
+			t.AddRow(net.Name, p.Crypto.String(), p.Slowdown(), p.CryptoAreaOverheadPct, p.Crypto.TotalAreaKGates())
 		}
 	}
 	return t, nil
@@ -56,59 +48,50 @@ func Fig13(ctx context.Context, opts Options) (Table, error) {
 // Fig14 reproduces Figure 14: latency for PE arrays 14x12 / 14x24 / 28x24
 // under the unsecure baseline, a pipelined AES-GCM and a parallel AES-GCM.
 func Fig14(ctx context.Context, opts Options) (Table, error) {
-	t := Table{
+	var specs []arch.Spec
+	var labels []string
+	for _, pe := range arch.PEConfigs() {
+		specs = append(specs, arch.Base().WithPEs(pe[0], pe[1]))
+		labels = append(labels, fmt.Sprintf("%dx%d", pe[0], pe[1]))
+	}
+	return latencyTable(ctx, opts, Table{
 		Name:   "fig14",
 		Title:  "latency (cycles) vs PE array size",
 		Header: []string{"workload", "pe_array", "unsecure", "pipelined", "parallel"},
-	}
-	for _, net := range workload.Networks() {
-		for _, pe := range arch.PEConfigs() {
-			spec := arch.Base().WithPEs(pe[0], pe[1])
-			row := []interface{}{net.Name, label2(pe[0], pe[1])}
-			base, err := opts.newScheduler(spec, baseCrypto()).ScheduleNetworkCtx(ctx, net, core.Unsecure)
-			if err != nil {
-				return Table{}, fmt.Errorf("fig14 %s %s: %w", net.Name, label2(pe[0], pe[1]), err)
-			}
-			row = append(row, base.Total.Cycles)
-			for _, engine := range []cryptoengine.EngineArch{cryptoengine.Pipelined(), cryptoengine.Parallel()} {
-				cfg := cryptoengine.Config{Engine: engine, CountPerDatatype: 1}
-				res, err := sweepScheduler(spec, cfg, opts).ScheduleNetworkCtx(ctx, net, core.CryptOptCross)
-				if err != nil {
-					return Table{}, fmt.Errorf("fig14 %s %s: %w", net.Name, cfg, err)
-				}
-				row = append(row, res.Total.Cycles)
-			}
-			t.AddRow(row...)
-		}
-	}
-	return t, nil
+	}, specs, labels)
 }
 
 // Fig15 reproduces Figure 15: latency for global-buffer sizes 16/32/131 kB.
 func Fig15(ctx context.Context, opts Options) (Table, error) {
-	t := Table{
+	var specs []arch.Spec
+	var labels []string
+	for _, glb := range arch.BufferConfigs() {
+		specs = append(specs, arch.Base().WithGlobalBuffer(glb))
+		labels = append(labels, fmt.Sprintf("%dkB", glb/1024))
+	}
+	return latencyTable(ctx, opts, Table{
 		Name:   "fig15",
 		Title:  "latency (cycles) vs on-chip buffer size",
 		Header: []string{"workload", "glb", "unsecure", "pipelined", "parallel"},
+	}, specs, labels)
+}
+
+// latencyTable fills Figures 14 and 15: per network, one sweep over specs
+// x {pipelined x1, parallel x1}, and one row per spec with its label and
+// the unsecure, pipelined and parallel latencies.
+func latencyTable(ctx context.Context, opts Options, t Table, specs []arch.Spec, labels []string) (Table, error) {
+	cryptos := []cryptoengine.Config{
+		{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1},
+		{Engine: cryptoengine.Parallel(), CountPerDatatype: 1},
 	}
 	for _, net := range workload.Networks() {
-		for _, glb := range arch.BufferConfigs() {
-			spec := arch.Base().WithGlobalBuffer(glb)
-			row := []interface{}{net.Name, labelKB(glb)}
-			base, err := opts.newScheduler(spec, baseCrypto()).ScheduleNetworkCtx(ctx, net, core.Unsecure)
-			if err != nil {
-				return Table{}, fmt.Errorf("fig15 %s %s: %w", net.Name, labelKB(glb), err)
-			}
-			row = append(row, base.Total.Cycles)
-			for _, engine := range []cryptoengine.EngineArch{cryptoengine.Pipelined(), cryptoengine.Parallel()} {
-				cfg := cryptoengine.Config{Engine: engine, CountPerDatatype: 1}
-				res, err := sweepScheduler(spec, cfg, opts).ScheduleNetworkCtx(ctx, net, core.CryptOptCross)
-				if err != nil {
-					return Table{}, fmt.Errorf("fig15 %s %s: %w", net.Name, cfg, err)
-				}
-				row = append(row, res.Total.Cycles)
-			}
-			t.AddRow(row...)
+		res, err := dse.Sweep(ctx, net, specs, cryptos, core.CryptOptCross, opts.sweepOptions())
+		if err != nil {
+			return Table{}, fmt.Errorf("%s %s: %w", t.Name, net.Name, err)
+		}
+		for si, label := range labels {
+			pipelined, parallel := res.Points[2*si], res.Points[2*si+1]
+			t.AddRow(net.Name, label, pipelined.UnsecureCycles, pipelined.Cycles, parallel.Cycles)
 		}
 	}
 	return t, nil
@@ -130,7 +113,9 @@ func DRAMStudy(ctx context.Context, opts Options) (Table, error) {
 		if err != nil {
 			return Table{}, fmt.Errorf("dram %s: %w", tech.Name, err)
 		}
-		res, err := sweepScheduler(spec, baseCrypto(), opts).ScheduleNetworkCtx(ctx, net, core.CryptOptCross)
+		s := opts.newScheduler(spec, baseCrypto())
+		s.Anneal.Iterations = opts.annealIters(200)
+		res, err := s.ScheduleNetworkCtx(ctx, net, core.CryptOptCross)
 		if err != nil {
 			return Table{}, fmt.Errorf("dram %s: %w", tech.Name, err)
 		}
@@ -150,48 +135,13 @@ func Fig16(ctx context.Context, opts Options) (Table, []dse.DesignPoint, error) 
 		Title:  "area vs performance trade-off (AlexNet) with Pareto front",
 		Header: []string{"design", "area_mm2", "cycles", "slowdown", "pareto"},
 	}
-	net := workload.AlexNet()
 	specs, cryptos := dse.Figure16Space(arch.Base())
-	var points []dse.DesignPoint
-	for _, spec := range specs {
-		for _, cfg := range cryptos {
-			s := sweepScheduler(spec, cfg, opts)
-			res, err := s.ScheduleNetworkCtx(ctx, net, core.CryptOptCross)
-			if err != nil {
-				return Table{}, nil, fmt.Errorf("fig16 %s %s: %w", spec.Name, cfg, err)
-			}
-			base, err := opts.newScheduler(spec, cfg).ScheduleNetworkCtx(ctx, net, core.Unsecure)
-			if err != nil {
-				return Table{}, nil, fmt.Errorf("fig16 %s %s: %w", spec.Name, cfg, err)
-			}
-			points = append(points, dse.DesignPoint{
-				Spec: spec, Crypto: cfg,
-				AreaMM2:        accelergy.TotalAreaMM2(spec.NumPEs(), spec.GlobalBufferBytes, cfg.TotalAreaKGates()),
-				Cycles:         res.Total.Cycles,
-				EnergyPJ:       res.Total.EnergyPJ,
-				UnsecureCycles: base.Total.Cycles,
-			})
-		}
+	res, err := dse.Sweep(ctx, workload.AlexNet(), specs, cryptos, core.CryptOptCross, opts.sweepOptions())
+	if err != nil {
+		return Table{}, nil, fmt.Errorf("fig16: %w", err)
 	}
-	dse.MarkPareto(points)
-	for _, p := range points {
+	for _, p := range res.Points {
 		t.AddRow(p.Label(), p.AreaMM2, p.Cycles, p.Slowdown(), p.Pareto)
 	}
-	return t, points, nil
-}
-
-func label2(x, y int) string { return itoa(x) + "x" + itoa(y) }
-func labelKB(b int) string   { return itoa(b/1024) + "kB" }
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return t, res.Points, nil
 }

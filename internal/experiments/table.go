@@ -93,6 +93,9 @@ type Options struct {
 	Quick bool
 	// Observe receives progress events from the schedulers each experiment
 	// runs (nil means none); cmd/experiments wires its -progress flag here.
+	// Figures 13–16 are dse.Sweep calls, so from them it receives the
+	// sweep-level events and the work counts of every point's searches
+	// (dse.Options.Observe).
 	Observe obs.Observer
 	// Mapper selects the loopnest search strategy of every scheduler an
 	// experiment builds (zero value: exhaustive); cmd/experiments wires its

@@ -1,8 +1,10 @@
-// Package par is the one worker pool of the search pipeline. The mapper's
-// spatial choices, the scheduler's per-layer searches, pair-matrix entries
-// and annealing segments, and the sweep's design points all fan out
-// through Each, so launch order, cancellation, panic recovery and error
-// precedence are decided once, here.
+// Package par is the one worker pool of the search pipeline. The
+// scheduler's per-layer searches, pair-matrix entries and annealing
+// segments, and the sweep's design points all fan out through Each, so
+// launch order, cancellation, panic recovery and error precedence are
+// decided once, here. The mapper search does not fan out. Widths nest once:
+// each of a sweep's design-point workers runs its scheduler's fan-outs at
+// the sweep's width, so width w runs at most w² workers.
 package par
 
 import (

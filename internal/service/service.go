@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"secureloop/internal/authblock"
+	"secureloop/internal/core"
 	"secureloop/internal/dse"
 	"secureloop/internal/obs"
 	"secureloop/internal/store"
@@ -435,12 +436,7 @@ func (s *Service) BeginSchedule(ctx context.Context, req *ScheduleRequest, opts 
 // body. It is a securelint puredet seed — nothing it reaches may read
 // wall-clock time, the environment, or leak map order into the result.
 func (s *Service) ScheduleBody(ctx context.Context, req *ScheduleRequest, ob obs.Observer) (*ScheduleResponse, []byte, bool, error) {
-	sch := req.scheduler()
-	sch.MaxParallel = s.cfg.MaxParallel
-	sch.Observe = obs.OrNop(ob)
-	sch.Store = s.cfg.Store
-	storeHit := sch.StoredNetwork(req.Network, req.Algorithm)
-	res, err := sch.ScheduleNetworkCtx(ctx, req.Network, req.Algorithm)
+	res, storeHit, err := s.ScheduleResult(ctx, req, ob)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -450,6 +446,23 @@ func (s *Service) ScheduleBody(ctx context.Context, req *ScheduleRequest, ob obs
 		return nil, nil, false, err
 	}
 	return value, body, storeHit, nil
+}
+
+// ScheduleResult is the compute half of ScheduleBody: it schedules the
+// request on this service's worker width and store, and reports whether
+// the store answered it without a search. In-process front ends that render
+// more of the result than the response carries call it directly.
+func (s *Service) ScheduleResult(ctx context.Context, req *ScheduleRequest, ob obs.Observer) (*core.NetworkResult, bool, error) {
+	sch := req.scheduler()
+	sch.MaxParallel = s.cfg.MaxParallel
+	sch.Observe = obs.OrNop(ob)
+	sch.Store = s.cfg.Store
+	storeHit := sch.StoredNetwork(req.Network, req.Algorithm)
+	res, err := sch.ScheduleNetworkCtx(ctx, req.Network, req.Algorithm)
+	if err != nil {
+		return nil, false, err
+	}
+	return res, storeHit, nil
 }
 
 // BeginSweep validates and submits a sweep request, returning its Pending
