@@ -91,8 +91,9 @@ const (
 // warm-start store of previous searches over similar layer shapes. At the
 // default Epsilon = 0 it returns the exhaustive search's results, except on
 // layers whose stride exceeds the filter extent (ResNet-18's 1×1 stride-2
-// downsamples), where its answer can depend on which searches ran before
-// it:
+// downsamples), where a schedule's answer can depend on which searches ran
+// before it. A sweep runs every design point without warm starts, so a
+// guided sweep's points depend on the sweep alone:
 //
 //	s := secureloop.NewScheduler(spec, crypto)
 //	s.Mapper = secureloop.MapperOptions{Mode: secureloop.GuidedSearch}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -46,5 +47,34 @@ func TestCountAlongNonPositiveStep(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("countAlong(30, %d, %d, %d) did not return within a second", c.off, c.step, c.win)
 		}
+	}
+}
+
+// TestNegativeFlagRejected: a flag given a negative value fails with an
+// error naming the wire field it fills, instead of falling back to the
+// default; the consumer offset -coff is signed and takes negative values.
+func TestNegativeFlagRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-tensor", "-1x30x30"}, "producer.c"},
+		{[]string{"-cch", "-1"}, "consumer.tile_c"},
+		{[]string{"-word", "-16"}, "word_bits"},
+		{[]string{"-hash", "-64"}, "hash_bits"},
+		{[]string{"-max", "-1"}, "max_u"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.field)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", tc.args, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-coff", "-2x-3", "-max", "4"}, &out); err != nil {
+		t.Errorf("negative -coff: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -26,5 +27,27 @@ func TestPrunedSweepGolden(t *testing.T) {
 	}
 	if got := out.String(); got != string(want) {
 		t.Errorf("stdout differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestNegativeFlagRejected: a flag given a negative value fails before any
+// design point is evaluated, with an error naming the wire field it fills,
+// instead of falling back to the default.
+func TestNegativeFlagRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-iters", "-1"}, "anneal_iterations"},
+		{[]string{"-guided", "-epsilon", "-0.5"}, "mapper.epsilon"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.field)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", tc.args, out.String())
+		}
 	}
 }

@@ -16,7 +16,7 @@ func TestStoreKeyPinned(t *testing.T) {
 			CountC: 8, CountH: 10, CountW: 7, FetchesPerTile: 3},
 		par: Params{WordBits: 16, HashBits: 64},
 	}
-	const want = "e3777ec7ae822e32f553ce2f2e9a591cd79a60679d01fcddd9e6f1baddf01e0e"
+	const want = "8106a1c2b7a7641011c740d261c68f020cc355523ed57f0b5e830cfdf9bea98f"
 	if got := persistOptimalKey(k); hex.EncodeToString(got[:]) != want {
 		t.Fatalf("authblock.optimal key = %x, want %s", got, want)
 	}

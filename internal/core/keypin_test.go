@@ -37,7 +37,7 @@ func TestStoreKeyPinned(t *testing.T) {
 		Objective: MinEDP,
 		Mapper:    mapper.Options{Mode: mapper.Guided, Epsilon: 0.25},
 	}
-	const want = "bcc5a433d06a29245591625dc3815baef7cff2cb84a628b799ab6c4c7d6efb6f"
+	const want = "63a7bf76f42667ad1390fb24068b44b901d4b41e8b8e2b70bacd52e7e9c5f82a"
 	if got := s.persistNetworkKey(net, CryptOptCross); hex.EncodeToString(got[:]) != want {
 		t.Fatalf("core.network key = %x, want %s", got, want)
 	}

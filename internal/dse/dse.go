@@ -67,21 +67,18 @@ type Options struct {
 	// would drown the sweep-level signal.
 	Observe obs.Observer
 	// Mapper selects the per-layer loopnest search strategy for every design
-	// point (zero value: exhaustive). Guided mode pays off most here: a sweep
-	// revisits near-identical layer shapes at neighbouring design points, so
-	// the warm-start store seeds almost every search after the first spec.
-	// Guided answers are not yet history-independent: on layers whose stride
-	// exceeds the filter extent they can depend on which searches ran first
-	// (DESIGN.md §12).
+	// point (zero value: exhaustive). Every point and baseline runs it
+	// without the warm-start store (SweepMapper), whatever DisableWarmStart
+	// holds: on layers whose stride exceeds the filter extent a guided answer
+	// depends on the seeds earlier searches left (DESIGN.md §12), and a
+	// sweep's points would pass them to each other in whatever order its
+	// workers finish.
 	Mapper mapper.Options
 	// MaxParallel bounds the sweep's design-point worker pool and, within
 	// each point, the scheduler's step-1, pair-matrix and annealing
 	// fan-outs (<= 0 means one worker per available CPU at both levels), so
-	// a sweep runs at most MaxParallel² search goroutines. Set to 1 for a
-	// deterministic serial sweep. With the exhaustive mapper the points are
-	// identical at any width; with the guided mapper the visit order feeds
-	// the warm-start store, so a parallel sweep can return different points
-	// than a serial one (DESIGN.md §12).
+	// a sweep runs at most MaxParallel² search goroutines. The points are
+	// identical at any width, in either mapper mode.
 	MaxParallel int
 	// Store, when non-nil, persists every design point's schedules into the
 	// content-addressed result store, so re-running the same sweep — in this
@@ -96,12 +93,21 @@ type Options struct {
 	Prune bool
 }
 
+// SweepMapper returns the mapper options a sweep's point and baseline
+// schedulers run with: opt without the warm-start store, so a guided sweep
+// returns the same points at any width and after any earlier searches.
+// Exhaustive mode never uses the store; its keys do not change.
+func SweepMapper(opt mapper.Options) mapper.Options {
+	opt.DisableWarmStart = true
+	return opt
+}
+
 func newScheduler(spec arch.Spec, crypto cryptoengine.Config, opt Options) *core.Scheduler {
 	s := core.New(spec, crypto)
 	if opt.AnnealIterations > 0 {
 		s.Anneal.Iterations = opt.AnnealIterations
 	}
-	s.Mapper = opt.Mapper
+	s.Mapper = SweepMapper(opt.Mapper)
 	s.MaxParallel = opt.MaxParallel
 	s.Store = opt.Store
 	if opt.Observe != nil {

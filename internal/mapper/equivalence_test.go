@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"secureloop/internal/arch"
@@ -111,46 +112,11 @@ func TestSearchEquivalence(t *testing.T) {
 	}
 }
 
-// TestAnalysisMatchesOffchip pins the tiling/permutation cost split at the
-// mapping layer: for every candidate the search produces, the analysis path
-// must reproduce Offchip().TotalElems() and TemporalIterations exactly under
-// every permutation heuristic.
-func TestAnalysisMatchesOffchip(t *testing.T) {
-	spec := arch.Base()
-	for _, l := range []*workload.Layer{
-		workload.AlexNet().Layer(1),
-		workload.MobileNetV2().Layer(1), // depthwise
-	} {
-		req := Request{
-			Layer: l, PEsX: spec.PEsX, PEsY: spec.PEsY,
-			GLBBits: spec.GlobalBufferBits(), RFBits: spec.RegFileBits(),
-			EffectiveBytesPerCycle: float64(spec.DRAM.BytesPerCycle),
-			TopK:                   4,
-		}
-		for _, c := range searchUncached(t, req) {
-			an := c.Mapping.Analyze(l)
-			if got, want := an.Compute, c.Mapping.TemporalIterations(l); got != want {
-				t.Errorf("%s: analysis compute %d, mapping says %d", l.Name, got, want)
-			}
-			for _, perm := range permHeuristics {
-				m := c.Mapping.Clone()
-				m.PermDRAM = perm
-				got := an.OffchipElems(perm)
-				want := m.Offchip(l).TotalElems()
-				if got != want {
-					t.Errorf("%s perm %v: analysis %d elems, Offchip %d", l.Name, perm, got, want)
-				}
-				if got < an.MinOffchipElems {
-					t.Errorf("%s perm %v: traffic %d below claimed lower bound %d",
-						l.Name, perm, got, an.MinOffchipElems)
-				}
-			}
-		}
-	}
-}
-
 // TestSignatureDeterminesTiling guards the dedup assumption: equal
-// signatures imply equal GLB tile extents and spatial factors.
+// signatures imply equal GLB tile extents and spatial factors. The
+// signature holds them in full, also beyond 16 bits: on a layer with
+// P = 2^20 every P-tile candidate (65,536, 262,144 and 1,048,576 among
+// them) gets its own signature.
 func TestSignatureDeterminesTiling(t *testing.T) {
 	l := workload.AlexNet().Layer(2)
 	spec := arch.Base()
@@ -161,12 +127,54 @@ func TestSignatureDeterminesTiling(t *testing.T) {
 		TopK:                   6,
 	}
 	for _, c := range searchUncached(t, req) {
-		sig := signature(c.Mapping)
-		for i, d := range mapping.Dims {
-			tile := int(sig[4*i]) | int(sig[4*i+1])<<8
-			if got := c.Mapping.TileDim(mapping.GLB, d); got&0xffff != tile {
-				t.Errorf("signature tile for %v = %d, mapping has %d", d, tile, got)
-			}
+		checkSignature(t, c.Mapping)
+	}
+
+	wide := &workload.Layer{Name: "wide", C: 1, M: 1, R: 1, S: 1, P: 1 << 20, Q: 1,
+		StrideH: 1, StrideW: 1, N: 1, WordBits: 8}
+	if err := wide.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m := baseMapping(wide, spatialChoice{})
+	// Spatial factors beyond 8 and 16 bits on dimensions P does not share.
+	m.SetFactor(mapping.SpatialX, mapping.DimM, 70000)
+	m.SetFactor(mapping.SpatialY, mapping.DimC, 300)
+	cands := tileCandidates(wide.P)
+	for _, tile := range []int{1 << 16, 1 << 18, 1 << 20} {
+		if !slices.Contains(cands, tile) {
+			t.Fatalf("P-tile %d is not among the candidates %v", tile, cands)
+		}
+	}
+	seen := map[sigKey]int{}
+	for _, tile := range cands {
+		setGLBTile(m, wide, mapping.DimP, tile)
+		checkSignature(t, m)
+		sig := signature(m)
+		if prev, ok := seen[sig]; ok {
+			t.Errorf("P-tiles %d and %d share one signature", prev, tile)
+		}
+		seen[sig] = tile
+	}
+}
+
+// checkSignature decodes m's signature and compares every tile extent and
+// spatial factor with the mapping's, in full.
+func checkSignature(t *testing.T, m *mapping.Mapping) {
+	t.Helper()
+	sig := signature(m)
+	for i, d := range mapping.Dims {
+		h := sig[sigLowBytes+5*i:]
+		tile := int(sig[4*i]) | int(sig[4*i+1])<<8 | int(h[0])<<16
+		x := int(sig[4*i+2]) | int(h[1])<<8 | int(h[2])<<16
+		y := int(sig[4*i+3]) | int(h[3])<<8 | int(h[4])<<16
+		if got := m.TileDim(mapping.GLB, d); got != tile {
+			t.Errorf("signature tile for %v = %d, mapping has %d", d, tile, got)
+		}
+		if got := m.Factor(mapping.SpatialX, d); got != x {
+			t.Errorf("signature spatial-x factor for %v = %d, mapping has %d", d, x, got)
+		}
+		if got := m.Factor(mapping.SpatialY, d); got != y {
+			t.Errorf("signature spatial-y factor for %v = %d, mapping has %d", d, y, got)
 		}
 	}
 }

@@ -5,20 +5,21 @@
 // it returns the exact top-k; guided mode takes Epsilon and warm starts
 // from the request.
 //
-// Scoring a tiling costs a full mapping.Analyze plus a six-way permutation
-// fold (scoreTiling). The search observes that every term of scoreTiling's
-// per-tiling lower bound — compute cycles, the distinct-tile traffic floor
-// MinOffchipElems, and the GLB occupancy — factorizes per dimension once
-// the spatial skeleton is fixed. It therefore precomputes per-dimension
-// candidate tables for each spatial choice, walks the lattice with monotone
-// capacity breaks and derives the exact lower bound of every feasible point
-// with a handful of integer multiplies (pass A), sorts the survivors by
-// bound, and only scores tilings (pass B) until the next-best bound proves
-// no unexplored tiling can rank within the top-k. As long as every bound is
-// a true lower bound, the result at Epsilon = 0 is the exact top-k of the
-// lattice, byte-identical to the reference search (reference_test.go), and
-// at Epsilon > 0 every returned rank is within (1+Epsilon)× of the exact
-// rank's scheduling cycles (see DESIGN.md §12 for the argument).
+// Every cost term of a tiling — compute cycles, GLB occupancy, and the DRAM
+// trip counts whose products along a loop order give each permutation's
+// traffic — factorizes per dimension once the spatial skeleton is fixed.
+// The search therefore precomputes per-dimension candidate tables for each
+// spatial choice, the one cost arithmetic it uses: pass A walks the lattice
+// with monotone capacity breaks and bounds every feasible point from the
+// tables, and pass B scores the survivors from them in ascending-bound
+// order until the next-best bound proves no unexplored tiling can rank
+// within the top-k. The tables replicate the full model bit for bit,
+// checked multiplies included (TestGuidedTablesMatchModel). As long as
+// every bound is a true lower bound, the result at Epsilon = 0 is the exact
+// top-k of the lattice, byte-identical to the reference search
+// (reference_test.go), and at Epsilon > 0 every returned rank is within
+// (1+Epsilon)× of the exact rank's scheduling cycles (see DESIGN.md §12 for
+// the argument).
 //
 // Guided mode still prunes against guidedFloor, which counts every input
 // row. When the stride exceeds the filter extent (among the built-in
@@ -30,11 +31,14 @@
 // layer.
 //
 // A warm-start store (warmstore.go) seeds guided searches with previous
-// winners for similar layer shapes, so DSE sweeps over neighbouring design
-// points start with a tight pruning threshold instead of a cold one.
+// winners for similar layer shapes, so repeated guided schedules start
+// with a tight pruning threshold instead of a cold one. DSE sweeps turn it
+// off (dse.SweepMapper), so a sweep's answers do not depend on the order
+// its workers finish in.
 package mapper
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -75,8 +79,9 @@ type Options struct {
 	// mode; exhaustive mode never uses the store. Seeds only tighten
 	// pruning, so where every bound holds the results at Epsilon = 0 are
 	// unaffected; on layers whose stride exceeds the filter extent, and at
-	// any Epsilon > 0, seeds can change the answer. It exists for cold
-	// benchmarks and determinism-sensitive tests.
+	// any Epsilon > 0, seeds can change the answer. DSE sweeps set it on
+	// every design point (dse.SweepMapper); it also serves cold benchmarks
+	// and determinism-sensitive tests.
 	DisableWarmStart bool
 }
 
@@ -91,7 +96,8 @@ func (o Options) canonical() Options {
 }
 
 // tiledDims are the dimensions the GLB tiling lattice spans, in pass A's
-// nesting order (outermost first).
+// nesting order (outermost first). They are C, M, P, Q in Dim order, so a
+// tiled dimension's Dim value is its index into a part's axes.
 var tiledDims = [4]mapping.Dim{mapping.DimC, mapping.DimM, mapping.DimP, mapping.DimQ}
 
 // evalChunk bounds how many pass-B evaluations run between cancellation
@@ -121,9 +127,8 @@ type lbEntry struct {
 // guidedAxis holds the per-candidate factorized terms of one tiled
 // dimension under a fixed spatial skeleton. Every field replicates the
 // arithmetic (including the checked-multiply discipline) of the mapping
-// package, so bounds computed from these tables agree bit-for-bit with
-// Mapping.Analyze on the same tiling — TestGuidedTablesMatchAnalyze pins
-// this.
+// package, so costs computed from these tables agree bit-for-bit with the
+// full model on the same tiling — TestGuidedTablesMatchModel pins this.
 type guidedAxis struct {
 	cands []int   // raw tile candidates, ascending (tileCandidates order)
 	ext   []int64 // min(TileDim, bound): the GLB tile extent
@@ -281,20 +286,20 @@ func dimTempContrib(m *mapping.Mapping, l *workload.Layer, d mapping.Dim) int64 
 	return num.MulInt64(perStep, outer)
 }
 
-// pointOcc computes the GLB tile element counts and the occupancy of the
-// lattice point (ic, im, ip, iq) from the tables alone — no Mapping
-// mutation. The element counts replicate tileElems' checked multiplies and
-// the occupancy sum replicates GLBBitsUsed's unchecked arithmetic, so
-// capacity breaks agree with Mapping.GLBBitsUsed bit-for-bit even under
-// (pathological) overflow wraparound. The multiplication *order* differs
-// from tileElems' for hoisting, which is harmless: every factor is >= 1, so
-// a partial product overflows (panics) in one order exactly when the full
-// product overflows in any order.
-func (g *guidedPart) pointOcc(wb int64, ic, im, ip, iq int) (wE, iE, oE, occ int64) {
-	extC, extM := g.ax[0].ext[ic], g.ax[1].ext[im]
-	extP, extQ := g.ax[2].ext[ip], g.ax[3].ext[iq]
+// pointOcc computes the GLB tile element counts (workload.Datatypes order)
+// and the occupancy of the lattice point idx from the tables alone — no
+// Mapping mutation. The element counts replicate tileElems' checked
+// multiplies and the occupancy sum replicates GLBBitsUsed's unchecked
+// arithmetic, so capacity breaks agree with Mapping.GLBBitsUsed bit-for-bit
+// even under (pathological) overflow wraparound. The multiplication *order*
+// differs from tileElems' for hoisting, which is harmless: every factor is
+// >= 1, so a partial product overflows (panics) in one order exactly when
+// the full product overflows in any order.
+func (g *guidedPart) pointOcc(wb int64, idx [4]int) (elems [3]int64, occ int64) {
+	extC, extM := g.ax[0].ext[idx[0]], g.ax[1].ext[idx[1]]
+	extP, extQ := g.ax[2].ext[idx[2]], g.ax[3].ext[idx[3]]
 
-	wE = extM
+	wE := extM
 	if !g.chIsM { // dense: C indexes weights
 		wE = num.MulInt64(wE, extC)
 	}
@@ -303,25 +308,35 @@ func (g *guidedPart) pointOcc(wb int64, ic, im, ip, iq int) (wE, iE, oE, occ int
 	if g.chIsM {
 		ch = extM
 	}
-	iE = num.MulInt64(ch, num.MulInt64(g.ax[2].win[ip], g.ax[3].win[iq]))
-	oE = num.MulInt64(num.MulInt64(extM, extP), extQ)
+	iE := num.MulInt64(ch, num.MulInt64(g.ax[2].win[idx[2]], g.ax[3].win[idx[3]]))
+	oE := num.MulInt64(num.MulInt64(extM, extP), extQ)
 
 	//securelint:ignore overflowmul replicates GLBBitsUsed's unchecked occupancy sum so capacity breaks match Mapping.GLBBitsUsed bit-for-bit
 	occ = 2*wE*wb + 2*iE*wb + 2*oE*wb
-	return wE, iE, oE, occ
+	return [3]int64{wE, iE, oE}, occ
 }
 
-// pointLB computes the exact scoreTiling lower bound of a *feasible*
-// lattice point: compute cycles (TemporalIterations replication) and the
-// distinct-tile traffic floor (Analyze.MinOffchipElems replication), pushed
-// through the same SchedulingCyclesFor and minTrafficCycles clamp. It must
-// only run on capacity-feasible points — no search analyses infeasible
-// tilings, so checked arithmetic here would panic where the reference
-// search does not.
-func (g *guidedPart) pointLB(wb int64, eff float64, minTraffic, wE, iE, oE int64, ic, im, ip, iq int) int64 {
-	idx := [4]int{ic, im, ip, iq}
-	elems := [3]int64{wE, iE, oE} // workload.Datatypes order
-	var minOff int64
+// pointLB computes the exact per-tiling lower bound of a *feasible*
+// lattice point over every permutation: its compute cycles against its
+// distinct-tile traffic floor, pushed through SchedulingCyclesFor and
+// clamped to minTraffic. It must only run on capacity-feasible points — no
+// search analyses infeasible tilings, so checked arithmetic here would
+// panic where the reference search does not.
+func (g *guidedPart) pointLB(wb int64, eff float64, minTraffic int64, idx [4]int, elems [3]int64) int64 {
+	floor := g.pointFloor(idx, elems)
+	// The bits conversion is unchecked, like SchedulingCycles'.
+	lb := model.SchedulingCyclesFor(g.pointCompute(idx), floor*wb, eff)
+	if lb < minTraffic {
+		lb = minTraffic
+	}
+	return lb
+}
+
+// pointFloor is the point's distinct-tile traffic floor in elements: under
+// any loop order each datatype's distinct DRAM tiles cross the chip
+// boundary at least once.
+func (g *guidedPart) pointFloor(idx [4]int, elems [3]int64) int64 {
+	var floor int64
 	for dt := range g.rel {
 		n := int64(1)
 		for i := range tiledDims {
@@ -329,18 +344,82 @@ func (g *guidedPart) pointLB(wb int64, eff float64, minTraffic, wE, iE, oE int64
 				n = num.MulInt64(n, g.ax[i].outer[idx[i]])
 			}
 		}
-		minOff += num.MulInt64(n, elems[dt])
+		floor += num.MulInt64(n, elems[dt])
 	}
+	return floor
+}
 
-	compute := num.MulInt64(num.MulInt64(num.MulInt64(num.MulInt64(
-		g.ax[0].temp[ic], g.ax[1].temp[im]), g.ax[2].temp[ip]), g.ax[3].temp[iq]), g.fixTemp)
+// pointCompute is the lattice point's compute cycles, TemporalIterations'
+// product of per-dimension contributions. Every factor is >= 1, so the
+// checked products panic in this order exactly when they do in that one.
+func (g *guidedPart) pointCompute(idx [4]int) int64 {
+	return num.MulInt64(num.MulInt64(num.MulInt64(num.MulInt64(
+		g.ax[0].temp[idx[0]], g.ax[1].temp[idx[1]]), g.ax[2].temp[idx[2]]), g.ax[3].temp[idx[3]]), g.fixTemp)
+}
 
-	//securelint:ignore overflowmul replicates scoreTiling's unchecked bits conversion of the traffic floor
-	lb := model.SchedulingCyclesFor(compute, minOff*wb, eff)
-	if lb < minTraffic {
-		lb = minTraffic
+// offchipElems returns Mapping.Offchip's elements (reads plus writes) for
+// the lattice point idx, whose GLB tiles hold elems elements, under the
+// DRAM loop order perm: a tile is fetched once per iteration of the loops
+// from the outermost through the innermost one relevant to its datatype.
+// The visit products are unchecked as in the model; the traffic products
+// are checked, so where the model would wrap the search panics instead.
+func (g *guidedPart) offchipElems(perm []mapping.Dim, idx [4]int, elems [3]int64) int64 {
+	v := [3]int64{1, 1, 1} // visits per datatype
+	run, nOf := int64(1), int64(1)
+	for _, d := range perm {
+		if int(d) >= len(g.ax) {
+			continue // R and S never tile at DRAM
+		}
+		n := g.ax[d].outer[idx[d]]
+		if n == 1 {
+			continue
+		}
+		run *= n
+		for dt := range v {
+			if g.rel[dt][d] {
+				v[dt] = run
+			}
+		}
+		if g.rel[workload.Ofmap][d] {
+			nOf *= n // the ofmap's distinct tiles
+		}
 	}
-	return lb
+	total := num.MulInt64(v[workload.Weight], elems[workload.Weight]) +
+		num.MulInt64(v[workload.Ifmap], elems[workload.Ifmap])
+	vOf, tileOf := v[workload.Ofmap], elems[workload.Ofmap]
+	total += num.MulInt64(vOf, tileOf) // writes
+	if vOf > nOf {
+		total += num.MulInt64(vOf-nOf, tileOf) // partial-sum re-reads
+	}
+	return total
+}
+
+// score offers the feasible lattice point idx, whose GLB tiles hold elems
+// elements, to the top-k under every permutation heuristic. All
+// permutations of one tiling share its signature, so at most one of them
+// survives in the top-k map: they fold to a local winner first — ties go to
+// the later permutation, exactly as sequential offers resolve them — and
+// pay the admission lookup and the mapping copy once.
+func (g *guidedPart) score(req Request, idx [4]int, elems [3]int64, best *topK) {
+	l := req.Layer
+	compute := g.pointCompute(idx)
+	wordBits := int64(l.WordBits)
+	var winCycles, winBits int64
+	var winPerm []mapping.Dim
+	for _, perm := range permHeuristics {
+		bits := g.offchipElems(perm, idx, elems) * wordBits // unchecked, like SchedulingCycles
+		cycles := model.SchedulingCyclesFor(compute, bits, req.EffectiveBytesPerCycle)
+		if winPerm == nil || cycles < winCycles || (cycles == winCycles && bits <= winBits) {
+			winCycles, winBits, winPerm = cycles, bits, perm
+		}
+	}
+	for i, d := range tiledDims {
+		setGLBTile(g.m, l, d, g.ax[i].cands[idx[i]])
+	}
+	sig := signature(g.m)
+	if best.admit(sig, winCycles, winBits) {
+		best.insert(sig, winCycles, winBits, g.m, winPerm)
+	}
 }
 
 // scan is pass A: walk the lattice with monotone capacity breaks, bound
@@ -368,12 +447,13 @@ func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraf
 			for ip := range g.ax[2].cands {
 				pOverflow := true
 				for iq := range g.ax[3].cands {
-					wE, iE, oE, occ := g.pointOcc(wb, ic, im, ip, iq)
+					idx := [4]int{ic, im, ip, iq}
+					elems, occ := g.pointOcc(wb, idx)
 					if occ > req.GLBBits {
 						break // larger iq only grows the tiles
 					}
 					pOverflow = false
-					lb := g.pointLB(wb, req.EffectiveBytesPerCycle, minTraffic, wE, iE, oE, ic, im, ip, iq)
+					lb := g.pointLB(wb, req.EffectiveBytesPerCycle, minTraffic, idx, elems)
 					if full && stopLB(lb, kth, eps) {
 						work.Pruned++
 						continue
@@ -400,28 +480,18 @@ func (g *guidedPart) scan(ctx context.Context, req Request, eps float64, minTraf
 	return entries, nil
 }
 
-// evaluate is pass B: score survivors in ascending-bound order through
-// scoreTiling, stopping once the next bound proves no unexplored tiling can
-// enter the top-k. The threshold only tightens as candidates land, so a
-// tiling discarded against the current k-th could never have displaced the
-// final k-th.
-func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, minTraffic int64, best *topK, entries []lbEntry, work *obs.MapperSearchEvent) error {
+// evaluate is pass B: score survivors in ascending-bound order, stopping
+// once the next bound proves no unexplored tiling can enter the top-k. The
+// threshold only tightens as candidates land, so a tiling discarded against
+// the current k-th could never have displaced the final k-th.
+func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, best *topK, entries []lbEntry, work *obs.MapperSearchEvent) error {
 	slices.SortFunc(entries, func(a, b lbEntry) int {
-		if a.lb != b.lb {
-			if a.lb < b.lb {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(a.lb, b.lb); c != 0 {
+			return c
 		}
-		if a.idx != b.idx {
-			if a.idx < b.idx {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.idx, b.idx)
 	})
-	l := req.Layer
+	wb := int64(req.Layer.WordBits)
 	for n, e := range entries {
 		if n%evalChunk == 0 {
 			if err := ctx.Err(); err != nil {
@@ -432,49 +502,46 @@ func (g *guidedPart) evaluate(ctx context.Context, req Request, eps float64, min
 			work.Pruned += int64(len(entries) - n)
 			return nil
 		}
-		ic := int(e.idx >> 24)
-		im := int(e.idx >> 16 & 0xff)
-		ip := int(e.idx >> 8 & 0xff)
-		iq := int(e.idx & 0xff)
-		setGLBTile(g.m, l, mapping.DimC, g.ax[0].cands[ic])
-		setGLBTile(g.m, l, mapping.DimM, g.ax[1].cands[im])
-		setGLBTile(g.m, l, mapping.DimP, g.ax[2].cands[ip])
-		setGLBTile(g.m, l, mapping.DimQ, g.ax[3].cands[iq])
-		scoreTiling(req, g.m, minTraffic, best)
+		idx := [4]int{int(e.idx >> 24), int(e.idx >> 16 & 0xff), int(e.idx >> 8 & 0xff), int(e.idx & 0xff)}
+		elems, _ := g.pointOcc(wb, idx)
+		g.score(req, idx, elems, best)
 		work.Evaluated++
 	}
 	return nil
 }
 
 // evalSeed scores one warm-start seed snapped onto the part's lattice.
-// Seeds are pure hints: a seed that no longer fits the GLB is dropped, and
+// Seeds are pure hints: a seed that no longer fits the GLB is dropped, one
+// whose bound cannot beat the current k-th is counted but not scored, and
 // because every snapped seed is a lattice point pass A also visits,
 // seeding cannot change the Epsilon = 0 result wherever every bound holds
 // — only the order in which the pruning threshold tightens.
 func (g *guidedPart) evalSeed(req Request, sd Seed, minTraffic int64, best *topK) bool {
-	l := req.Layer
-	for i, d := range tiledDims {
-		setGLBTile(g.m, l, d, snapTile(g.ax[i].cands, int(sd.Tiles[i])))
+	var idx [4]int
+	for i := range idx {
+		idx[i] = snapIdx(g.ax[i].cands, int(sd.Tiles[i]))
 	}
-	if g.m.GLBBitsUsed(l) > req.GLBBits {
+	wb := int64(req.Layer.WordBits)
+	elems, occ := g.pointOcc(wb, idx)
+	if occ > req.GLBBits {
 		return false
 	}
-	scoreTiling(req, g.m, minTraffic, best)
+	lb := g.pointLB(wb, req.EffectiveBytesPerCycle, minTraffic, idx, elems)
+	if kth, full := best.kthCycles(); !full || lb <= kth {
+		g.score(req, idx, elems, best)
+	}
 	return true
 }
 
-// snapTile returns the largest candidate not exceeding tile (or the
-// smallest candidate when tile undercuts them all), keeping seeds on the
-// current request's lattice.
-func snapTile(cands []int, tile int) int {
-	i, _ := slices.BinarySearch(cands, tile)
-	if i < len(cands) && cands[i] == tile {
-		return tile
+// snapIdx returns the index of the largest candidate not exceeding tile (or
+// of the smallest candidate when tile undercuts them all), keeping seeds on
+// the current request's lattice.
+func snapIdx(cands []int, tile int) int {
+	i, found := slices.BinarySearch(cands, tile)
+	if found || i == 0 {
+		return i
 	}
-	if i == 0 {
-		return cands[0]
-	}
-	return cands[i-1]
+	return i - 1
 }
 
 // searchGuided is SearchCtx's body in both modes. It shares spatial
@@ -535,11 +602,8 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
-		if parts[a].minLB != parts[b].minLB {
-			if parts[a].minLB < parts[b].minLB {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(parts[a].minLB, parts[b].minLB); c != 0 {
+			return c
 		}
 		return a - b
 	})
@@ -554,7 +618,7 @@ func searchGuided(ctx context.Context, req Request) ([]Candidate, error) {
 		var err error
 		entries, err = g.scan(ctx, req, eps, minTraffic, best, entries[:0], &work)
 		if err == nil {
-			err = g.evaluate(ctx, req, eps, minTraffic, best, entries, &work)
+			err = g.evaluate(ctx, req, eps, best, entries, &work)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("mapper: search layer %s: %w", l.Name, err)

@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"secureloop/internal/arch"
-	"secureloop/internal/mapping"
-	"secureloop/internal/model"
 	"secureloop/internal/obs"
 	"secureloop/internal/workload"
 )
@@ -105,71 +102,6 @@ func TestGuidedEpsilonWithinBound(t *testing.T) {
 				if float64(got[i].Cycles) > (1+eps)*float64(want[i].Cycles) {
 					t.Errorf("%s[%d]: guided cycles %d exceed (1+ε)×%d",
 						name, i, got[i].Cycles, want[i].Cycles)
-				}
-			}
-		}
-	}
-}
-
-// TestGuidedTablesMatchAnalyze pins the factorized bound arithmetic to the
-// mapping package: for every lattice point of every spatial choice, the
-// table-derived occupancy must equal GLBBitsUsed and the table-derived
-// lower bound must equal the one scoreTiling computes from Mapping.Analyze,
-// bit for bit. This is what makes the Epsilon = 0 byte-identity argument an
-// arithmetic fact rather than an approximation.
-func TestGuidedTablesMatchAnalyze(t *testing.T) {
-	base := arch.Base()
-	small := base.WithPEs(8, 8).WithGlobalBuffer(16 * 1024)
-	layers := []*workload.Layer{
-		workload.AlexNet().Layer(1),
-		workload.MobileNetV2().Layer(1), // depthwise
-		{Name: "prime", C: 13, M: 17, R: 3, S: 3, P: 29, Q: 29,
-			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, N: 1, WordBits: 16},
-	}
-	for _, spec := range []*arch.Spec{&base, &small} {
-		for _, l := range layers {
-			req := Request{
-				Layer: l, PEsX: spec.PEsX, PEsY: spec.PEsY,
-				GLBBits: spec.GlobalBufferBits(), RFBits: spec.RegFileBits(),
-				EffectiveBytesPerCycle: float64(spec.DRAM.BytesPerCycle),
-				TopK:                   6,
-			}
-			minTraffic := trafficFloor(req)
-			wb := int64(l.WordBits)
-			for _, sp := range spatialChoices(l, req.PEsX, req.PEsY) {
-				g := newGuidedPart(req, sp, minTraffic)
-				if g == nil {
-					continue
-				}
-				for ic := range g.ax[0].cands {
-					for im := range g.ax[1].cands {
-						for ip := range g.ax[2].cands {
-							for iq := range g.ax[3].cands {
-								setGLBTile(g.m, l, mapping.DimC, g.ax[0].cands[ic])
-								setGLBTile(g.m, l, mapping.DimM, g.ax[1].cands[im])
-								setGLBTile(g.m, l, mapping.DimP, g.ax[2].cands[ip])
-								setGLBTile(g.m, l, mapping.DimQ, g.ax[3].cands[iq])
-								wE, iE, oE, occ := g.pointOcc(wb, ic, im, ip, iq)
-								if want := g.m.GLBBitsUsed(l); occ != want {
-									t.Fatalf("%s %v point(%d,%d,%d,%d): occ %d, GLBBitsUsed %d",
-										l.Name, sp, ic, im, ip, iq, occ, want)
-								}
-								if occ > req.GLBBits {
-									continue
-								}
-								lb := g.pointLB(wb, req.EffectiveBytesPerCycle, minTraffic, wE, iE, oE, ic, im, ip, iq)
-								an := g.m.Analyze(l)
-								want := model.SchedulingCyclesFor(an.Compute, an.MinOffchipElems*wb, req.EffectiveBytesPerCycle)
-								if want < minTraffic {
-									want = minTraffic
-								}
-								if lb != want {
-									t.Fatalf("%s %v point(%d,%d,%d,%d): lb %d, Analyze-based %d",
-										l.Name, sp, ic, im, ip, iq, lb, want)
-								}
-							}
-						}
-					}
 				}
 			}
 		}

@@ -18,7 +18,7 @@ func TestStoreKeyPinned(t *testing.T) {
 		pesX: 14, pesY: 12, glb: 1 << 18, rf: 4096, effBW: 30.0 / 7, topK: 6,
 		opt: Options{Mode: Guided, Epsilon: 0.125, DisableWarmStart: true},
 	}
-	const want = "477e0668b60cb39b4b4f102b56e7eab810659f08833d2f40462675a6aa3d0be3"
+	const want = "7bbf230ba0d3aa4753356938d0b97bbc041a91217d50a6c0e67defdd9880c137"
 	if got := persistSearchKey(k); hex.EncodeToString(got[:]) != want {
 		t.Fatalf("mapper.search key = %x, want %s", got, want)
 	}

@@ -10,11 +10,12 @@
 // layer per design point). Every search runs best-first (guided.go): it
 // bounds each capacity-feasible tiling from per-dimension tables, then
 // scores tilings in ascending-bound order until no unscored one can enter
-// the top-k. Scoring (scoreTiling) mutates one reusable Mapping per spatial
-// choice, derives the permutation-independent cost terms once per tiling
-// (mapping.TilingAnalysis), and clones a Mapping only when a candidate
-// actually enters the top-k. The pre-optimisation search is retained in
-// reference_test.go as the oracle for the search-equivalence tests.
+// the top-k. Scoring reads the same tables: each permutation's traffic is a
+// product of the tiling's DRAM trip counts along the loop order, so no
+// tiling is walked through the full model, and one reusable Mapping per
+// spatial choice is copied only when a candidate actually enters the
+// top-k. The pre-optimisation search is retained in reference_test.go as
+// the oracle for the search-equivalence tests.
 package mapper
 
 import (
@@ -218,46 +219,6 @@ func baseMapping(l *workload.Layer, sp spatialChoice) *mapping.Mapping {
 	return m
 }
 
-// scoreTiling scores the capacity-feasible tiling currently held by m under
-// every permutation heuristic. The tiling is analysed once; each permutation
-// then costs one loop-order traffic product. m is cloned only when a
-// candidate passes the top-k admission gate.
-func scoreTiling(req Request, m *mapping.Mapping, minTrafficCycles int64, best *topK) {
-	l := req.Layer
-	an := m.Analyze(l)
-
-	// Per-tiling lower bound over all permutations: compute cycles plus the
-	// cycles to fetch every distinct tile of every datatype once. Tilings
-	// that cannot beat the current k-th best skip permutation scoring.
-	lower := model.SchedulingCyclesFor(an.Compute, an.MinOffchipElems*int64(l.WordBits), req.EffectiveBytesPerCycle)
-	if lower < minTrafficCycles {
-		lower = minTrafficCycles
-	}
-	if kth, full := best.kthCycles(); full && lower > kth {
-		return
-	}
-
-	// All permutations of one tiling share its signature, so at most one of
-	// them survives in the top-k map. Fold them to a local winner first —
-	// ties go to the later permutation, exactly as sequential offers resolve
-	// them — and pay the admission lookup and mapping copy once.
-	wordBits := int64(l.WordBits)
-	var winCycles, winBits int64
-	var winPerm []mapping.Dim
-	for _, perm := range permHeuristics {
-		bits := an.OffchipElems(perm) * wordBits
-		cycles := model.SchedulingCyclesFor(an.Compute, bits, req.EffectiveBytesPerCycle)
-		if winPerm == nil || cycles < winCycles || (cycles == winCycles && bits <= winBits) {
-			winCycles, winBits, winPerm = cycles, bits, perm
-		}
-	}
-	sig := signature(m)
-	if !best.admit(sig, winCycles, winBits) {
-		return
-	}
-	best.insert(sig, winCycles, winBits, m, winPerm)
-}
-
 // setGLBTile sets the GLB-level factor so that the tile covers `tile`
 // iterations of the dimension, given the factors already fixed below GLB.
 func setGLBTile(m *mapping.Mapping, l *workload.Layer, d mapping.Dim, tile int) {
@@ -287,20 +248,32 @@ var permHeuristics = [][]mapping.Dim{
 // sigKey is the DRAM-tiling signature used as the top-k map key. A fixed
 // byte array (unlike the string it replaced) is comparable without any
 // per-offer allocation.
-type sigKey [4 * int(mapping.NumDims)]byte
+type sigKey [sigLowBytes + 5*int(mapping.NumDims)]byte
+
+// sigLowBytes is the length of the signature's first part: per dimension,
+// the low 16 bits of the GLB tile extent and the low 8 bits of each
+// spatial factor.
+const sigLowBytes = 4 * int(mapping.NumDims)
 
 // signature captures the DRAM-level tile geometry: GLB tile extents and
 // spatial factors per dimension (permutation excluded). Together with the
 // layer it determines the whole pre-permutation mapping, so equal signatures
 // imply interchangeable candidates up to loop order.
+//
+// The low bytes of every value come first and the high bytes after them.
+// Validate caps layer dimensions and PE axes at 2^20, so a tile extent
+// stays below 2^21 and a spatial factor at most 2^20: three bytes hold
+// each. Ties in the top-k order break on these bytes, and with the high
+// bytes last, tilings whose extents fit the low bytes (every built-in
+// layer's) rank exactly as they would without them.
 func signature(m *mapping.Mapping) sigKey {
 	var b sigKey
 	for i, d := range mapping.Dims {
 		t := m.TileDim(mapping.GLB, d)
-		b[4*i] = byte(t)
-		b[4*i+1] = byte(t >> 8)
-		b[4*i+2] = byte(m.Factor(mapping.SpatialX, d))
-		b[4*i+3] = byte(m.Factor(mapping.SpatialY, d))
+		x, y := m.Factor(mapping.SpatialX, d), m.Factor(mapping.SpatialY, d)
+		b[4*i], b[4*i+1], b[4*i+2], b[4*i+3] = byte(t), byte(t>>8), byte(x), byte(y)
+		h := b[sigLowBytes+5*i:]
+		h[0], h[1], h[2], h[3], h[4] = byte(t>>16), byte(x>>8), byte(x>>16), byte(y>>8), byte(y>>16)
 	}
 	return b
 }

@@ -15,8 +15,8 @@ func TestSnapTile(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 1}, {3, 3}, {8, 3}, {9, 9}, {15, 9},
 		{16, 16}, {26, 16}, {27, 27}, {100, 27},
 	} {
-		if got := snapTile(cands, tc.tile); got != tc.want {
-			t.Errorf("snapTile(%d) = %d, want %d", tc.tile, got, tc.want)
+		if got := cands[snapIdx(cands, tc.tile)]; got != tc.want {
+			t.Errorf("snapIdx(%d) picks %d, want %d", tc.tile, got, tc.want)
 		}
 	}
 }

@@ -189,9 +189,10 @@ func SchedulingCycles(layer *workload.Layer, m *mapping.Mapping, effectiveBytesP
 // SchedulingCyclesFor is the permutation-dependent half of SchedulingCycles:
 // given the (tiling-invariant) compute cycles and the off-chip traffic of one
 // loop order, it applies the effective-bandwidth bottleneck. The mapper's
-// hot path derives both inputs from a mapping.TilingAnalysis so that the
-// permutation heuristics share one tiling walk; the arithmetic here is
-// bit-identical to SchedulingCycles.
+// search derives both inputs from its per-dimension tables, which replicate
+// TemporalIterations and Offchip, so the permutation heuristics of a tiling
+// share one set of trip counts; the arithmetic here is bit-identical to
+// SchedulingCycles.
 func SchedulingCyclesFor(computeCycles, offchipBits int64, effectiveBytesPerCycle float64) int64 {
 	bytes := float64(offchipBits) / 8
 	dram := int64(math.Ceil(bytes / effectiveBytesPerCycle))

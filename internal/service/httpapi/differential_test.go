@@ -116,15 +116,19 @@ func TestServingPathsAgree(t *testing.T) {
 }
 
 // TestIgnoredFieldsShareKeys: a field the computation ignores — epsilon in
-// an exhaustive search, an orientation without a sweep curve — splits no
-// key. The body with it joins the plain body's flight and replays the
-// plain body's store record, and a schedule that differs from the plain
-// one in its annealing budget as well runs no mapper search over that
-// store: every layer replays the plain request's mapper records.
+// an exhaustive search, an orientation without a sweep curve,
+// disable_warm_start in a sweep, whose points never use warm starts —
+// splits no key. The body with it joins the plain body's flight and replays
+// the plain body's store records (a sweep's from the points' records), and
+// a schedule that differs from the plain one in its annealing budget as
+// well runs no mapper search over that store: every layer replays the
+// plain request's mapper records.
 func TestIgnoredFieldsShareKeys(t *testing.T) {
 	const authBlock = `{"producer": {"c": 64, "h": 56, "w": 56, "tile_c": 32, "tile_h": 14, "tile_w": 8, "writes_per_tile": 1},
 		"consumer": {"tile_c": 64, "win_h": 10, "win_w": 10, "step_h": 8, "step_w": 8, "off_h": -1, "off_w": -1,
 		             "count_c": 1, "count_h": 7, "count_w": 7, "fetches_per_tile": 1}`
+	const guidedSweep = `{"network": "alexnet", "specs": [{}, {"global_buffer_bytes": 16384}], "cryptos": [{}],
+		"anneal_iterations": 20, "front": true, "mapper": {"mode": "guided"`
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -136,6 +140,8 @@ func TestIgnoredFieldsShareKeys(t *testing.T) {
 			[]string{`{"network": "alexnet", "mapper": {"epsilon": 0.5}}`}},
 		{"orientation without max_u", "/v1/authblock", authBlock + `}`,
 			[]string{authBlock + `, "orientation": "vertical"}`}},
+		{"sweep disable_warm_start", "/v1/sweep", guidedSweep + `}}`,
+			[]string{guidedSweep + `, "disable_warm_start": true}}`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resetMemos()
@@ -148,8 +154,12 @@ func TestIgnoredFieldsShareKeys(t *testing.T) {
 			resetMemos()
 			p := begin(t, service.New(service.Config{Store: st}), tc.path, tc.variants[0], service.SubmitOptions{})
 			checkBody(t, "store replay", want, awaitBody(t, p))
-			if _, _, storeHit, _, _ := p.Result(); !storeHit {
-				t.Errorf("%s missed the plain body's store record", tc.variants[0])
+			_, _, storeHit, _, _ := p.Result()
+			if sw := p.Accounting().Sweep; tc.path == "/v1/sweep" {
+				storeHit = sw.FullEvals > 0 && sw.StoreHits == sw.FullEvals
+			}
+			if !storeHit {
+				t.Errorf("%s missed the plain body's store records", tc.variants[0])
 			}
 		})
 	}

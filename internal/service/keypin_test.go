@@ -45,19 +45,19 @@ func TestStoreKeyPinned(t *testing.T) {
 		{"service.schedule", persistScheduleKey(&ScheduleRequest{
 			Network: net, Spec: spec(131072), Crypto: crypto(3), Algorithm: core.CryptOptCross,
 			Objective: core.MinEDP, TopK: 5, AnnealIterations: 400, Mapper: opt,
-		}), "13fe2f1fbb0802f6b625616e6b38500dfc9dbf9a26bdef9a94d700939128eea7"},
+		}), "cbd322637cc7eac93274d270b55e428de765f6adb10ee9ae6ef04e6cfc636ffc"},
 		{"service.sweep", persistSweepKey(&SweepRequest{
 			Network: net, Specs: []arch.Spec{spec(65536), spec(131072)},
 			Cryptos: []cryptoengine.Config{crypto(1), crypto(3)}, Algorithm: core.CryptOptSingle,
 			AnnealIterations: 400, Mapper: opt, Front: true,
-		}), "6ae345a663f3e7888ed79cd3689784088be4d6826e581017708444162b08fe34"},
+		}), "d177a3204677dd65af587cf6464d3b6bba9194f7c7624370bbdf7d9d84a6a161"},
 		{"service.authblock", persistAuthBlockKey(&AuthBlockRequest{
 			Producer: authblock.ProducerGrid{C: 64, H: 30, W: 28, TileC: 16, TileH: 6, TileW: 7, WritesPerTile: 2},
 			Consumer: authblock.ConsumerGrid{TileC: 8, WinH: 5, WinW: 9, StepH: 3, StepW: 4, OffH: -1, OffW: -2,
 				CountC: 8, CountH: 10, CountW: 7, FetchesPerTile: 3},
 			Params:      authblock.Params{WordBits: 16, HashBits: 64},
 			Orientation: authblock.AlongC, MaxU: 64,
-		}), "b97c6fff922cea14c41e7d525b035dac7899ae2eb020d842010f6fcc8645d9c6"},
+		}), "c5b9ab16b00a4347aa908265602613daca36e022234d7d44ec40a9a47275b456"},
 	} {
 		if got := hex.EncodeToString(tc.key[:]); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.name, got, tc.want)

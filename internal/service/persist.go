@@ -104,7 +104,9 @@ func (req *SweepRequest) optionsEnc(e *store.Enc) dse.Options {
 			req.Cryptos[i].Encode(e)
 		}
 		e.Int(int64(req.AnnealIterations))
-		req.Mapper.Encode(e)
+		// A sweep runs without warm starts whatever the request says, so
+		// disable_warm_start splits no flight.
+		dse.SweepMapper(req.Mapper).Encode(e)
 	}
 	return opt
 }

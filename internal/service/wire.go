@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"secureloop/internal/arch"
@@ -18,7 +19,9 @@ import (
 // internal/service/client sends. Decoding resolves them into the typed
 // requests of this package; every named thing (network, DRAM tech, crypto
 // engine, algorithm, objective, mapper mode, orientation) is looked up
-// against the corresponding registry so typos fail loudly at the edge.
+// against the corresponding registry so typos fail loudly at the edge. A
+// numeric field left at zero means "absent" (the default applies); a
+// negative one is refused, never replaced by the default (rejectNegative).
 
 // ScheduleWire is the /v1/schedule request body.
 type ScheduleWire struct {
@@ -73,7 +76,8 @@ type MapperWire struct {
 	// Epsilon is the guided search's exploration margin; exhaustive mode
 	// ignores it.
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// DisableWarmStart turns off cross-request warm starts.
+	// DisableWarmStart turns off cross-request warm starts in a guided
+	// schedule; a sweep never uses them, so it ignores the field.
 	DisableWarmStart bool `json:"disable_warm_start,omitempty"`
 }
 
@@ -123,15 +127,16 @@ type ProducerWire struct {
 	WritesPerTile int64 `json:"writes_per_tile,omitempty"`
 }
 
-// ConsumerWire mirrors authblock.ConsumerGrid.
+// ConsumerWire mirrors authblock.ConsumerGrid. OffH and OffW are signed: a
+// window may start before the tensor.
 type ConsumerWire struct {
 	TileC          int   `json:"tile_c"`
 	WinH           int   `json:"win_h"`
 	WinW           int   `json:"win_w"`
 	StepH          int   `json:"step_h"`
 	StepW          int   `json:"step_w"`
-	OffH           int   `json:"off_h,omitempty"`
-	OffW           int   `json:"off_w,omitempty"`
+	OffH           int   `json:"off_h,omitempty" wire:"signed"`
+	OffW           int   `json:"off_w,omitempty" wire:"signed"`
 	CountC         int   `json:"count_c"`
 	CountH         int   `json:"count_h"`
 	CountW         int   `json:"count_w"`
@@ -140,6 +145,9 @@ type ConsumerWire struct {
 
 // Resolve turns the wire form into a typed ScheduleRequest.
 func (w *ScheduleWire) Resolve() (*ScheduleRequest, error) {
+	if err := rejectNegative(reflect.ValueOf(w), ""); err != nil {
+		return nil, err
+	}
 	net, err := resolveNetwork(w.Network)
 	if err != nil {
 		return nil, err
@@ -178,6 +186,9 @@ func (w *ScheduleWire) Resolve() (*ScheduleRequest, error) {
 
 // Resolve turns the wire form into a typed SweepRequest.
 func (w *SweepWire) Resolve() (*SweepRequest, error) {
+	if err := rejectNegative(reflect.ValueOf(w), ""); err != nil {
+		return nil, err
+	}
 	net, err := resolveNetwork(w.Network)
 	if err != nil {
 		return nil, err
@@ -219,6 +230,9 @@ func (w *SweepWire) Resolve() (*SweepRequest, error) {
 
 // Resolve turns the wire form into a typed AuthBlockRequest.
 func (w *AuthBlockWire) Resolve() (*AuthBlockRequest, error) {
+	if err := rejectNegative(reflect.ValueOf(w), ""); err != nil {
+		return nil, err
+	}
 	par := authblock.DefaultParams()
 	if w.WordBits > 0 {
 		par.WordBits = w.WordBits
@@ -253,6 +267,48 @@ func (w *AuthBlockWire) Resolve() (*AuthBlockRequest, error) {
 		Orientation: o,
 		MaxU:        w.MaxU,
 	}, nil
+}
+
+// rejectNegative returns an error naming the first numeric field of the
+// wire value v that states a negative number. Zero means "absent", so no
+// negative value is a default spelled out: it is refused rather than
+// replaced by the base value. It walks nested structs and pointers and
+// slices of them, names a field by its JSON path (for example
+// "specs[1].pes_x"), and lets fields tagged `wire:"signed"` be negative.
+func rejectNegative(v reflect.Value, path string) error {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return rejectNegative(v.Elem(), path)
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Struct {
+			for i := range v.Len() {
+				if err := rejectNegative(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+					return err
+				}
+			}
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			f := v.Type().Field(i)
+			if f.Tag.Get("wire") == "signed" {
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if path != "" {
+				name = path + "." + name
+			}
+			if err := rejectNegative(v.Field(i), name); err != nil {
+				return err
+			}
+		}
+	case reflect.Int, reflect.Int64, reflect.Float64:
+		if v.CanInt() && v.Int() < 0 || v.CanFloat() && v.Float() < 0 {
+			return fmt.Errorf("service: %s must not be negative (got %v)", path, v)
+		}
+	}
+	return nil
 }
 
 // resolveNetwork accepts either a quoted built-in network name or an inline

@@ -39,7 +39,8 @@ const (
 // resolve, answered or failed, within 2 s: validation bounds the work.
 func FuzzWireRequest(f *testing.F) {
 	// The request bodies of the README's curl examples, then extreme
-	// values for every numeric knob.
+	// values for every numeric knob, then negative ones (refused, except
+	// the consumer's signed offsets).
 	seeds := []struct {
 		kind byte
 		body string
@@ -64,6 +65,11 @@ func FuzzWireRequest(f *testing.F) {
 		{wireAuthBlock, `{"producer": {"c": 9000000000000000000, "h": 1, "w": 1, "tile_c": 1, "tile_h": 1, "tile_w": 1, "writes_per_tile": 1},
        "consumer": {"tile_c": 1, "win_h": 1, "win_w": 1, "step_h": 1, "step_w": 1, "count_c": 9000000000000000000, "count_h": 1, "count_w": 1, "fetches_per_tile": 1},
        "word_bits": 9000000000000000000, "max_u": 9000000000000000000}`},
+		{wireSchedule, `{"network": "alexnet", "arch": {"pes_x": -4}, "crypto": {"count": -1}, "top_k": -6}`},
+		{wireSweep, `{"network": "alexnet", "specs": [{}, {"global_buffer_bytes": -1}], "cryptos": [{}], "mapper": {"epsilon": -0.5}}`},
+		{wireAuthBlock, `{"producer": {"c": -64, "h": 56, "w": 56, "tile_c": 32, "tile_h": 14, "tile_w": 8, "writes_per_tile": 1},
+       "consumer": {"tile_c": 64, "win_h": 10, "win_w": 10, "step_h": 8, "step_w": 8, "off_h": -1, "off_w": -1,
+                    "count_c": 1, "count_h": 7, "count_w": 7, "fetches_per_tile": 1}}`},
 	}
 	for _, s := range seeds {
 		f.Add(s.kind, []byte(s.body))

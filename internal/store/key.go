@@ -33,8 +33,11 @@ import (
 //
 // Version 2 retires the mapper-tier and network-tier records written before
 // exhaustive-mode searches became exact on layers whose stride exceeds the
-// filter extent (DESIGN.md §13).
-const Version byte = 2
+// filter extent (DESIGN.md §13). Version 3 retires those written before the
+// mapper's top-k signature held tile extents and spatial factors in full:
+// distinct tilings of a layer with an extent of 2^16 or more could share one
+// top-k slot, so their stored answers may differ from today's.
+const Version byte = 3
 
 // Key is a content address: the SHA-256 of a canonical encoding.
 type Key [sha256.Size]byte
