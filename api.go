@@ -37,7 +37,9 @@
 // HTTP/JSON daemon (internal/service): typed requests, a bounded admission
 // queue, singleflight coalescing of identical in-flight requests, SSE
 // progress streaming, and warm answers from a shared persistent store.
-// internal/service/client is its typed Go client.
+// Programs talk to it over HTTP: the typed Go client in
+// internal/service/client is internal, so only this module's tests can
+// import it.
 package secureloop
 
 import (

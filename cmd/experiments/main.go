@@ -18,9 +18,9 @@
 // schedules from disk instead of recomputing them. -progress streams per-stage
 // scheduling progress to stderr; Figures 13–16 are design-space sweeps, so
 // for them it prints one sweep-level line per design point, as cmd/dse
-// -progress does. -cachestats reports every memoisation
-// tier's hit ratio and counters (mapper search cache, tile-candidate
-// cache, warm-start store, AuthBlock memos, persistent store) after the
+// -progress does. -cachestats reports every memoisation tier's hit ratio
+// and counters (mapper search cache, tile-candidate cache, warm-start
+// store, search-floor cache, AuthBlock memos, persistent store) after the
 // run, with the best-first mapper and AuthBlock searches the run's
 // schedulers reported.
 //
@@ -191,10 +191,11 @@ func ratio(hits, misses int64) string {
 // reported (work), and (when -store is set) the persistent cross-process
 // tier.
 func printCacheStats(st *store.Store, work obs.Counts) {
-	ms, mt, mw := mapper.CacheStats()
+	ms, mt, mw, mb := mapper.CacheStats()
 	printMemo("mapper search cache:", ms)
 	printMemo("mapper tile cache:", mt)
 	printMemo("mapper warm store:", mw)
+	printMemo("mapper bound cache:", mb)
 	fmt.Printf("guided search:        %d searches, %d evaluated, %d pruned, %d skipped, %d warm seeds\n",
 		work.MapperSearches, work.Evaluated, work.Pruned, work.Skipped, work.WarmSeeds)
 	ao, at, ad, as := authblock.CacheStats()

@@ -185,30 +185,21 @@ type coordinator struct {
 
 // computeBounds is the pre-pass: exact area always; the cycle lower bound
 // only when pruning is on (it is the only part that costs anything). The
-// bound depends on the crypto config only through the effective bandwidth,
-// so it is memoised per spec by effBW — a sweep's crypto axis mostly
-// collapses onto a few distinct bandwidths. The context is polled once per
-// spec.
+// layer bounds behind it are memoised process-wide by mapper.SearchLowerBound
+// per layer shape, PE array, RF size and effective bandwidth, so a sweep's
+// crypto axis mostly collapses onto a few distinct bandwidths, its buffer
+// axis onto one entry, and a repeated sweep computes none. The context is
+// polled once per spec.
 func (c *coordinator) computeBounds(ctx context.Context) error {
 	for si := range c.specs {
 		if cerr := ctx.Err(); cerr != nil {
 			return sweepErr(cerr)
 		}
-		var memo map[float64]int64
-		if c.opt.Prune {
-			memo = make(map[float64]int64)
-		}
 		for ci := range c.cryptos {
 			idx := num.MulInt(si, len(c.cryptos)) + ci
 			b := PointBound{AreaMM2: pointArea(c.specs[si], c.cryptos[ci])}
 			if c.opt.Prune {
-				bw := core.EffectiveBandwidth(c.specs[si], c.cryptos[ci], c.alg)
-				lb, ok := memo[bw]
-				if !ok {
-					lb = networkCycleLB(c.net, c.specs[si], c.cryptos[ci], c.alg)
-					memo[bw] = lb
-				}
-				b.CycleLB = lb
+				b.CycleLB = networkCycleLB(c.net, c.specs[si], c.cryptos[ci], c.alg)
 			}
 			c.jobs[idx] = pointJob{Index: idx, SpecIdx: si, CryptoIdx: ci, Bound: b}
 		}

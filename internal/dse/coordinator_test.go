@@ -116,6 +116,45 @@ func TestCoordinatorWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestRepeatedSweepReusesBounds: a second identical pruned sweep in one
+// process returns the same points without computing a layer bound again.
+// Its searches are memo hits, so the bound pre-pass would be the only
+// caller of the tile-candidate memo: neither the bound memo's misses nor
+// the tile memo's lookups move during the second sweep.
+func TestRepeatedSweepReusesBounds(t *testing.T) {
+	resetInMemoryCaches()
+	defer resetInMemoryCaches()
+	base := arch.Base()
+	specs := []arch.Spec{base.WithGlobalBuffer(16 * 1024), base.WithPEs(28, 24)}
+	cryptos := []cryptoengine.Config{
+		{Engine: cryptoengine.Parallel(), CountPerDatatype: 1},
+		{Engine: cryptoengine.Pipelined(), CountPerDatatype: 1},
+	}
+	net := workload.AlexNet()
+	opt := coordOpts()
+	opt.Prune = true
+	opt.MaxParallel = 1
+	first, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tileBefore, _, boundBefore := mapper.CacheStats()
+	second, err := Sweep(context.Background(), net, specs, cryptos, core.CryptOptSingle, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tileAfter, _, boundAfter := mapper.CacheStats()
+	if !reflect.DeepEqual(second.Points, first.Points) || !reflect.DeepEqual(second.Front, first.Front) {
+		t.Fatal("the repeated sweep returned different points")
+	}
+	if boundAfter.Misses != boundBefore.Misses || boundAfter.Hits <= boundBefore.Hits {
+		t.Errorf("bound memo: %+v before the repeat, %+v after; want hits only", boundBefore, boundAfter)
+	}
+	if got, want := tileAfter.Hits+tileAfter.Misses, tileBefore.Hits+tileBefore.Misses; got != want {
+		t.Errorf("tile memo lookups moved from %d to %d during the repeat", want, got)
+	}
+}
+
 // TestCoordinatorUnprunedMode: with Prune off the coordinator evaluates
 // every point, returns all of them in canonical order exactly as the serial
 // oracle does, and marks the reference front.

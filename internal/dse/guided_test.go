@@ -50,7 +50,7 @@ func TestSweepGuidedMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, warm := mapper.CacheStats(); warm != (memo.Stats{}) {
+	if _, _, warm, _ := mapper.CacheStats(); warm != (memo.Stats{}) {
 		t.Errorf("the guided sweep used the warm-start store: %+v", warm)
 	}
 	ex, gd := exRes.Points, gdRes.Points

@@ -78,13 +78,17 @@ func BenchmarkSweepColdPruned(b *testing.B) {
 // BenchmarkSweepBoundsPrepass isolates the coordinator's pre-pass: the
 // per-point exact area and cycle lower bound over the same space, nothing
 // else. Its ns/op is what every pruned sweep pays before any pruning can
-// happen; BENCH_PR9.json records it as a small fraction of the cold
-// sweep.
+// happen, the first time a process meets the space; BENCH_PR9.json records
+// it as a small fraction of the cold sweep. The memos are dropped before
+// each iteration, so it never times bound memo hits.
 func BenchmarkSweepBoundsPrepass(b *testing.B) {
 	net := workload.AlexNet()
 	specs, cryptos := pruneSweepSpace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		resetInMemoryCaches()
+		b.StartTimer()
 		c := &coordinator{
 			net: net, specs: specs, cryptos: cryptos, alg: core.CryptOptSingle,
 			opt:  Options{Prune: true},
@@ -99,4 +103,6 @@ func BenchmarkSweepBoundsPrepass(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
+	resetInMemoryCaches()
 }

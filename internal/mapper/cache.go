@@ -36,6 +36,31 @@ type cacheKey struct {
 
 var searchMemo = memo.New[cacheKey, []Candidate](0, hashCacheKey)
 
+// The bound memo keeps SearchLowerBound per layer shape, PE array, RF size
+// and effective bandwidth (boundKey). A sweep's pre-pass asks for the same
+// layer bounds at every buffer size and again on every repeat of the sweep,
+// so one entry serves them all. The bound is a pure function of its key, so
+// the FIFO bound is safe: an evicted entry costs a recompute, never
+// different bytes.
+var boundMemo = memo.New[cacheKey, int64](boundCapacity, hashCacheKey)
+
+const boundCapacity = 4096
+
+// boundKey is req's bound memo key: the search memo's key without the
+// layer name and the fields SearchLowerBound never reads (TopK, Opt and
+// GLBBits: newGuidedPart, trafficFloor, fallbackCandidates and
+// spatialChoices never touch the buffer capacity).
+// TestSearchLowerBoundModeIndependent checks that none of them moves the
+// bound.
+func boundKey(req Request) cacheKey {
+	key := cacheKey{
+		layer: *req.Layer, pesX: req.PEsX, pesY: req.PEsY,
+		rf: req.RFBits, effBW: req.EffectiveBytesPerCycle,
+	}
+	key.layer.Name = ""
+	return key
+}
+
 func hashCacheKey(k cacheKey) uint64 {
 	l := k.layer
 	return memo.Hash(
@@ -56,18 +81,19 @@ func b2u(b bool) uint64 {
 }
 
 // CacheStats snapshots the counters of the search memo, the tile-candidate
-// memo and the warm-start store.
-func CacheStats() (search, tile, warm memo.Stats) {
-	return searchMemo.Stats(), tileMemo.Stats(), warmMemo.Stats()
+// memo, the warm-start store and the search-floor memo.
+func CacheStats() (search, tile, warm, bound memo.Stats) {
+	return searchMemo.Stats(), tileMemo.Stats(), warmMemo.Stats(), boundMemo.Stats()
 }
 
-// ResetCaches drops the search memo, the tile-candidate memo and the
-// warm-start store, and zeroes their counters (benchmarks and tests that
-// need a cold process).
+// ResetCaches drops the search memo, the tile-candidate memo, the
+// warm-start store and the search-floor memo, and zeroes their counters
+// (benchmarks and tests that need a cold process).
 func ResetCaches() {
 	searchMemo.Reset()
 	tileMemo.Reset()
 	warmMemo.Reset()
+	boundMemo.Reset()
 }
 
 // cacheTopK is the k the cache stores; requests for smaller k slice the

@@ -96,7 +96,7 @@ func TestSearchCachedSingleflight(t *testing.T) {
 			t.Fatalf("caller %d saw a different result", i)
 		}
 	}
-	st, _, _ := CacheStats()
+	st, _, _, _ := CacheStats()
 	if st.Misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 (singleflight)", st.Misses)
 	}
@@ -108,7 +108,7 @@ func TestSearchCachedSingleflight(t *testing.T) {
 	}
 	// A second, sequential call is a plain hit.
 	searchCached(t, req)
-	if got, _, _ := CacheStats(); got.Hits != st.Hits+1 {
+	if got, _, _, _ := CacheStats(); got.Hits != st.Hits+1 {
 		t.Errorf("sequential re-request did not hit: %+v", got)
 	}
 }
@@ -116,9 +116,10 @@ func TestSearchCachedSingleflight(t *testing.T) {
 func TestCacheStatsResets(t *testing.T) {
 	l := benchLayer()
 	searchCached(t, guidedRequest(benchRequest(&l), 0, true))
+	SearchLowerBound(benchRequest(&l))
 	ResetCaches()
-	search, tile, warm := CacheStats()
-	if search != (memo.Stats{}) || tile != (memo.Stats{}) || warm != (memo.Stats{}) {
-		t.Fatalf("stats after reset: search %+v, tile %+v, warm %+v", search, tile, warm)
+	search, tile, warm, bound := CacheStats()
+	if search != (memo.Stats{}) || tile != (memo.Stats{}) || warm != (memo.Stats{}) || bound != (memo.Stats{}) {
+		t.Fatalf("stats after reset: search %+v, tile %+v, warm %+v, bound %+v", search, tile, warm, bound)
 	}
 }

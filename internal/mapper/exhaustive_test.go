@@ -130,14 +130,14 @@ func TestExhaustiveLeavesWarmStoreAlone(t *testing.T) {
 	ResetCaches()
 	req := floorHoldingRequest(t)
 	searchUncached(t, guidedRequest(req, 0, true)) // stores seeds for the shape
-	_, _, warmBefore := CacheStats()
+	_, _, warmBefore, _ := CacheStats()
 	if warmBefore.Entries == 0 {
 		t.Fatal("the guided search stored no seeds")
 	}
 	var work obs.Tally
 	req.Observe = &work
 	searchUncached(t, req)
-	if _, _, warm := CacheStats(); warm != warmBefore {
+	if _, _, warm, _ := CacheStats(); warm != warmBefore {
 		t.Errorf("exhaustive search touched the warm store: %+v, before %+v", warm, warmBefore)
 	}
 	g := work.Counts()

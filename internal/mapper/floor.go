@@ -8,11 +8,17 @@
 
 package mapper
 
-import "secureloop/internal/workload"
+import (
+	"context"
+
+	"secureloop/internal/workload"
+)
 
 // SearchLowerBound returns a lower bound on the scheduling cycles of the
-// best candidate SearchCtx can return for req, in either mode and at any
-// TopK. It never reads req.Opt.
+// best candidate SearchCtx can return for req, in either mode, at any TopK
+// and at any buffer capacity. It never reads req.Opt, req.TopK or
+// req.GLBBits, so the process-wide bound memo (cache.go) keys it without
+// them: one entry serves every buffer size of a PE array.
 //
 // The bound is the minimum over all RF-feasible spatial choices of the
 // choice's optimistic lattice bound (guidedPart.minLB: the product of
@@ -32,8 +38,17 @@ import "secureloop/internal/workload"
 // Like the search itself, the bound arithmetic uses the mapping package's
 // checked multiplies and may panic on pathological layer shapes; callers on
 // untrusted inputs should guard with obs.Guard and treat a panic as "no
-// usable bound".
+// usable bound". A panicking computation is never memoised.
 func SearchLowerBound(req Request) int64 {
+	// The compute cannot fail and the background wait is never cancelled.
+	lb, _ := boundMemo.Do(context.Background(), boundKey(req), func() (int64, error) {
+		return searchLowerBound(req), nil
+	})
+	return lb
+}
+
+// searchLowerBound computes SearchLowerBound without the memo.
+func searchLowerBound(req Request) int64 {
 	minTraffic := trafficFloor(req)
 	lb := fallbackCandidates(req)[0].Cycles
 	for _, sp := range spatialChoices(req.Layer, req.PEsX, req.PEsY) {

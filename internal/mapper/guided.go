@@ -399,19 +399,28 @@ func (g *guidedPart) offchipElems(perm []mapping.Dim, idx [4]int, elems [3]int64
 // permutations of one tiling share its signature, so at most one of them
 // survives in the top-k map: they fold to a local winner first — ties go to
 // the later permutation, exactly as sequential offers resolve them — and
-// pay the admission lookup and the mapping copy once.
+// pay the admission lookup and the mapping copy once. The permutations
+// share the compute cycles and SchedulingCyclesFor is monotone
+// nondecreasing in bits, so the fewest bits win on (cycles, bits) too, and
+// the winner needs the one cycles call. A winner above a full top-k's k-th
+// cycles returns before its signature is built: admit would reject it,
+// whether its signature is new or held (a held signature is this tiling at
+// this score, and admit rejects ties).
 func (g *guidedPart) score(req Request, idx [4]int, elems [3]int64, best *topK) {
 	l := req.Layer
 	compute := g.pointCompute(idx)
 	wordBits := int64(l.WordBits)
-	var winCycles, winBits int64
+	var winBits int64
 	var winPerm []mapping.Dim
 	for _, perm := range permHeuristics {
 		bits := g.offchipElems(perm, idx, elems) * wordBits // unchecked, like SchedulingCycles
-		cycles := model.SchedulingCyclesFor(compute, bits, req.EffectiveBytesPerCycle)
-		if winPerm == nil || cycles < winCycles || (cycles == winCycles && bits <= winBits) {
-			winCycles, winBits, winPerm = cycles, bits, perm
+		if winPerm == nil || bits <= winBits {
+			winBits, winPerm = bits, perm
 		}
+	}
+	winCycles := model.SchedulingCyclesFor(compute, winBits, req.EffectiveBytesPerCycle)
+	if kth, full := best.kthCycles(); full && winCycles > kth {
+		return
 	}
 	for i, d := range tiledDims {
 		setGLBTile(g.m, l, d, g.ax[i].cands[idx[i]])

@@ -25,7 +25,7 @@ func TestTileCacheHitsAndIdentity(t *testing.T) {
 			t.Fatalf("cached candidates %v, computed %v", a, want)
 		}
 	}
-	_, s, _ := CacheStats()
+	_, s, _, _ := CacheStats()
 	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
 		t.Errorf("stats after one miss + one hit: %+v", s)
 	}
@@ -43,7 +43,7 @@ func TestTileCacheBounded(t *testing.T) {
 			t.Fatalf("no candidates for bound %d", b)
 		}
 	}
-	_, s, _ := CacheStats()
+	_, s, _, _ := CacheStats()
 	if s.Misses != lookups {
 		t.Errorf("Misses = %d, want %d", s.Misses, lookups)
 	}

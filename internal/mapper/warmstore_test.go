@@ -79,7 +79,7 @@ func TestWarmStoreBounded(t *testing.T) {
 		ri.Layer = &li
 		warmPut(ri, out)
 	}
-	_, _, s := CacheStats()
+	_, _, s, _ := CacheStats()
 	if s.Stores != puts {
 		t.Errorf("Stores = %d, want %d", s.Stores, puts)
 	}
@@ -197,7 +197,7 @@ func TestGuidedWarmHitSeeds(t *testing.T) {
 	if warm.Counts().WarmSeeds == 0 {
 		t.Error("neighbouring search applied no warm seeds")
 	}
-	if _, _, warm := CacheStats(); warm.Hits == 0 {
+	if _, _, warm, _ := CacheStats(); warm.Hits == 0 {
 		t.Error("neighbouring search missed the warm store")
 	}
 	exReq := neighbour

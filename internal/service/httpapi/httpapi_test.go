@@ -560,14 +560,21 @@ type benchCache struct {
 
 func (c benchCache) lookups() int64 { return c.Hits + c.Misses + c.Shared }
 
-func getBenchStats(t *testing.T, base string) benchStats {
+// boundStats is the search-floor memo's entry in /v1/stats, which the
+// benchmark driver does not decode.
+type boundStats struct {
+	MapperBound benchCache `json:"mapper_bound_cache"`
+}
+
+// getStats decodes /v1/stats into a T.
+func getStats[T any](t *testing.T, base string) T {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st benchStats
+	var st T
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +585,8 @@ func getBenchStats(t *testing.T, base string) benchStats {
 // /v1/stats: after one guided schedule, one front-only sweep and one
 // authblock request against a daemon with a store, every cache the driver
 // reads reports lookups under the names it decodes. (Only guided searches
-// consult the warm store.)
+// consult the warm store.) The sweep's bound pre-pass also shows as
+// mapper_bound_cache lookups, a name the driver does not decode.
 func TestStatsBenchContract(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -588,7 +596,7 @@ func TestStatsBenchContract(t *testing.T) {
 	_, c := newServer(t, service.Config{Store: st})
 	mapper.ResetCaches()
 	authblock.ResetCaches()
-	before := getBenchStats(t, c.BaseURL)
+	before, boundBefore := getStats[benchStats](t, c.BaseURL), getStats[boundStats](t, c.BaseURL)
 
 	ctx := context.Background()
 	sched := tinyWire(40)
@@ -611,7 +619,7 @@ func TestStatsBenchContract(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("authblock: %v", err)
 	}
-	after := getBenchStats(t, c.BaseURL)
+	after, boundAfter := getStats[benchStats](t, c.BaseURL), getStats[boundStats](t, c.BaseURL)
 
 	for _, tc := range []struct {
 		name  string
@@ -621,6 +629,7 @@ func TestStatsBenchContract(t *testing.T) {
 		{"mapper_search_cache lookups", after.MapperSearch.lookups() - before.MapperSearch.lookups()},
 		{"mapper_tile_cache lookups", after.MapperTile.lookups() - before.MapperTile.lookups()},
 		{"mapper_warm_store lookups", after.MapperWarm.lookups() - before.MapperWarm.lookups()},
+		{"mapper_bound_cache lookups", boundAfter.MapperBound.lookups() - boundBefore.MapperBound.lookups()},
 		{"guided_search.evaluated", after.Guided.Evaluated - before.Guided.Evaluated},
 		{"authblock_optimal lookups", after.AuthOptimal.lookups() - before.AuthOptimal.lookups()},
 		{"authblock_optimal.runs", after.AuthOptimal.Runs - before.AuthOptimal.Runs},

@@ -19,6 +19,7 @@ type Stats struct {
 	MapperSearch  RatioStats      `json:"mapper_search_cache"`
 	MapperTile    RatioStats      `json:"mapper_tile_cache"`
 	MapperWarm    RatioStats      `json:"mapper_warm_store"`
+	MapperBound   RatioStats      `json:"mapper_bound_cache"`
 	GuidedSearch  GuidedStatsBody `json:"guided_search"`
 	AuthOptimal   RatioStats      `json:"authblock_optimal"`
 	AuthTileBlock RatioStats      `json:"authblock_tile_block"`
@@ -87,8 +88,8 @@ func (s *Service) Stats() Stats {
 	out := Stats{Service: s.counters()}
 	out.Queue.Running, out.Queue.Queued, out.Queue.MemInUse, out.Queue.Draining = s.adm.Load()
 
-	ms, mt, mw := mapper.CacheStats()
-	out.MapperSearch, out.MapperTile, out.MapperWarm = ratioStats(ms), ratioStats(mt), ratioStats(mw)
+	ms, mt, mw, mb := mapper.CacheStats()
+	out.MapperSearch, out.MapperTile, out.MapperWarm, out.MapperBound = ratioStats(ms), ratioStats(mt), ratioStats(mw), ratioStats(mb)
 	ao, at, ad, as := authblock.CacheStats()
 	out.AuthOptimal, out.AuthTileBlock, out.AuthDecomp, out.AuthSizes = ratioStats(ao), ratioStats(at), ratioStats(ad), ratioStats(as)
 	s.mu.Lock()
